@@ -60,10 +60,8 @@ from .stationary import (
     balance_residual,
     finite_stationary,
     linear_solve_stationary,
-    pi_w,
     product_form,
     solve_finite_chain,
-    truncated_mass,
 )
 from .detailed import (
     DetailedError,

@@ -14,36 +14,31 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Mapping, Optional
+from itertools import islice
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
 from .graphs import Multigraph, Node
-from .measures import ProbMeasure, Weight
+from .measures import ProbMeasure, Weight, cumulative
 from .policies import (
     Fcfm,
     Lcfm,
     MatchDecision,
     Policy,
     Word,
+    choose_class,
+    class_rule,
     decision_distribution,
     decide,
     is_class_admissible,
     match_candidates,
-    _sample_class,
+    word_counts,
 )
 
 
 class ChainError(ValueError):
     """Inadmissible state or ill-posed chain computation."""
-
-
-def word_counts(w: Word) -> dict[Node, int]:
-    counts: dict[Node, int] = {}
-    for c in w:
-        counts[c] = counts.get(c, 0) + 1
-    return counts
 
 
 def is_admissible_word(g: Multigraph, w: Word) -> bool:
@@ -96,10 +91,7 @@ def class_step(
     if not candidates:
         out[v] += 1
         return out
-    chosen = _sample_class(
-        g, policy, out, v, candidates, rng if rng is not None else random.Random(0)
-    )
-    out[chosen] -= 1
+    out[choose_class(g, policy, out, v, candidates, rng or random.Random(0))] -= 1
     return out
 
 
@@ -178,58 +170,74 @@ def predecessors(
 
 # -- simulation ---------------------------------------------------------------
 
-def draw_arrivals(mu: ProbMeasure, steps: int, rng: random.Random) -> list[Node]:
-    """I.i.d. class sequence; one uniform draw per arrival."""
+def arrival_stream(mu: ProbMeasure, rng: random.Random) -> Iterator[Node]:
+    """Endless i.i.d. class sequence; each arrival takes one ``rng.random()``
+    when it is taken, so the draws interleave with the policy's."""
     nodes = sorted(mu.weights)
-    cum = list(accumulate(float(mu[c]) for c in nodes))
-    cum[-1] = 1.0
-    return [nodes[bisect_right(cum, rng.random())] for _ in range(steps)]
+    cum = cumulative(mu[c] for c in nodes)
+    draw = rng.random
+    while True:
+        yield nodes[bisect_right(cum, draw())]
+
+
+def draw_arrivals(mu: ProbMeasure, steps: int, rng: random.Random) -> list[Node]:
+    """The first ``steps`` arrivals of :func:`arrival_stream`."""
+    return list(islice(arrival_stream(mu, rng), steps))
 
 
 class BufferEngine:
     """Mutable queue state with O(degree) matching steps.
 
-    Items live in an insertion-ordered dict (arrival counter -> class) plus
-    one FIFO of arrival counters per class, which is enough to resolve any
-    supported policy without materializing the word.
+    Items live in an insertion-ordered dict (arrival index -> class) plus
+    one FIFO of arrival indices per class, which is enough to resolve any
+    supported policy without materializing the word.  The policy's choice
+    among the candidate classes is bound once, at construction.
     """
 
     def __init__(self, g: Multigraph, policy: Policy):
         self.g = g
         self.policy = policy
+        self._adjacency = g.adjacency
         self._items: dict[int, Node] = {}
-        self._fifo: dict[Node, deque[int]] = {c: deque() for c in g.nodes}
-        self.counts: dict[Node, int] = {c: 0 for c in g.nodes}
+        self._fifo = fifo = {c: deque() for c in g.nodes}
+        self.counts: dict[Node, int] = dict.fromkeys(g.nodes, 0)
         self.length = 0
         self._clock = 0
+        self._newest = isinstance(policy, Lcfm)
+        if isinstance(policy, (Fcfm, Lcfm)):
+            # the class whose oldest (newest) stored item arrived first (last)
+            end, pick = (-1, max) if self._newest else (0, min)
+            head = lambda c: fifo[c][end]
+            self._choose = lambda cands, v, rng: (
+                cands[0] if len(cands) == 1 else pick(cands, key=head)
+            )
+        else:
+            rule, counts = class_rule(policy), self.counts
+            self._choose = lambda cands, v, rng: rule(g, policy, counts, v, frozenset(cands), rng)
 
     def word(self) -> Word:
         return tuple(self._items.values())
 
-    def offer(self, v: Node, rng: random.Random) -> Optional[Node]:
-        """Process one arrival; returns the matched class or None."""
-        g, policy = self.g, self.policy
-        candidates = [j for j in g.adjacency[v] if self.counts[j] > 0]
-        self._clock += 1
+    def offer(self, v: Node, rng: Optional[random.Random]) -> Optional[int]:
+        """Process one arrival; returns the 0-based arrival index (over this
+        engine's offers) of the item it matched, or None if it is stored."""
+        counts = self.counts
+        candidates = [j for j in self._adjacency[v] if counts[j]]
+        key = self._clock
+        self._clock = key + 1
         if not candidates:
-            self._items[self._clock] = v
-            self._fifo[v].append(self._clock)
-            self.counts[v] += 1
+            self._items[key] = v
+            self._fifo[v].append(key)
+            counts[v] += 1
             self.length += 1
             return None
-        if isinstance(policy, Fcfm):
-            chosen = min(candidates, key=lambda c: self._fifo[c][0])
-            key = self._fifo[chosen].popleft()
-        elif isinstance(policy, Lcfm):
-            chosen = max(candidates, key=lambda c: self._fifo[c][-1])
-            key = self._fifo[chosen].pop()
-        else:
-            chosen = _sample_class(g, policy, self.counts, v, frozenset(candidates), rng)
-            key = self._fifo[chosen].popleft()
+        chosen = self._choose(candidates, v, rng)
+        fifo = self._fifo[chosen]
+        key = fifo.pop() if self._newest else fifo.popleft()
         del self._items[key]
-        self.counts[chosen] -= 1
+        counts[chosen] -= 1
         self.length -= 1
-        return chosen
+        return key
 
 
 @dataclass(frozen=True)
@@ -269,19 +277,20 @@ def simulate(
 ) -> SimulationResult:
     """Run the matching chain from the empty buffer and tally visited words.
 
-    The default burn-in is 1% of the step count.  Given a seed the result is
+    The burn-in (default 1% of the step count) must be below the step count,
+    so at least one step is recorded.  Given a seed the result is
     bit-identical across runs; the per-step draw order is fixed (arrival
     first, then any policy draws).
     """
     if steps <= 0:
         raise ChainError("steps must be positive")
-    mu.check_support(g)
     if burn_in is None:
         burn_in = steps // 100
+    if not 0 <= burn_in < steps:
+        raise ChainError(f"burn-in must satisfy 0 <= burn_in < steps, got {burn_in}")
+    mu.check_support(g)
     rng = random.Random(seed)
-    nodes = sorted(mu.weights)
-    cum = list(accumulate(float(mu[c]) for c in nodes))
-    cum[-1] = 1.0
+    arrivals = arrival_stream(mu, rng)
 
     engine = BufferEngine(g, policy)
     counts: dict[Word, int] = {}
@@ -294,8 +303,7 @@ def simulate(
     half = steps // 2
     sx = sy = sxy = sxx = 0.0
     n_fit = 0
-    for n in range(steps):
-        v = nodes[bisect_right(cum, rng.random())]
+    for n, v in zip(range(steps), arrivals):
         engine.offer(v, rng)
         ln = engine.length
         if n >= half:
@@ -330,8 +338,8 @@ def simulate(
         counts=counts,
         overflow_steps=overflow,
         max_queue_len=max_len,
-        mean_queue_len=len_sum / max(recorded, 1),
-        class_occupancy={c: occ_sum[c] / max(recorded, 1) for c in g.nodes},
+        mean_queue_len=len_sum / recorded,
+        class_occupancy={c: occ_sum[c] / recorded for c in g.nodes},
         final_queue_len=engine.length,
         tail_slope=slope,
     )
@@ -343,13 +351,9 @@ def queue_length_trajectory(
     """Total queue length after each arrival; the cheap path for slope checks."""
     mu.check_support(g)
     rng = random.Random(seed)
-    nodes = sorted(mu.weights)
-    cum = list(accumulate(float(mu[c]) for c in nodes))
-    cum[-1] = 1.0
     engine = BufferEngine(g, policy)
     lengths = np.empty(steps, dtype=np.int64)
-    for n in range(steps):
-        v = nodes[bisect_right(cum, rng.random())]
+    for n, v in zip(range(steps), arrival_stream(mu, rng)):
         engine.offer(v, rng)
         lengths[n] = engine.length
     return lengths

@@ -231,8 +231,11 @@ def cmd_verify_balance(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
-def _merged_simulation(g, mu, policy, args):
-    results = [
+def _replica_runs(g, mu, policy, args, word_cap: int) -> list:
+    """One simulation per replica; replica ``k`` runs with seed ``seed + k``."""
+    if args.replicas < 1:
+        raise InputError("--replicas must be at least 1")
+    return [
         chain.simulate(
             g,
             mu,
@@ -240,16 +243,10 @@ def _merged_simulation(g, mu, policy, args):
             steps=args.steps,
             burn_in=args.burn_in,
             seed=args.seed + k,
-            word_cap=args.word_cap,
+            word_cap=word_cap,
         )
         for k in range(args.replicas)
     ]
-    counts: dict[Word, int] = {}
-    for res in results:
-        for w, c in res.counts.items():
-            counts[w] = counts.get(w, 0) + c
-    recorded = sum(r.recorded_steps for r in results)
-    return results, counts, recorded
 
 
 def cmd_simulate(args) -> int:
@@ -257,7 +254,12 @@ def cmd_simulate(args) -> int:
     mu = _load_measure(args.mu)
     policy = _load_policy(args.policy)
     policies.validate_policy(policy, g)
-    results, counts, recorded = _merged_simulation(g, mu, policy, args)
+    results = _replica_runs(g, mu, policy, args, args.word_cap)
+    counts: dict[Word, int] = {}
+    for res in results:
+        for w, c in res.counts.items():
+            counts[w] = counts.get(w, 0) + c
+    recorded = sum(r.recorded_steps for r in results)
     rows = [
         (_fmt_word(w), c, c / recorded)
         for w, c in sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -291,16 +293,7 @@ def cmd_tv_compare(args) -> int:
     exact_tail = 1 - float(dist.truncated_mass(args.max_len))
     tvs = []
     freq_cols = []
-    for k in range(args.replicas):
-        res = chain.simulate(
-            g,
-            mu,
-            policy,
-            steps=args.steps,
-            burn_in=args.burn_in,
-            seed=args.seed + k,
-            word_cap=args.max_len,
-        )
+    for res in _replica_runs(g, mu, policy, args, args.max_len):
         freqs = {w: res.frequency(w) for w in states}
         emp_tail = res.overflow_steps / res.recorded_steps
         tv = 0.5 * (

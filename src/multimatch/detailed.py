@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
-from .chain import draw_arrivals
+from .chain import BufferEngine, draw_arrivals
 from .graphs import Multigraph, Node
 from .measures import ProbMeasure, Weight
-from .policies import Word
+from .policies import Fcfm, Word
 
 DLetter = tuple[Node, bool]  # (class, barred flag)
 DWord = tuple[DLetter, ...]
@@ -129,17 +128,16 @@ def fcfm_match_partners(g: Multigraph, arrivals: Sequence[Node]) -> list[Optiona
     ``k``, or ``None`` while unmatched.  Symmetric by construction.
     """
     partners: list[Optional[int]] = [None] * len(arrivals)
-    fifo: dict[Node, deque[int]] = {c: deque() for c in g.nodes}
-    for m, v in enumerate(arrivals):
+    offer = BufferEngine(g, Fcfm()).offer
+    try:
+        for m, v in enumerate(arrivals):
+            k = offer(v, None)
+            if k is not None:
+                partners[m] = k
+                partners[k] = m
+    except KeyError:
         g.check_node(v)
-        candidates = [c for c in g.adjacency[v] if fifo[c]]
-        if candidates:
-            chosen = min(candidates, key=lambda c: fifo[c][0])
-            k = fifo[chosen].popleft()
-            partners[m] = k
-            partners[k] = m
-        else:
-            fifo[v].append(m)
+        raise
     return partners
 
 
@@ -181,18 +179,25 @@ def forward_word(
     if partners is None:
         partners = fcfm_match_partners(g, arrivals)
     live = [k for k in range(n) if partners[k] is None or partners[k] >= n]
+    return _forward_from(arrivals, partners, n, live)
+
+
+def _forward_from(
+    arrivals: Sequence[Node],
+    partners: Sequence[Optional[int]],
+    n: int,
+    live: Collection[int],
+) -> Optional[DWord]:
+    """Forward word at ``n``, given the pre-``n`` items still unmatched at ``n``."""
     if not live:
         return ()
-    if any(partners[k] is None for k in live):
+    ends = [partners[k] for k in live]
+    if None in ends:
         return None
-    j = max(partners[k] for k in live)
     letters: list[DLetter] = []
-    for m in range(n, j + 1):
+    for m in range(n, max(ends) + 1):
         k = partners[m]
-        if k is not None and k < n:
-            letters.append(barred(arrivals[k]))
-        else:
-            letters.append(plain(arrivals[m]))
+        letters.append(barred(arrivals[k]) if k is not None and k < n else plain(arrivals[m]))
     return tuple(letters)
 
 
@@ -355,27 +360,8 @@ def verify_local_balance_empirical(
     live: set[int] = set()
     prev_f: Optional[DWord] = None
 
-    def forward_at(n: int) -> Optional[DWord]:
-        if not live:
-            return ()
-        js = []
-        for k in live:
-            p = partners[k]
-            if p is None:
-                return None
-            js.append(p)
-        j = max(js)
-        letters: list[DLetter] = []
-        for m in range(n, j + 1):
-            k = partners[m]
-            if k is not None and k < n:
-                letters.append(barred(arrivals[k]))
-            else:
-                letters.append(plain(arrivals[m]))
-        return tuple(letters)
-
     for n in range(steps + 1):
-        f = forward_at(n)
+        f = _forward_from(arrivals, partners, n, live)
         if f is None:
             undetermined += 1
         else:

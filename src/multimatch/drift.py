@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .chain import check_admissible, enumerate_states, word_counts
+from .chain import check_admissible, enumerate_states
 from .graphs import Multigraph, Node
 from .measures import ProbMeasure, Weight, extend_measure, ncond_check
 from .policies import (
@@ -29,6 +29,7 @@ from .policies import (
     decision_distribution,
     extend_policy,
     reduce_policy,
+    word_counts,
 )
 
 
@@ -112,27 +113,22 @@ def exact_drift(
     return DriftReport(state=w, fn_name=fn.name, drift=total, per_class=per_class)
 
 
-def special_sets(
-    g: Multigraph, w: Word
-) -> tuple[frozenset[Node], frozenset[Node], frozenset[Node]]:
-    """Self-looped classes stored once, isolated-empty, and stored at all.
+def special_sets(g: Multigraph, w: Word) -> tuple[frozenset[Node], frozenset[Node]]:
+    """Self-looped classes that are stored, and those idle.
 
-    On admissible words the first and third sets coincide (self-looped counts
-    never exceed one); the middle set holds looped classes with an empty
-    queue and all-empty neighborhoods.
+    An admissible word stores a self-looped class at most once.  A looped
+    class is idle when its queue and all its neighbors' queues are empty.
     """
     check_admissible(g, w)
     counts = word_counts(w)
-    stored_once = frozenset(i for i in g.v1 if counts.get(i, 0) == 1)
+    stored = frozenset(i for i in g.v1 if counts.get(i, 0) > 0)
     idle = frozenset(
         i
         for i in g.v1
         if counts.get(i, 0) == 0
         and all(counts.get(j, 0) == 0 for j in g.adjacency[i])
     )
-    stored = frozenset(i for i in g.v1 if counts.get(i, 0) > 0)
-    assert stored_once == stored, "admissible words store looped classes at most once"
-    return stored_once, idle, stored
+    return stored, idle
 
 
 def _as_residual(x: Weight) -> float:
@@ -151,7 +147,7 @@ def verify_quadratic_identity(
     bmap = g.minimal_blowup()
     mu_hat = extend_measure(mu, bmap, split)
     pol_hat = extend_policy(policy, bmap)
-    stored, _, _ = special_sets(g, w)
+    stored, _ = special_sets(g, w)
     lhs = exact_drift(g, mu, policy, w, Quadratic()).drift
     rhs = exact_drift(bmap.blown, mu_hat, pol_hat, w, Quadratic()).drift
     rhs -= 4 * mu_hat.mass(stored)
@@ -177,7 +173,7 @@ def verify_linear_chain(
     pol_hat = extend_policy(policy, bmap)
     pol_check = reduce_policy(policy, g)
     check = g.maximal_subgraph()
-    _, _, stored = special_sets(g, w)
+    stored, _ = special_sets(g, w)
     fn = Linear()
     d_multi = exact_drift(g, mu, policy, w, fn).drift
     d_blown = exact_drift(bmap.blown, mu_hat, pol_hat, w, fn).drift

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Union
 
 from .graphs import BlowupMap, Multigraph, Node
@@ -38,6 +39,17 @@ def _to_weight(v) -> Weight:
         except ValueError as exc:
             raise MeasureError(f"cannot parse weight {v!r}") from exc
     raise MeasureError(f"unsupported weight type {type(v).__name__}")
+
+
+def cumulative(weights: Iterable[Weight]) -> list[float]:
+    """Float running sums of a probability law, the last one pinned to 1.0.
+
+    ``bisect_right(table, u)`` then maps every ``u`` in [0, 1) to the index
+    of the first entry whose running sum exceeds ``u``.
+    """
+    table = list(accumulate(float(p) for p in weights))
+    table[-1] = 1.0
+    return table
 
 
 @dataclass(frozen=True)

@@ -6,22 +6,25 @@ that favors classes without self-loops.  Within a chosen class the oldest
 stored item is always taken, so every class-level rule also acts on queue
 words.
 
-Two evaluation modes exist side by side: :func:`decide` samples one decision
-with an explicit RNG, while :func:`decision_distribution` enumerates every
-possible decision with its exact probability (used by transition kernels and
-drift computations).
+Each class-level kind has one rule (:func:`choose_class`) that either draws
+the chosen class from an explicit RNG or, given no RNG, returns its exact law.
+:func:`decide` samples one decision and :func:`decision_distribution`
+enumerates every decision with its exact probability (used by transition
+kernels and drift computations); both go through the same candidate and
+first/last-come position logic.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .graphs import BlowupMap, Multigraph, Node
-from .measures import Weight, _to_weight
+from .measures import Weight, _to_weight, cumulative
 
 Word = tuple[Node, ...]
 
@@ -132,11 +135,9 @@ Policy = Union[Fcfm, Lcfm, RandomPolicy, Priority, MaxWeight, V2Favorable]
 
 
 def is_class_admissible(policy: Policy) -> bool:
-    if isinstance(policy, (RandomPolicy, Priority, MaxWeight)):
-        return True
     if isinstance(policy, V2Favorable):
         return is_class_admissible(policy.inner)
-    return False
+    return type(policy) in _CLASS_RULES
 
 
 def match_the_longest(beta: Weight = 1) -> MaxWeight:
@@ -187,49 +188,98 @@ def validate_policy(policy: Policy, g: Multigraph) -> None:
 
 # -- candidate sets and class choice ----------------------------------------
 
+def word_counts(w: Word) -> dict[Node, int]:
+    """Stored items per class of a queue word."""
+    counts: dict[Node, int] = {}
+    for c in w:
+        counts[c] = counts.get(c, 0) + 1
+    return counts
+
+
 def match_candidates(g: Multigraph, counts: Mapping[Node, int], v: Node) -> frozenset[Node]:
     """Compatible classes with at least one stored item."""
     g.check_node(v)
     return frozenset(j for j in g.adjacency[v] if counts.get(j, 0) > 0)
 
 
-def _class_distribution(
+def _uniform(choices: Sequence[Node], rng: Optional[random.Random]):
+    """Uniform pick among sorted choices; draws only when there is a tie."""
+    if rng is None:
+        p = Fraction(1, len(choices))
+        return {j: p for j in choices}
+    return choices[0] if len(choices) == 1 else choices[rng.randrange(len(choices))]
+
+
+def _random_rule(g, policy, counts, v, candidates, rng):
+    dist = (policy.perms or {}).get(v)
+    if dist is None:
+        if rng is None:
+            # A uniform permutation's first hit is uniform on the candidates.
+            return _uniform(sorted(candidates), None)
+        perm = sorted(g.adjacency[v])
+        rng.shuffle(perm)
+        return next(j for j in perm if j in candidates)
+    if rng is None:
+        law: dict[Node, Weight] = {}
+        for perm, p in dist:
+            first = next(j for j in perm if j in candidates)
+            law[first] = law.get(first, Fraction(0)) + p
+        return law
+    perm = dist[bisect_right(cumulative(p for _, p in dist), rng.random())][0]
+    return next(j for j in perm if j in candidates)
+
+
+def _priority_rule(g, policy, counts, v, candidates, rng):
+    groups = policy.order.get(v)
+    if groups is None:
+        raise PolicyError(f"priority policy lacks an order for class {v!r}")
+    for group in groups:
+        present = sorted(candidates.intersection(group))
+        if present:
+            return _uniform(present, rng)
+    raise PolicyError(f"priority order for {v!r} missed candidates {sorted(candidates)}")
+
+
+def _max_weight_rule(g, policy, counts, v, candidates, rng):
+    scores = {j: policy.beta * counts.get(j, 0) + policy.reward(v, j) for j in candidates}
+    top = max(scores.values())
+    return _uniform(sorted(j for j, s in scores.items() if s == top), rng)
+
+
+def _favored_rule(g, policy, counts, v, candidates, rng):
+    restricted = candidates & policy.resolve_favored(g) or candidates
+    return choose_class(g, policy.inner, counts, v, restricted, rng)
+
+
+_CLASS_RULES = {
+    RandomPolicy: _random_rule,
+    Priority: _priority_rule,
+    MaxWeight: _max_weight_rule,
+    V2Favorable: _favored_rule,
+}
+
+
+def class_rule(policy: Policy):
+    """The function behind :func:`choose_class` for this policy's kind."""
+    if type(policy) not in _CLASS_RULES:
+        raise PolicyError(f"{type(policy).__name__} is not class-admissible")
+    return _CLASS_RULES[type(policy)]
+
+
+def choose_class(
     g: Multigraph,
     policy: Policy,
     counts: Mapping[Node, int],
     v: Node,
     candidates: frozenset[Node],
-) -> dict[Node, Weight]:
-    """Exact law of the chosen class, given a nonempty candidate set."""
-    if isinstance(policy, RandomPolicy):
-        if policy.perms is None or v not in policy.perms:
-            # A uniform permutation's first hit is uniform on the candidates.
-            k = len(candidates)
-            return {j: Fraction(1, k) for j in candidates}
-        out: dict[Node, Weight] = {}
-        for perm, p in policy.perms[v]:
-            first = next(j for j in perm if j in candidates)
-            out[first] = out.get(first, Fraction(0)) + p
-        return out
-    if isinstance(policy, Priority):
-        if v not in policy.order:
-            raise PolicyError(f"priority policy lacks an order for class {v!r}")
-        for group in policy.order[v]:
-            present = sorted(set(group) & candidates)
-            if present:
-                k = len(present)
-                return {j: Fraction(1, k) for j in present}
-        raise PolicyError(f"priority order for {v!r} missed candidates {sorted(candidates)}")
-    if isinstance(policy, MaxWeight):
-        scores = {j: policy.beta * counts.get(j, 0) + policy.reward(v, j) for j in candidates}
-        top = max(scores.values())
-        ties = sorted(j for j, s in scores.items() if s == top)
-        return {j: Fraction(1, len(ties)) for j in ties}
-    if isinstance(policy, V2Favorable):
-        favored = policy.resolve_favored(g)
-        restricted = candidates & favored or candidates
-        return _class_distribution(g, policy.inner, counts, v, frozenset(restricted))
-    raise PolicyError(f"{type(policy).__name__} is not class-admissible")
+    rng: Optional[random.Random] = None,
+) -> Union[Node, dict[Node, Weight]]:
+    """Class matched with arrival ``v`` among the nonempty ``candidates``.
+
+    One rule per class-level kind gives both modes: it draws the class from
+    ``rng``, or with ``rng=None`` returns the exact law {class: probability}.
+    """
+    return class_rule(policy)(g, policy, counts, v, candidates, rng)
 
 
 def class_choice_distribution(
@@ -239,16 +289,28 @@ def class_choice_distribution(
     candidates = match_candidates(g, counts, v)
     if not candidates:
         return {}
-    return _class_distribution(g, policy, counts, v, candidates)
+    return choose_class(g, policy, counts, v, candidates)
 
 
 # -- word-level decisions ----------------------------------------------------
 
-def _word_counts(w: Word) -> dict[Node, int]:
-    counts: dict[Node, int] = {}
-    for c in w:
-        counts[c] = counts.get(c, 0) + 1
-    return counts
+def _decision(
+    g: Multigraph, policy: Policy, w: Word, v: Node, rng: Optional[random.Random]
+):
+    """One sampled decision, or with ``rng=None`` the exact decision law."""
+    counts = word_counts(w)
+    candidates = match_candidates(g, counts, v)
+    if not candidates:
+        return NO_MATCH if rng is not None else {NO_MATCH: Fraction(1)}
+    if isinstance(policy, (Fcfm, Lcfm)):
+        hits = [k for k, c in enumerate(w) if c in candidates]
+        pos = hits[0] if isinstance(policy, Fcfm) else hits[-1]
+        decision = MatchDecision(pos, w[pos])
+        return decision if rng is not None else {decision: Fraction(1)}
+    chosen = choose_class(g, policy, counts, v, candidates, rng)
+    if rng is not None:
+        return MatchDecision(w.index(chosen), chosen)
+    return {MatchDecision(w.index(j), j): p for j, p in chosen.items()}
 
 
 def decision_distribution(
@@ -258,18 +320,7 @@ def decision_distribution(
 
     Class-level choices land on the oldest stored item of the chosen class.
     """
-    counts = _word_counts(w)
-    candidates = match_candidates(g, counts, v)
-    if not candidates:
-        return {NO_MATCH: Fraction(1)}
-    if isinstance(policy, Fcfm):
-        pos = next(k for k, c in enumerate(w) if c in candidates)
-        return {MatchDecision(pos, w[pos]): Fraction(1)}
-    if isinstance(policy, Lcfm):
-        pos = max(k for k, c in enumerate(w) if c in candidates)
-        return {MatchDecision(pos, w[pos]): Fraction(1)}
-    law = _class_distribution(g, policy, counts, v, candidates)
-    return {MatchDecision(w.index(j), j): p for j, p in law.items()}
+    return _decision(g, policy, w, v, None)
 
 
 def decide(
@@ -280,63 +331,7 @@ def decide(
     Random policies draw their preference permutation first; any tie-break
     draw comes after, so a seeded stream replays identically.
     """
-    counts = _word_counts(w)
-    candidates = match_candidates(g, counts, v)
-    if not candidates:
-        return NO_MATCH
-    if isinstance(policy, Fcfm):
-        pos = next(k for k, c in enumerate(w) if c in candidates)
-        return MatchDecision(pos, w[pos])
-    if isinstance(policy, Lcfm):
-        pos = max(k for k, c in enumerate(w) if c in candidates)
-        return MatchDecision(pos, w[pos])
-    chosen = _sample_class(g, policy, counts, v, candidates, rng)
-    return MatchDecision(w.index(chosen), chosen)
-
-
-def _sample_class(
-    g: Multigraph,
-    policy: Policy,
-    counts: Mapping[Node, int],
-    v: Node,
-    candidates: frozenset[Node],
-    rng: random.Random,
-) -> Node:
-    if isinstance(policy, RandomPolicy):
-        if policy.perms is None or v not in policy.perms:
-            perm = sorted(g.adjacency[v])
-            rng.shuffle(perm)
-        else:
-            dist = policy.perms[v]
-            u = rng.random()
-            acc = 0.0
-            perm = dist[-1][0]
-            for cand_perm, p in dist:
-                acc += float(p)
-                if u < acc:
-                    perm = cand_perm
-                    break
-        return next(j for j in perm if j in candidates)
-    if isinstance(policy, Priority):
-        for group in policy.order[v]:
-            present = sorted(set(group) & candidates)
-            if len(present) == 1:
-                return present[0]
-            if present:
-                return present[rng.randrange(len(present))]
-        raise PolicyError(f"priority order for {v!r} missed candidates {sorted(candidates)}")
-    if isinstance(policy, MaxWeight):
-        scores = {j: policy.beta * counts.get(j, 0) + policy.reward(v, j) for j in candidates}
-        top = max(scores.values())
-        ties = sorted(j for j, s in scores.items() if s == top)
-        if len(ties) == 1:
-            return ties[0]
-        return ties[rng.randrange(len(ties))]
-    if isinstance(policy, V2Favorable):
-        favored = policy.resolve_favored(g)
-        restricted = candidates & favored or candidates
-        return _sample_class(g, policy.inner, counts, v, frozenset(restricted), rng)
-    raise PolicyError(f"cannot sample a class under {type(policy).__name__}")
+    return _decision(g, policy, w, v, rng)
 
 
 # -- transforms between a multigraph and its blow-up / loop-free versions ----

@@ -111,10 +111,6 @@ def product_form(g: Multigraph, mu: ProbMeasure) -> ProductFormDistribution:
     return ProductFormDistribution(graph=g, measure=mu, alpha=alpha(g, mu))
 
 
-def pi_w(dist: ProductFormDistribution, w: Word) -> Weight:
-    return dist.pi(w)
-
-
 def finite_stationary(g: Multigraph, mu: ProbMeasure) -> dict[Word, Weight]:
     """Full stationary table for an all-self-loop model.
 
@@ -213,7 +209,3 @@ def balance_residual(
             worst = residual
             worst_word = w
     return worst, worst_word
-
-
-def truncated_mass(dist: ProductFormDistribution, max_len: int) -> Weight:
-    return dist.truncated_mass(max_len)

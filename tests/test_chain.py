@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,9 +7,12 @@ import pytest
 from multimatch import (
     ChainError,
     Fcfm,
+    Lcfm,
     Multigraph,
+    Priority,
     ProbMeasure,
     RandomPolicy,
+    V2Favorable,
     class_step,
     enumerate_states,
     is_admissible_word,
@@ -19,7 +23,8 @@ from multimatch import (
     simulate,
     step,
 )
-from multimatch.chain import BufferEngine, check_admissible, word_counts
+from multimatch.chain import BufferEngine, check_admissible, draw_arrivals, word_counts
+from multimatch.detailed import fcfm_match_partners
 from multimatch.policies import decision_distribution, class_choice_distribution
 
 from conftest import random_measure, random_multigraph
@@ -206,26 +211,82 @@ def test_word_and_class_dynamics_commute(path_loop, mu_path):
                 assert word_law == class_law
 
 
+def policy_kinds(g):
+    """One policy of every kind; explicit permutation laws on two classes."""
+    perms = {}
+    for v in [v for v in sorted(g.nodes) if len(g.adjacency[v]) > 1][:2]:
+        nb = sorted(g.adjacency[v])
+        perms[v] = (
+            (tuple(nb), Fraction(1, 2)),
+            (tuple(reversed(nb)), Fraction(1, 3)),
+            (tuple(nb[1:] + nb[:1]), Fraction(1, 6)),
+        )
+    tied = Priority.from_lists(
+        {v: [sorted(g.adjacency[v])[k : k + 2] for k in range(0, len(g.adjacency[v]), 2)]
+         for v in g.nodes}
+    )
+    return {
+        "fcfm": Fcfm(),
+        "lcfm": Lcfm(),
+        "ml": match_the_longest(),
+        "ms": match_the_shortest(),
+        "random": RandomPolicy(),
+        "random_perms": RandomPolicy(perms),
+        "priority": tied,
+        "v2fav": V2Favorable(RandomPolicy()),
+    }
+
+
 def test_buffer_engine_matches_step(diamond_hub, mu_diamond):
-    rng_arr = random.Random(9)
-    nodes = sorted(diamond_hub.nodes)
-    cum = []
-    acc = 0.0
-    for c in nodes:
-        acc += float(mu_diamond[c])
-        cum.append(acc)
-    for pol in (Fcfm(), match_the_longest()):
+    # same words and the same RNG stream as the word-level step, per kind
+    arrivals = draw_arrivals(mu_diamond, 2000, random.Random(9))
+    for name, pol in policy_kinds(diamond_hub).items():
         engine = BufferEngine(diamond_hub, pol)
         w = ()
         rng_a = random.Random(10)
         rng_b = random.Random(10)
-        for _ in range(2000):
-            u = rng_arr.random()
-            v = next(c for c, q in zip(nodes, cum) if u <= q)
-            engine.offer(v, rng_a)
-            w = step(diamond_hub, pol, w, v, rng_b)
-            assert engine.word() == w
-            assert engine.length == len(w)
+        for v in arrivals:
+            k = engine.offer(v, rng_a)
+            nw = step(diamond_hub, pol, w, v, rng_b)
+            assert engine.word() == nw, name
+            assert engine.length == len(nw)
+            assert rng_a.getstate() == rng_b.getstate(), name
+            # the returned arrival index names an item of the matched class
+            if len(nw) < len(w):
+                assert k is not None and arrivals[k] in diamond_hub.adjacency[v]
+                assert word_counts(w)[arrivals[k]] - word_counts(nw).get(arrivals[k], 0) == 1
+            else:
+                assert k is None
+            w = nw
+
+
+def seeded_digests(trip, mu_trip, path, mu_p) -> dict[str, str]:
+    """sha256 of the repr of seeded simulate results and of a partner table."""
+    out = {}
+    for name, pol in policy_kinds(trip).items():
+        res = simulate(trip, mu_trip, pol, steps=5000, seed=11)
+        out[name] = hashlib.sha256(repr(res).encode()).hexdigest()
+    partners = fcfm_match_partners(path, draw_arrivals(mu_p, 5000, random.Random(4)))
+    out["partners"] = hashlib.sha256(repr(partners).encode()).hexdigest()
+    return out
+
+
+# computed with the per-kind samplers that predate the shared class rules
+PINNED_DIGESTS = {
+    "fcfm": "5a1d086c1040ce8dcc42a5666fdc84b7d6fdb1ac03eeefe916ccc78a73fbcb44",
+    "lcfm": "54c31c405871ccca8b2f73d07ed100d38de1c952270e18a1675f48c76b7748fe",
+    "ml": "b2819013848e28f7bd7bdbab2f3ca25113733c733dfd612d5a28093c37c5714f",
+    "ms": "f3a84c1df37f1b3c9502d0d098f25031bc56a19e4d00f908d83d2ee51fb09ad6",
+    "random": "b6db1934aa23f8531bfb660a5cb9c8f6bda26c99c7768970eb4f97dd775b9bd0",
+    "random_perms": "916a677266e55439dfc3381e4c3cec74417717f931b62d1283d78b17e352cd56",
+    "priority": "1ebe850c5df7c77f9889f305239f5d45dc92c82f0fed6c04d14434e73b8c5acb",
+    "v2fav": "519ead242347720caef3678fe70d9380c9bb4d6c4cbc3c3affd26e21050c1b2c",
+    "partners": "ad8842bdba3052cb23d37987229d801d720c66f9251b46b587ee3b1d05066289",
+}
+
+
+def test_seeded_streams_are_pinned(tripartite_loop, mu_tripartite, path_loop, mu_path):
+    assert seeded_digests(tripartite_loop, mu_tripartite, path_loop, mu_path) == PINNED_DIGESTS
 
 
 def test_simulate_is_deterministic_and_consistent(path_loop, mu_path):

@@ -256,6 +256,15 @@ def test_input_errors_exit_2(capsys):
         )
         == 2
     )
+    path_model = ["--graph", fx("path_loop.graph.json"), "--mu", fx("path_loop.mu.json")]
+    partial_priority = '{"kind": "priority", "order": {"1": ["2"]}}'
+    # an order that misses a class fails alike when sampled and when exact
+    assert main(["simulate", *path_model, "--policy", partial_priority, "--steps", "1000"]) == 2
+    assert main(["drift", *path_model, "--policy", partial_priority, "--max-len", "2"]) == 2
+    assert main(["tv-compare", *path_model, "--steps", "100", "--burn-in", "200"]) == 2
+    for burn_in in ("100", "-1"):
+        assert main(["simulate", *path_model, "--steps", "100", "--burn-in", burn_in]) == 2
+    assert main(["simulate", *path_model, "--steps", "100", "--replicas", "0"]) == 2
     capsys.readouterr()
 
 

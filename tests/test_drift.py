@@ -90,13 +90,9 @@ def test_drift_decomposition_and_kernel_agreement(diamond_hub, mu_diamond):
 
 
 def test_special_sets(path_loop, triangle):
-    stored, idle, present = special_sets(path_loop, ("3",))
-    assert stored == present == frozenset({"3"})
-    assert idle == frozenset()
-    stored, idle, present = special_sets(path_loop, ())
-    assert stored == present == frozenset()
-    assert idle == frozenset({"3"})
-    assert special_sets(triangle, ("1",)) == (frozenset(),) * 3
+    assert special_sets(path_loop, ("3",)) == (frozenset({"3"}), frozenset())
+    assert special_sets(path_loop, ()) == (frozenset(), frozenset({"3"}))
+    assert special_sets(triangle, ("1",)) == (frozenset(),) * 2
 
 
 def test_quadratic_identity_residuals(path_loop, diamond_hub, mu_path, mu_diamond):
@@ -125,7 +121,7 @@ def test_linear_chain_residuals_and_ordering(path_loop, diamond_hub, mu_path, mu
                 d_multi = exact_drift(g, mu, pol, w, Linear()).drift
                 d_blown = exact_drift(bmap.blown, mu_hat, pol_hat, w, Linear()).drift
                 assert d_multi <= d_blown
-                stored, _, _ = special_sets(g, w)
+                stored, _ = special_sets(g, w)
                 if stored:
                     assert d_blown - d_multi == 2 * mu_hat.mass(stored) > 0
 
