@@ -10,6 +10,7 @@ runs use a compact per-class FIFO engine so long trajectories stay cheap.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -299,20 +300,13 @@ def simulate(
     len_sum = 0
     occ_sum = {c: 0 for c in g.nodes}
     recorded = 0
-    # least-squares accumulators for the queue-length slope over the last half
     half = steps // 2
-    sx = sy = sxy = sxx = 0.0
-    n_fit = 0
+    tail = array("q")  # queue lengths over the last half, for the slope
     for n, v in zip(range(steps), arrivals):
         engine.offer(v, rng)
         ln = engine.length
         if n >= half:
-            x = float(n - half)
-            sx += x
-            sy += ln
-            sxy += x * ln
-            sxx += x * x
-            n_fit += 1
+            tail.append(ln)
         if n < burn_in:
             continue
         recorded += 1
@@ -327,8 +321,6 @@ def simulate(
             counts[w] = counts.get(w, 0) + 1
         else:
             overflow += 1
-    denom = n_fit * sxx - sx * sx
-    slope = (n_fit * sxy - sx * sy) / denom if denom > 0 else 0.0
     return SimulationResult(
         total_steps=steps,
         burn_in=burn_in,
@@ -341,7 +333,7 @@ def simulate(
         mean_queue_len=len_sum / recorded,
         class_occupancy={c: occ_sum[c] / recorded for c in g.nodes},
         final_queue_len=engine.length,
-        tail_slope=slope,
+        tail_slope=least_squares_slope(tail),
     )
 
 
@@ -359,6 +351,22 @@ def queue_length_trajectory(
     return lengths
 
 
+def least_squares_slope(lengths) -> float:
+    """Least-squares slope of queue lengths against their index 0, 1, ...
+
+    The sums accumulate left to right (``np.cumsum``, not the pairwise order
+    of ``np.sum``); fewer than two lengths give 0.0.
+    """
+    y = np.asarray(lengths, dtype=float)
+    n = y.size
+    if n < 2:
+        return 0.0
+    x = np.arange(n, dtype=float)
+    sx, sy, sxy, sxx = (np.cumsum(a)[-1] for a in (x, y, x * y, x * x))
+    denom = n * sxx - sx * sx
+    return float((n * sxy - sx * sy) / denom) if denom > 0 else 0.0
+
+
 def stability_slope(
     g: Multigraph, mu: ProbMeasure, policy: Policy, steps: int, seed: int = 0
 ) -> float:
@@ -369,7 +377,4 @@ def stability_slope(
     test.  The fit uses the last half of the run to discard the transient.
     """
     lengths = queue_length_trajectory(g, mu, policy, steps, seed)
-    tail = lengths[steps // 2 :]
-    x = np.arange(tail.size, dtype=float)
-    slope, _ = np.polyfit(x, tail.astype(float), 1)
-    return float(slope)
+    return least_squares_slope(lengths[steps // 2 :])

@@ -185,12 +185,6 @@ def cmd_mudeg(args) -> int:
 def cmd_stationary_fcfm(args) -> int:
     g = _load_graph(args.graph)
     mu = _load_measure(args.mu)
-    if len(g.nodes) > 12:
-        print(
-            "warning: the normalizer sums over all orderings of all independent "
-            f"sets; {len(g.nodes)} classes may take very long",
-            file=sys.stderr,
-        )
     dist = stationary.product_form(g, mu)
     states = chain.enumerate_states(g, args.max_len)
     rows = [(_fmt_word(w), dist.pi(w)) for w in states]

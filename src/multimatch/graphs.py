@@ -272,12 +272,20 @@ class Multigraph:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Multigraph":
+        def names(x) -> bool:
+            return isinstance(x, list) and all(isinstance(i, str) for i in x)
+
+        if not isinstance(data, dict):
+            raise GraphError("a graph document must be a JSON object")
         try:
-            return Multigraph.build(
-                data["nodes"], data["edges"], data.get("self_loops", ())
-            )
+            nodes, edges = data["nodes"], data["edges"]
         except KeyError as exc:
             raise GraphError(f"graph object missing key {exc}") from exc
+        loops = data.get("self_loops", [])
+        if not (names(nodes) and names(loops)
+                and isinstance(edges, list) and all(map(names, edges))):
+            raise GraphError("nodes, self_loops and edges must be arrays of node-name strings")
+        return Multigraph.build(nodes, edges, loops)
 
     @staticmethod
     def loads(text: str) -> "Multigraph":

@@ -60,6 +60,8 @@ class ProbMeasure:
 
     @staticmethod
     def from_dict(raw: Mapping[Node, object]) -> "ProbMeasure":
+        if not isinstance(raw, Mapping):
+            raise MeasureError("a measure must map class names to weights")
         mu = ProbMeasure({k: _to_weight(v) for k, v in raw.items()})
         mu.validate()
         return mu

@@ -155,6 +155,9 @@ def match_the_shortest(beta: Weight = -1) -> MaxWeight:
 def validate_policy(policy: Policy, g: Multigraph) -> None:
     """Check a policy's data against a graph's adjacency."""
     if isinstance(policy, Priority):
+        missing = sorted(set(g.nodes) - set(policy.order))
+        if missing:
+            raise PolicyError(f"priority order has no entry for classes {missing}")
         for v, groups in policy.order.items():
             g.check_node(v)
             flat = [j for grp in groups for j in grp]
@@ -450,6 +453,8 @@ def policy_to_json_dict(policy: Policy) -> dict:
 
 
 def policy_from_json_dict(data: dict) -> Policy:
+    if not isinstance(data, dict):
+        raise PolicyError("a policy must be a JSON object with a \"kind\"")
     kind = data.get("kind")
     if kind == "fcfm":
         return Fcfm()

@@ -4,8 +4,8 @@ Under first-come-first-matched and a measure inside the stability region,
 the queue-word chain has a product-form stationary law: the probability of a
 word is a normalizing constant times the product, over its prefixes, of the
 arriving class's mass divided by the prefix's neighborhood mass.  The
-normalizing constant alpha sums one contribution per ordered independent
-sequence of the loop-free subgraph.
+normalizing constant alpha comes from one recursion over the independent sets
+of the loop-free subgraph.
 
 Everything here is evaluated exactly when the measure is rational, which is
 what lets balance residuals be checked against a 1e-12 target rather than a
@@ -30,27 +30,14 @@ class StationaryError(ValueError):
     """Product form requested outside its domain of validity."""
 
 
-def _ordered_independent_sequences(check: Multigraph):
-    """Every ordering of every independent set of a loop-free graph."""
-    nodes = sorted(check.nodes)
-    adj = check.adjacency
-
-    def extend(seq: list[Node], chosen: set[Node]):
-        for c in nodes:
-            if c in chosen or any(c in adj[m] for m in chosen):
-                continue
-            seq.append(c)
-            chosen.add(c)
-            yield tuple(seq)
-            yield from extend(seq, chosen)
-            chosen.remove(c)
-            seq.pop()
-
-    yield from extend([], set())
-
-
 def alpha(g: Multigraph, mu: ProbMeasure) -> Weight:
     """Normalizing constant of the product-form stationary distribution.
+
+    ``1/alpha`` sums F(S) over the independent sets S of the loop-free
+    subgraph: F(empty) = 1 and F(S) = sum over e in S of mu(e) F(S - {e}) /
+    (mu(E(S)) - mu(S & V2)), with E(S) the neighborhood of S.  F(S) totals the
+    product-form terms of every ordering of S, whose last factor depends on S
+    alone, at a cost of one term per (independent set, member) pair.
 
     Raises unless the graph is stabilizable (not a bipartite graph) and the
     measure satisfies the stability condition, which is exactly what keeps
@@ -66,17 +53,11 @@ def alpha(g: Multigraph, mu: ProbMeasure) -> Weight:
             f"measure violates the stability condition (margin {report.margin}, "
             f"witness {sorted(report.witness) if report.witness else None})"
         )
-    check = g.maximal_subgraph()
-    total: Weight = Fraction(1)
-    for seq in _ordered_independent_sequences(check):
-        term: Weight = Fraction(1)
-        prefix: set[Node] = set()
-        for e in seq:
-            prefix.add(e)
-            denom = mu.mass(g.neighborhood(prefix)) - mu.mass(prefix & g.v2)
-            term *= mu[e] / denom
-        total += term
-    return 1 / total
+    terms: dict[frozenset[Node], Weight] = {frozenset(): Fraction(1)}
+    for s in sorted(g.maximal_subgraph().independent_sets(), key=len):
+        denom = mu.mass(g.neighborhood(s)) - mu.mass(s & g.v2)
+        terms[s] = sum((mu[e] * terms[s - {e}] for e in s), Fraction(0)) / denom
+    return 1 / sum(terms.values(), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -317,6 +317,7 @@ def test_slope_heuristic_at_the_null_recurrent_boundary(k2):
     slope = stability_slope(k2, mu, Fcfm(), steps=100000, seed=0)
     res = simulate(k2, mu, Fcfm(), steps=100000, seed=0, word_cap=0)
     assert abs(slope) < 0.01
+    assert slope == res.tail_slope  # one estimator behind both
     assert res.max_queue_len > 50  # the walk still wanders far
 
 

@@ -241,7 +241,7 @@ def test_malformed_graph_file_exits_2(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_input_errors_exit_2(capsys):
+def test_input_errors_exit_2(capsys, tmp_path):
     assert main(["info", "--graph", "/nonexistent.json"]) == 2
     assert main(["transform", "--graph", fx("path_loop.graph.json")]) == 2
     assert (
@@ -265,6 +265,18 @@ def test_input_errors_exit_2(capsys):
     for burn_in in ("100", "-1"):
         assert main(["simulate", *path_model, "--steps", "100", "--burn-in", burn_in]) == 2
     assert main(["simulate", *path_model, "--steps", "100", "--replicas", "0"]) == 2
+    # a partial order is rejected before any decision needs a missing class
+    assert main(["simulate", *path_model, "--policy", partial_priority,
+                 "--steps", "1", "--burn-in", "0"]) == 2
+    # malformed documents: arrays instead of objects, integer node names
+    array_doc = tmp_path / "array.json"
+    array_doc.write_text("[1, 2]")
+    int_nodes = tmp_path / "int_nodes.graph.json"
+    int_nodes.write_text('{"nodes": [1, 2, 3], "edges": [[1, 2], [2, 3]], "self_loops": [3]}')
+    assert main(["info", "--graph", str(array_doc)]) == 2
+    assert main(["info", "--graph", str(int_nodes)]) == 2
+    assert main(["ncond", "--graph", fx("path_loop.graph.json"), "--mu", str(array_doc)]) == 2
+    assert main(["simulate", *path_model, "--policy", str(array_doc), "--steps", "10"]) == 2
     capsys.readouterr()
 
 

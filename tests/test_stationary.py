@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,10 @@ from multimatch import (
     product_form,
     solve_finite_chain,
 )
+from multimatch.detailed import alpha_inverse_from_blocks
+from multimatch.measures import ncond_check
+
+from conftest import random_measure, random_multigraph
 
 
 
@@ -67,6 +72,25 @@ def test_alpha_requires_stabilizable_inputs(path_loop, k2):
         alpha(k2, ProbMeasure.uniform(k2))  # bipartite graph
     with pytest.raises(StationaryError):
         alpha(path_loop, ProbMeasure.from_dict({"1": "0.3", "2": "0.2", "3": "0.5"}))
+
+
+def test_alpha_matches_block_oracle_on_random_models():
+    # the set recursion against the enumeration over ordered blocks, and on
+    # finite (all-loop) models against the dense linear-algebra solver
+    rng = random.Random(3)
+    done = finite = 0
+    while done < 120:
+        g = random_multigraph(rng, 6)
+        mu = random_measure(rng, g.nodes)
+        if g.is_bipartite()[0] or not ncond_check(g, mu).satisfied:
+            continue
+        a = alpha(g, mu)
+        assert a == 1 / alpha_inverse_from_blocks(g, mu)
+        if not g.v2:
+            assert abs(solve_finite_chain(g, mu, Fcfm())[()] - float(a)) <= 1e-9
+            finite += 1
+        done += 1
+    assert finite > 0
 
 
 def test_pi_values_square(square_loops, mu_square_uniform):
