@@ -147,10 +147,12 @@ def predecessors(
 ) -> dict[Word, Weight]:
     """Every state reaching ``w`` in one step, with its transition probability.
 
-    One arrival changes the length by exactly one, so the candidates are the
-    word with its last letter dropped (the no-match case, reversed) and every
-    admissible single-letter insertion (the match case, reversed).  The
-    returned probabilities are the kernel entries ``P(u, w)``.
+    A reverse lookup for one word (the balance check sweeps forward over
+    kernel rows instead).  One arrival changes the length by exactly one, so
+    the candidates are the word with its last letter dropped (the no-match
+    case, reversed) and every admissible single-letter insertion (the match
+    case, reversed).  The returned probabilities are the kernel entries
+    ``P(u, w)``.
     """
     check_admissible(g, w)
     candidates: set[Word] = set()
@@ -247,7 +249,9 @@ class SimulationResult:
 
     ``counts`` holds visit counts of words no longer than ``word_cap``;
     longer states are lumped into ``overflow_steps`` so that
-    ``sum(counts.values()) + overflow_steps == recorded_steps``.
+    ``sum(counts.values()) + overflow_steps == recorded_steps``.  Queue
+    length and occupancy statistics cover every recorded step; ``tail_slope``
+    fits the queue length over the last half of the run, burn-in included.
     """
 
     total_steps: int
@@ -279,7 +283,9 @@ def simulate(
     """Run the matching chain from the empty buffer and tally visited words.
 
     The burn-in (default 1% of the step count) must be below the step count,
-    so at least one step is recorded.  Given a seed the result is
+    so at least one step is recorded.  A recorded step tallies its word, or
+    past ``word_cap`` its length and class counts; the queue statistics are
+    summed from those tallies after the run.  Given a seed the result is
     bit-identical across runs; the per-step draw order is fixed (arrival
     first, then any policy draws).
     """
@@ -296,10 +302,8 @@ def simulate(
     engine = BufferEngine(g, policy)
     counts: dict[Word, int] = {}
     overflow = 0
-    max_len = 0
-    len_sum = 0
-    occ_sum = {c: 0 for c in g.nodes}
-    recorded = 0
+    max_len = 0  # these two over the overflow steps; counts adds the rest
+    occ_sum = dict.fromkeys(g.nodes, 0)
     half = steps // 2
     tail = array("q")  # queue lengths over the last half, for the slope
     for n, v in zip(range(steps), arrivals):
@@ -309,18 +313,22 @@ def simulate(
             tail.append(ln)
         if n < burn_in:
             continue
-        recorded += 1
-        len_sum += ln
-        if ln > max_len:
-            max_len = ln
-        for c, k in engine.counts.items():
-            if k:
-                occ_sum[c] += k
         if ln <= word_cap:
             w = engine.word()
             counts[w] = counts.get(w, 0) + 1
         else:
             overflow += 1
+            if ln > max_len:
+                max_len = ln
+            for c, k in engine.counts.items():
+                occ_sum[c] += k
+    final_len = engine.length
+    del engine  # an unstable run's buffer need not outlive the loop
+    for w, k in counts.items():
+        max_len = max(max_len, len(w))
+        for c in w:
+            occ_sum[c] += k
+    recorded = steps - burn_in
     return SimulationResult(
         total_steps=steps,
         burn_in=burn_in,
@@ -330,25 +338,11 @@ def simulate(
         counts=counts,
         overflow_steps=overflow,
         max_queue_len=max_len,
-        mean_queue_len=len_sum / recorded,
+        mean_queue_len=sum(occ_sum.values()) / recorded,
         class_occupancy={c: occ_sum[c] / recorded for c in g.nodes},
-        final_queue_len=engine.length,
+        final_queue_len=final_len,
         tail_slope=least_squares_slope(tail),
     )
-
-
-def queue_length_trajectory(
-    g: Multigraph, mu: ProbMeasure, policy: Policy, steps: int, seed: int = 0
-) -> np.ndarray:
-    """Total queue length after each arrival; the cheap path for slope checks."""
-    mu.check_support(g)
-    rng = random.Random(seed)
-    engine = BufferEngine(g, policy)
-    lengths = np.empty(steps, dtype=np.int64)
-    for n, v in zip(range(steps), arrival_stream(mu, rng)):
-        engine.offer(v, rng)
-        lengths[n] = engine.length
-    return lengths
 
 
 def least_squares_slope(lengths) -> float:
@@ -374,7 +368,8 @@ def stability_slope(
 
     A slope bounded away from zero signals transience; a slope near zero is
     consistent with stability.  This is a heuristic screen, not a recurrence
-    test.  The fit uses the last half of the run to discard the transient.
+    test.  It is the ``tail_slope`` of a ``simulate`` run with the same seed
+    (fit over the last half of the run, to discard the transient), recording
+    only the last step; ``steps`` must be positive.
     """
-    lengths = queue_length_trajectory(g, mu, policy, steps, seed)
-    return least_squares_slope(lengths[steps // 2 :])
+    return simulate(g, mu, policy, steps, burn_in=steps - 1, seed=seed).tail_slope

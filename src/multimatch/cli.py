@@ -5,7 +5,8 @@ JSON summary, printed to stdout and optionally written under ``--out``.
 Output files carry no timestamps, so identical configurations produce
 byte-identical artifacts.
 
-Exit codes: 0 success or verified, 1 verification failure, 2 input error.
+Exit codes: 0 success or verified, 1 verification failure, 2 input error,
+3 internal error (an unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -33,6 +35,7 @@ class InputError(Exception):
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 _PARSE_ERRORS = (
     GraphError,
@@ -326,6 +329,11 @@ def cmd_reversibility(args) -> int:
     report = detailed.verify_local_balance_empirical(
         g, mu, steps=args.steps, seed=args.seed, min_visits=args.min_visits
     )
+    if not report.pairs_tested:
+        raise InputError(
+            f"no transition was visited --min-visits {args.min_visits} times on both "
+            f"sides in --steps {args.steps}; raise --steps or lower --min-visits"
+        )
     ok = report.max_z <= 3.0
     art = Artifacts(args.out, "reversibility")
     art.finish(
@@ -394,7 +402,7 @@ def _lyapunov_from_name(name: str, g, mu, delta):
                 raise InputError("Ldelta needs a stability margin; measure is outside the region")
             delta = report.margin
         else:
-            delta = Fraction(delta)
+            delta = measures._to_weight(delta)
         return drift.ldelta(g, mu, delta)
     raise InputError(f"unknown Lyapunov function {name!r}")
 
@@ -468,7 +476,9 @@ def cmd_extend_measure(args) -> int:
     split = None
     if args.split:
         raw = json.loads(args.split)
-        split = {k: Fraction(v) for k, v in raw.items()}
+        if not isinstance(raw, dict):
+            raise InputError("--split must be a JSON object {class: share}")
+        split = {k: measures._to_weight(v) for k, v in raw.items()}
     extended = measures.extend_measure(mu, bmap, split)
     art = Artifacts(args.out, "extend-measure")
     art.files["extended_measure.json"] = extended.dumps()
@@ -622,6 +632,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

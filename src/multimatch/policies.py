@@ -452,7 +452,26 @@ def policy_to_json_dict(policy: Policy) -> dict:
     raise PolicyError(f"cannot serialize {type(policy).__name__}")
 
 
+def _expect(value, kind: type, what: str):
+    """``value`` if it is a JSON ``kind`` (object, array or string)."""
+    if not isinstance(value, kind):
+        name = {dict: "an object", list: "an array", str: "a string"}[kind]
+        raise PolicyError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
+def _names(value, what: str) -> list[Node]:
+    """A JSON array of class names."""
+    for name in _expect(value, list, what):
+        _expect(name, str, f"each class in {what}")
+    return value
+
+
 def policy_from_json_dict(data: dict) -> Policy:
+    """Parse a policy document.
+
+    A field of the wrong shape raises PolicyError, a bad weight MeasureError.
+    """
     if not isinstance(data, dict):
         raise PolicyError("a policy must be a JSON object with a \"kind\"")
     kind = data.get("kind")
@@ -464,28 +483,45 @@ def policy_from_json_dict(data: dict) -> Policy:
         perms = data.get("perms")
         if perms is None:
             return RandomPolicy()
-        parsed = {
-            v: tuple((tuple(perm), _to_weight(p)) for perm, p in dist)
-            for v, dist in perms.items()
-        }
+        parsed = {}
+        for v, dist in _expect(perms, dict, '"perms"').items():
+            entries = []
+            for entry in _expect(dist, list, f'"perms" of {v!r}'):
+                if not (isinstance(entry, list) and len(entry) == 2):
+                    raise PolicyError(
+                        f'each "perms" entry of {v!r} must be a [permutation, weight] '
+                        f"pair, got {entry!r}"
+                    )
+                perm = tuple(_names(entry[0], f"a permutation of {v!r}"))
+                entries.append((perm, _to_weight(entry[1])))
+            parsed[v] = tuple(entries)
         return RandomPolicy(parsed)
     if kind == "priority":
-        return Priority.from_lists(data["order"])
+        order = _expect(data.get("order"), dict, 'a priority policy\'s "order"')
+        for v, seq in order.items():
+            for entry in _expect(seq, list, f"the order of {v!r}"):
+                if not isinstance(entry, str):
+                    _names(entry, f"each entry of the order of {v!r}")
+        return Priority.from_lists(order)
     if kind == "maxweight":
         rewards = {}
-        for key, r in data.get("rewards", {}).items():
-            a, b = key.split(",")
-            rewards[(a, b)] = _to_weight(r)
+        for key, r in _expect(data.get("rewards", {}), dict, '"rewards"').items():
+            pair = key.split(",")
+            if len(pair) != 2:
+                raise PolicyError(f'a reward key must name a pair "a,b", got {key!r}')
+            rewards[tuple(pair)] = _to_weight(r)
         return MaxWeight(beta=_to_weight(data.get("beta", 1)), rewards=rewards)
     if kind == "ml":
         return match_the_longest()
     if kind == "ms":
         return match_the_shortest()
     if kind == "v2favorable":
+        if "inner" not in data:
+            raise PolicyError('a v2favorable policy needs an "inner" policy')
         favored = data.get("favored")
         return V2Favorable(
             policy_from_json_dict(data["inner"]),
-            favored=None if favored is None else frozenset(favored),
+            favored=None if favored is None else frozenset(_names(favored, '"favored"')),
         )
     raise PolicyError(f"unknown policy kind {kind!r}")
 

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .chain import enumerate_states, check_admissible, kernel_row, predecessors
+from .chain import enumerate_states, check_admissible, kernel_row
 from .graphs import Multigraph, Node
 from .measures import ProbMeasure, Weight, ncond_check
 from .policies import Fcfm, Word
@@ -169,21 +169,25 @@ def balance_residual(
 ) -> tuple[float, Optional[Word]]:
     """Worst global-balance violation of the product form, up to a length.
 
-    For each admissible word the full-balance equation is a finite sum over
-    the word's one-step predecessors (their lengths differ by exactly one),
-    so the check is exact rather than truncated.  Returns the maximum
-    absolute residual and the word attaining it.
+    One forward sweep over the admissible words ``u`` up to ``max_len + 1``
+    adds ``pi(u) P(u, w)`` to the inflow of every ``w`` in the kernel row of
+    ``u``.  One arrival changes the length by exactly one, so this reaches
+    every predecessor of every word up to ``max_len`` and the check is exact
+    rather than truncated.  Returns the maximum absolute residual and the
+    word attaining it.
     """
     dist = product_form(g, mu)
     policy = Fcfm()
+    states = enumerate_states(g, max_len + 1)
+    pi = {u: dist.pi(u) for u in states}
+    inflow: dict[Word, Weight] = {}
+    for u in states:
+        for w, p in kernel_row(g, mu, policy, u).items():
+            inflow[w] = inflow.get(w, Fraction(0)) + pi[u] * p
     worst = 0.0
     worst_word: Optional[Word] = None
     for w in enumerate_states(g, max_len):
-        inflow = sum(
-            (dist.pi(u) * p for u, p in predecessors(g, mu, policy, w).items()),
-            Fraction(0),
-        )
-        residual = abs(float(dist.pi(w) - inflow))
+        residual = abs(float(pi[w] - inflow[w]))
         if report is not None:
             report(w, residual)
         if residual > worst or worst_word is None:

@@ -300,10 +300,31 @@ def test_simulate_is_deterministic_and_consistent(path_loop, mu_path):
 
 
 def test_simulate_word_cap_accounting(path_loop, mu_path):
-    res = simulate(path_loop, mu_path, Fcfm(), steps=20000, seed=1, word_cap=1)
-    assert all(len(w) <= 1 for w in res.counts)
-    assert res.overflow_steps > 0
-    assert sum(res.counts.values()) + res.overflow_steps == res.recorded_steps
+    steps, seed = 20000, 1
+    # the class counts after every step, recomputed: FCFM draws only
+    # arrivals, so the engine sees the same stream as simulate
+    engine = BufferEngine(path_loop, Fcfm())
+    trajectory = []
+    for v in draw_arrivals(mu_path, steps, random.Random(seed)):
+        engine.offer(v, None)
+        trajectory.append(dict(engine.counts))
+    for word_cap in (0, 1, 16):
+        for burn_in in (0, None):
+            res = simulate(path_loop, mu_path, Fcfm(), steps=steps, burn_in=burn_in,
+                           seed=seed, word_cap=word_cap)
+            recorded = trajectory[res.burn_in:]
+            lengths = [sum(k.values()) for k in recorded]
+            assert all(len(w) <= word_cap for w in res.counts)
+            assert sum(res.counts.values()) + res.overflow_steps == res.recorded_steps
+            assert res.recorded_steps == len(recorded)
+            assert res.overflow_steps == sum(1 for ln in lengths if ln > word_cap)
+            assert res.max_queue_len == max(lengths)
+            assert res.mean_queue_len == sum(lengths) / len(recorded)
+            assert res.class_occupancy == {
+                c: sum(k[c] for k in recorded) / len(recorded) for c in path_loop.nodes
+            }
+            if word_cap <= 1:
+                assert res.overflow_steps > 0
 
 
 def test_slope_heuristic_at_the_null_recurrent_boundary(k2):
@@ -319,6 +340,8 @@ def test_slope_heuristic_at_the_null_recurrent_boundary(k2):
     assert abs(slope) < 0.01
     assert slope == res.tail_slope  # one estimator behind both
     assert res.max_queue_len > 50  # the walk still wanders far
+    with pytest.raises(ChainError):
+        stability_slope(k2, mu, Fcfm(), steps=0)
 
 
 def test_occupancy_matches_exact_stationary_expectation(square_loops,

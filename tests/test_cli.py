@@ -1,5 +1,9 @@
 import json
 import os
+import subprocess
+import sys
+
+import multimatch.cli
 
 from multimatch.cli import main
 
@@ -277,7 +281,45 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert main(["info", "--graph", str(int_nodes)]) == 2
     assert main(["ncond", "--graph", fx("path_loop.graph.json"), "--mu", str(array_doc)]) == 2
     assert main(["simulate", *path_model, "--policy", str(array_doc), "--steps", "10"]) == 2
+    # policy fields of the wrong shape
+    for doc in (
+        '{"kind": "priority"}',
+        '{"kind": "priority", "order": [1]}',
+        '{"kind": "random", "perms": [1]}',
+        '{"kind": "v2favorable"}',
+        '{"kind": "maxweight", "rewards": {"12": "1"}}',
+        '{"kind": "priority", "order": {"1": ["2"], "2": [1], "3": ["2", "3"]}}',
+        '{"kind": "random", "perms": {"1": [["2"]]}}',
+    ):
+        assert main(["simulate", *path_model, "--policy", doc, "--steps", "10"]) == 2
+    # option values that are not weights
+    for split in ('{"3": "x"}', "[1]"):
+        assert main(["extend-measure", *path_model, "--split", split]) == 2
+    assert main(["drift", *path_model, "--fn", "Ldelta", "--delta", "x"]) == 2
+    # a reversibility run that tests no pair verifies nothing
+    assert main(["reversibility", "--graph", fx("square_loops.graph.json"),
+                 "--mu", fx("square_loops.mu_uniform.json"), "--steps", "1000"]) == 2
     capsys.readouterr()
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(multimatch.cli, "cmd_info", crash)
+    assert main(["info", "--graph", fx("path_loop.graph.json")]) == 3
+    assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "multimatch", "info", "--graph", fx("path_loop.graph.json")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["self_loops"] == ["3"]
 
 
 def test_readme_library_example():
