@@ -4,7 +4,9 @@ The Markov state is the word of unmatched item classes in arrival order.  A
 word is admissible when no two adjacent classes are both present and each
 self-looped class appears at most once.  Transition kernels are computed
 exactly (policy randomness enumerated with its probabilities); Monte-Carlo
-runs use a compact per-class FIFO engine so long trajectories stay cheap.
+runs use a compact per-class FIFO engine so long trajectories stay cheap.  The
+engine compiles the step of each arrival class once, at construction, into a
+closure over that class's neighbour FIFOs and the policy's choice.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice, repeat
 from typing import Iterator, Mapping, Optional
 
 import numpy as np
@@ -178,14 +180,66 @@ def arrival_stream(mu: ProbMeasure, rng: random.Random) -> Iterator[Node]:
     when it is taken, so the draws interleave with the policy's."""
     nodes = sorted(mu.weights)
     cum = cumulative(mu[c] for c in nodes)
-    draw = rng.random
-    while True:
-        yield nodes[bisect_right(cum, draw())]
+    return map(nodes.__getitem__, map(bisect_right, repeat(cum), iter(rng.random, None)))
 
 
 def draw_arrivals(mu: ProbMeasure, steps: int, rng: random.Random) -> list[Node]:
     """The first ``steps`` arrivals of :func:`arrival_stream`."""
+    if steps < 0:
+        raise ChainError(f"steps must be >= 0, got {steps}")
     return list(islice(arrival_stream(mu, rng), steps))
+
+
+def _compile_offer(g, policy, v, fifo, items, clock):
+    """The step for one arrival class: ``offer(rng)`` stores or matches it.
+
+    The closure holds the class's own FIFO, its neighbours' FIFOs in sorted
+    order and the policy's choice, and no reference to the engine, so an
+    engine is freed as soon as it is dropped.
+    """
+    own = fifo[v]
+    nbrs = sorted(g.adjacency[v])
+    if isinstance(policy, (Fcfm, Lcfm)):
+        # the neighbour whose oldest (newest) stored item arrived first (last);
+        # heads are distinct arrival indices, so ``(a > b) is newest`` reads
+        # a < b under FCFM and a > b under LCFM
+        newest = isinstance(policy, Lcfm)
+        end = -1 if newest else 0
+        pop = deque.pop if newest else deque.popleft
+        queues = tuple(fifo[j] for j in nbrs)
+
+        def offer(rng):
+            best = None
+            for q in queues:
+                if q and (best is None or (q[end] > best[end]) is newest):
+                    best = q
+            key = next(clock)
+            if best is None:
+                items[key] = v
+                own.append(key)
+                return None
+            key = pop(best)
+            del items[key]
+            return key
+
+        return offer
+
+    rule = class_rule(policy)
+    named = tuple((j, fifo[j]) for j in nbrs)
+
+    def offer(rng):
+        # stored items of each candidate class: all a class rule reads
+        counts = {j: len(q) for j, q in named if q}
+        key = next(clock)
+        if not counts:
+            items[key] = v
+            own.append(key)
+            return None
+        key = fifo[rule(g, policy, counts, v, frozenset(counts), rng)].popleft()
+        del items[key]
+        return key
+
+    return offer
 
 
 class BufferEngine:
@@ -193,30 +247,29 @@ class BufferEngine:
 
     Items live in an insertion-ordered dict (arrival index -> class) plus
     one FIFO of arrival indices per class, which is enough to resolve any
-    supported policy without materializing the word.  The policy's choice
-    among the candidate classes is bound once, at construction.
+    supported policy without materializing the word.  The step of each
+    arrival class is compiled once, at construction: its neighbours' FIFOs,
+    its own FIFO and the policy's choice among the candidate classes.
     """
 
     def __init__(self, g: Multigraph, policy: Policy):
         self.g = g
         self.policy = policy
-        self._adjacency = g.adjacency
         self._items: dict[int, Node] = {}
-        self._fifo = fifo = {c: deque() for c in g.nodes}
-        self.counts: dict[Node, int] = dict.fromkeys(g.nodes, 0)
-        self.length = 0
-        self._clock = 0
-        self._newest = isinstance(policy, Lcfm)
-        if isinstance(policy, (Fcfm, Lcfm)):
-            # the class whose oldest (newest) stored item arrived first (last)
-            end, pick = (-1, max) if self._newest else (0, min)
-            head = lambda c: fifo[c][end]
-            self._choose = lambda cands, v, rng: (
-                cands[0] if len(cands) == 1 else pick(cands, key=head)
-            )
-        else:
-            rule, counts = class_rule(policy), self.counts
-            self._choose = lambda cands, v, rng: rule(g, policy, counts, v, frozenset(cands), rng)
+        self._fifo = {c: deque() for c in g.nodes}
+        clock = count()
+        self._offers = {
+            v: _compile_offer(g, policy, v, self._fifo, self._items, clock) for v in g.nodes
+        }
+
+    @property
+    def length(self) -> int:
+        return len(self._items)
+
+    @property
+    def counts(self) -> dict[Node, int]:
+        """Stored items per class, every class listed."""
+        return {c: len(q) for c, q in self._fifo.items()}
 
     def word(self) -> Word:
         return tuple(self._items.values())
@@ -224,23 +277,7 @@ class BufferEngine:
     def offer(self, v: Node, rng: Optional[random.Random]) -> Optional[int]:
         """Process one arrival; returns the 0-based arrival index (over this
         engine's offers) of the item it matched, or None if it is stored."""
-        counts = self.counts
-        candidates = [j for j in self._adjacency[v] if counts[j]]
-        key = self._clock
-        self._clock = key + 1
-        if not candidates:
-            self._items[key] = v
-            self._fifo[v].append(key)
-            counts[v] += 1
-            self.length += 1
-            return None
-        chosen = self._choose(candidates, v, rng)
-        fifo = self._fifo[chosen]
-        key = fifo.pop() if self._newest else fifo.popleft()
-        del self._items[key]
-        counts[chosen] -= 1
-        self.length -= 1
-        return key
+        return self._offers[v](rng)
 
 
 @dataclass(frozen=True)
@@ -295,35 +332,46 @@ def simulate(
         burn_in = steps // 100
     if not 0 <= burn_in < steps:
         raise ChainError(f"burn-in must satisfy 0 <= burn_in < steps, got {burn_in}")
+    if word_cap < 0:
+        raise ChainError(f"word_cap must be >= 0, got {word_cap}")
     mu.check_support(g)
     rng = random.Random(seed)
     arrivals = arrival_stream(mu, rng)
 
     engine = BufferEngine(g, policy)
+    offers, items, queues = engine._offers, engine._items, engine._fifo.items()
+    word = items.values()  # a live view: tuple(word) is the current word
     counts: dict[Word, int] = {}
+    tally = counts.get
     overflow = 0
     max_len = 0  # these two over the overflow steps; counts adds the rest
     occ_sum = dict.fromkeys(g.nodes, 0)
     half = steps // 2
     tail = array("q")  # queue lengths over the last half, for the slope
-    for n, v in zip(range(steps), arrivals):
-        engine.offer(v, rng)
-        ln = engine.length
-        if n >= half:
-            tail.append(ln)
-        if n < burn_in:
-            continue
-        if ln <= word_cap:
-            w = engine.word()
-            counts[w] = counts.get(w, 0) + 1
-        else:
-            overflow += 1
-            if ln > max_len:
-                max_len = ln
-            for c, k in engine.counts.items():
-                occ_sum[c] += k
-    final_len = engine.length
-    del engine  # an unstable run's buffer need not outlive the loop
+    keep_len = tail.append
+    # the run cut where recording (burn_in) or the slope's tail (half) starts
+    cuts = sorted({0, burn_in, half, steps})
+    for start, stop in zip(cuts, cuts[1:]):
+        keep, record = start >= half, start >= burn_in
+        for v in islice(arrivals, stop - start):
+            offers[v](rng)
+            ln = len(items)
+            if keep:
+                keep_len(ln)
+            if not record:
+                continue
+            if ln <= word_cap:
+                w = tuple(word)
+                counts[w] = tally(w, 0) + 1
+            else:
+                overflow += 1
+                if ln > max_len:
+                    max_len = ln
+                for c, q in queues:
+                    occ_sum[c] += len(q)
+    final_len = len(items)
+    # an unstable run's buffer need not outlive the loop
+    del engine, offers, items, queues, word
     for w, k in counts.items():
         max_len = max(max_len, len(w))
         for c in w:

@@ -127,12 +127,18 @@ def fcfm_match_partners(g: Multigraph, arrivals: Sequence[Node]) -> list[Optiona
     ``partners[k]`` is the 0-based index of the arrival matched with arrival
     ``k``, or ``None`` while unmatched.  Symmetric by construction.
     """
+    return _fcfm_partners(g, BufferEngine(g, Fcfm()).offer, arrivals, 0)
+
+
+def _fcfm_partners(g, offer, arrivals, base):
+    """Partner table of ``arrivals`` fed to ``offer``, the step of an FCFM
+    engine that holds no item and has already taken ``base`` arrivals."""
     partners: list[Optional[int]] = [None] * len(arrivals)
-    offer = BufferEngine(g, Fcfm()).offer
     try:
         for m, v in enumerate(arrivals):
             k = offer(v, None)
             if k is not None:
+                k -= base
                 partners[m] = k
                 partners[k] = m
     except KeyError:
@@ -461,7 +467,11 @@ def partner_map(g: Multigraph, word: Word) -> Word:
     The input must empty its own buffer exactly at its last letter; this is
     what makes the map a bijection on excursion words.
     """
-    partners = fcfm_match_partners(g, word)
+    return _partner_word(word, fcfm_match_partners(g, word))
+
+
+def _partner_word(word: Word, partners: Sequence[Optional[int]]) -> Word:
+    """:func:`partner_map` given the word's FCFM partner table."""
     if any(p is None for p in partners):
         raise DetailedError(f"{word!r} does not empty the buffer")
     size = 0
@@ -511,6 +521,9 @@ def analyze_excursions(
     matched: dict[Node, int] = {c: 0 for c in g.nodes}
     perm_ok = 0
     round_ok = 0
+    # One engine runs every inverse (partner_inverse, inlined): a word the
+    # map accepts leaves it empty, and any other raises before the next.
+    offer, base = BufferEngine(g, Fcfm()).offer, 0
     for exc in excursions:
         n = len(exc.word)
         hist[n] = hist.get(n, 0) + 1
@@ -518,8 +531,10 @@ def analyze_excursions(
             matched[c] += 1
         if exc.permutation_valid():
             perm_ok += 1
-        if partner_inverse(g, exc.partner_word) == exc.word:
+        back = exc.partner_word[::-1]
+        if _partner_word(back, _fcfm_partners(g, offer, back, base))[::-1] == exc.word:
             round_ok += 1
+        base += n
     return ExcursionReport(
         n_excursions=len(excursions),
         total_letters=sum(len(e.word) for e in excursions),

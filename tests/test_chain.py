@@ -1,8 +1,12 @@
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multimatch import (
     ChainError,
@@ -237,27 +241,59 @@ def policy_kinds(g):
     }
 
 
+def assert_engine_follows_step(g, pol, arrivals, name):
+    """Same words and the same RNG stream as the word-level step."""
+    engine = BufferEngine(g, pol)
+    w = ()
+    rng_a = random.Random(10)
+    rng_b = random.Random(10)
+    for v in arrivals:
+        k = engine.offer(v, rng_a)
+        nw = step(g, pol, w, v, rng_b)
+        assert engine.word() == nw, name
+        assert engine.length == len(nw)
+        assert rng_a.getstate() == rng_b.getstate(), name
+        # the returned arrival index names an item of the matched class
+        if len(nw) < len(w):
+            assert k is not None and arrivals[k] in g.adjacency[v]
+            assert word_counts(w)[arrivals[k]] - word_counts(nw).get(arrivals[k], 0) == 1
+        else:
+            assert k is None
+        w = nw
+
+
 def test_buffer_engine_matches_step(diamond_hub, mu_diamond):
-    # same words and the same RNG stream as the word-level step, per kind
     arrivals = draw_arrivals(mu_diamond, 2000, random.Random(9))
     for name, pol in policy_kinds(diamond_hub).items():
-        engine = BufferEngine(diamond_hub, pol)
-        w = ()
-        rng_a = random.Random(10)
-        rng_b = random.Random(10)
-        for v in arrivals:
-            k = engine.offer(v, rng_a)
-            nw = step(diamond_hub, pol, w, v, rng_b)
-            assert engine.word() == nw, name
-            assert engine.length == len(nw)
-            assert rng_a.getstate() == rng_b.getstate(), name
-            # the returned arrival index names an item of the matched class
-            if len(nw) < len(w):
-                assert k is not None and arrivals[k] in diamond_hub.adjacency[v]
-                assert word_counts(w)[arrivals[k]] - word_counts(nw).get(arrivals[k], 0) == 1
-            else:
-                assert k is None
-            w = nw
+        assert_engine_follows_step(diamond_hub, pol, arrivals, name)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_buffer_engine_matches_step_on_random_models(seed):
+    rng = random.Random(seed)
+    g = random_multigraph(rng)
+    arrivals = draw_arrivals(random_measure(rng, g.nodes), 150, rng)
+    for name, pol in policy_kinds(g).items():
+        assert_engine_follows_step(g, pol, arrivals, name)
+
+
+def test_engine_is_freed_without_the_collector(tripartite_loop, mu_tripartite):
+    # no reference cycle: dropping the engine frees it and its buffer at once
+    arrivals = draw_arrivals(mu_tripartite, 60, random.Random(2))
+    gc.disable()
+    try:
+        for name, pol in policy_kinds(tripartite_loop).items():
+            engine = BufferEngine(tripartite_loop, pol)
+            rng = random.Random(3)
+            for v in arrivals:
+                engine.offer(v, rng)
+            assert engine.length > 0, name
+            refs = [weakref.ref(engine)] + [weakref.ref(q) for q in engine._fifo.values()]
+            del engine
+            assert all(ref() is None for ref in refs), name
+    finally:
+        gc.enable()
 
 
 def seeded_digests(trip, mu_trip, path, mu_p) -> dict[str, str]:

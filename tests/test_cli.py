@@ -299,6 +299,10 @@ def test_input_errors_exit_2(capsys, tmp_path):
     # a reversibility run that tests no pair verifies nothing
     assert main(["reversibility", "--graph", fx("square_loops.graph.json"),
                  "--mu", fx("square_loops.mu_uniform.json"), "--steps", "1000"]) == 2
+    # negative step counts and a negative word cap
+    assert main(["reversibility", *path_model, "--steps", "-5"]) == 2
+    assert main(["excursions", *path_model, "--steps", "-2"]) == 2
+    assert main(["simulate", *path_model, "--steps", "100", "--word-cap", "-1"]) == 2
     capsys.readouterr()
 
 
