@@ -44,7 +44,6 @@ from .policies import (
 from .chain import (
     ChainError,
     SimulationResult,
-    class_step,
     enumerate_states,
     is_admissible_word,
     kernel_row,
@@ -59,7 +58,6 @@ from .stationary import (
     alpha,
     balance_residual,
     finite_stationary,
-    linear_solve_stationary,
     product_form,
     solve_finite_chain,
 )

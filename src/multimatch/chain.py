@@ -6,7 +6,10 @@ self-looped class appears at most once.  Transition kernels are computed
 exactly (policy randomness enumerated with its probabilities); Monte-Carlo
 runs use a compact per-class FIFO engine so long trajectories stay cheap.  The
 engine compiles the step of each arrival class once, at construction, into a
-closure over that class's neighbour FIFOs and the policy's choice.
+closure over that class's neighbour FIFOs and the policy's choice.  Under a
+policy that never draws (FCFM, LCFM, a priority without ties), the next word
+is a function of the word and the arrival, so a run reads its steps from a
+bounded memo of the engine's transitions; the RNG stream is the same.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice, repeat
-from typing import Iterator, Mapping, Optional
+from itertools import chain, count, islice, repeat
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -30,12 +33,10 @@ from .policies import (
     MatchDecision,
     Policy,
     Word,
-    choose_class,
     class_rule,
     decision_distribution,
     decide,
-    is_class_admissible,
-    match_candidates,
+    is_draw_free,
     word_counts,
 )
 
@@ -77,25 +78,6 @@ def step(
     """One arrival applied to a queue word.  ``rng`` is only touched on draws."""
     decision = decide(g, policy, w, v, rng if rng is not None else random.Random(0))
     return apply_decision(w, v, decision)
-
-
-def class_step(
-    g: Multigraph,
-    policy: Policy,
-    counts: Mapping[Node, int],
-    v: Node,
-    rng: Optional[random.Random] = None,
-) -> dict[Node, int]:
-    """Arrival applied to a class-count vector under a class-admissible policy."""
-    if not is_class_admissible(policy):
-        raise ChainError("class_step needs a class-admissible policy")
-    out = {i: counts.get(i, 0) for i in g.nodes}
-    candidates = match_candidates(g, out, v)
-    if not candidates:
-        out[v] += 1
-        return out
-    out[choose_class(g, policy, out, v, candidates, rng or random.Random(0))] -= 1
-    return out
 
 
 def enumerate_states(g: Multigraph, max_len: int) -> list[Word]:
@@ -175,12 +157,18 @@ def predecessors(
 
 # -- simulation ---------------------------------------------------------------
 
+def _arrival_indices(mu: ProbMeasure, rng: random.Random) -> tuple[list[Node], Iterator[int]]:
+    """The sorted classes and an endless i.i.d. stream of their indices."""
+    nodes = sorted(mu.weights)
+    cum = cumulative(mu[c] for c in nodes)
+    return nodes, map(bisect_right, repeat(cum), iter(rng.random, None))
+
+
 def arrival_stream(mu: ProbMeasure, rng: random.Random) -> Iterator[Node]:
     """Endless i.i.d. class sequence; each arrival takes one ``rng.random()``
     when it is taken, so the draws interleave with the policy's."""
-    nodes = sorted(mu.weights)
-    cum = cumulative(mu[c] for c in nodes)
-    return map(nodes.__getitem__, map(bisect_right, repeat(cum), iter(rng.random, None)))
+    nodes, indices = _arrival_indices(mu, rng)
+    return map(nodes.__getitem__, indices)
 
 
 def draw_arrivals(mu: ProbMeasure, steps: int, rng: random.Random) -> list[Node]:
@@ -279,6 +267,83 @@ class BufferEngine:
         engine's offers) of the item it matched, or None if it is stored."""
         return self._offers[v](rng)
 
+    def load(self, w: Word) -> None:
+        """Hold exactly the admissible word ``w``.
+
+        The buffer is emptied and the letters are offered in order; no two
+        letters of an admissible word match, so each one is stored.
+        """
+        self._items.clear()
+        for q in self._fifo.values():
+            q.clear()
+        for c in w:
+            self._offers[c](None)
+
+
+# Bounds of the transition table of a draw-free run: a longer word, or a
+# word met after this many states, is stepped on the engine itself.
+_TABLE_MAX_LEN = 24
+_TABLE_MAX_STATES = 4096
+
+
+class _StepTable:
+    """Lazily filled transition table of a draw-free policy, read off one engine.
+
+    When the policy never draws, the next word is a function of the word and
+    the arrival class.  States number the words of length at most
+    ``_TABLE_MAX_LEN`` met so far, at most ``_TABLE_MAX_STATES`` of them;
+    ``rows[s][i]`` is the state reached from ``s`` on arrival index ``i``,
+    or -1 until that step is first taken.  A missing entry is filled by one
+    engine step from the state's word, so the table only caches the engine.
+    """
+
+    def __init__(self, engine: BufferEngine, offers: list, rng: random.Random):
+        self.engine = engine
+        self.offers = offers  # one compiled offer per arrival index
+        self.rng = rng  # handed to the offers, which never draw from it
+        self.words: list[Word] = []
+        self.lens: list[int] = []
+        self.rows: list[list[int]] = []
+        self.ids: dict[Word, int] = {}
+        self.at = self._intern(())  # the state the engine holds, or -1
+
+    def _intern(self, w: Word) -> int:
+        s = len(self.words)
+        self.ids[w] = s
+        self.words.append(w)
+        self.lens.append(len(w))
+        self.rows.append([-1] * len(self.offers))
+        return s
+
+    def fill(self, s: int, i: int) -> int:
+        """State after arrival ``i`` in state ``s``, filled from the engine.
+
+        Returns -1 instead, with the engine holding the word of ``s``, when
+        the next word could fall outside the table's bounds; the run then
+        takes this step on the engine.
+        """
+        if self.at != s:
+            self.engine.load(self.words[s])
+        if self.lens[s] >= _TABLE_MAX_LEN or len(self.words) >= _TABLE_MAX_STATES:
+            self.at = -1
+            return -1
+        self.offers[i](self.rng)
+        t = self.enter()
+        self.rows[s][i] = t
+        return t
+
+    def enter(self) -> int:
+        """State of the engine's word, new if the table has room, else -1.
+
+        The word must be no longer than ``_TABLE_MAX_LEN``.
+        """
+        w = self.engine.word()
+        t = self.ids.get(w)
+        if t is None:
+            t = self._intern(w) if len(self.words) < _TABLE_MAX_STATES else -1
+        self.at = t
+        return t
+
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -325,6 +390,12 @@ def simulate(
     summed from those tallies after the run.  Given a seed the result is
     bit-identical across runs; the per-step draw order is fixed (arrival
     first, then any policy draws).
+
+    A policy that never draws takes each step from a transition table over
+    the short words met so far (a bounded memo, filled from the engine on
+    first use); longer words, and the words met once the table is full, are
+    stepped on the engine.  Only the arrivals draw either way, so the result
+    is the engine's, bit for bit.
     """
     if steps <= 0:
         raise ChainError("steps must be positive")
@@ -336,12 +407,21 @@ def simulate(
         raise ChainError(f"word_cap must be >= 0, got {word_cap}")
     mu.check_support(g)
     rng = random.Random(seed)
-    arrivals = arrival_stream(mu, rng)
+    nodes, arrivals = _arrival_indices(mu, rng)
 
     engine = BufferEngine(g, policy)
-    offers, items, queues = engine._offers, engine._items, engine._fifo.items()
+    offers = [engine._offers[c] for c in nodes]
+    items, queues = engine._items, engine._fifo.items()
     word = items.values()  # a live view: tuple(word) is the current word
-    counts: dict[Word, int] = {}
+    # s is the current table state, or -1 while the engine steps; the engine
+    # hands back to the table at a word no longer than top
+    table = _StepTable(engine, offers, rng) if is_draw_free(policy) else None
+    if table:
+        rows, lens = table.rows, table.lens
+        s, top = 0, _TABLE_MAX_LEN
+    else:
+        s, top = -1, -1
+    counts: dict = {}  # visits per word, or per table state
     tally = counts.get
     overflow = 0
     max_len = 0  # these two over the overflow steps; counts adds the rest
@@ -353,29 +433,68 @@ def simulate(
     cuts = sorted({0, burn_in, half, steps})
     for start, stop in zip(cuts, cuts[1:]):
         keep, record = start >= half, start >= burn_in
-        for v in islice(arrivals, stop - start):
-            offers[v](rng)
-            ln = len(items)
-            if keep:
-                keep_len(ln)
-            if not record:
-                continue
-            if ln <= word_cap:
-                w = tuple(word)
-                counts[w] = tally(w, 0) + 1
+        # both loops take the segment's arrivals from ``feed``; a loop that
+        # hands over to the other leaves the rest in it, and the table puts
+        # back in front the arrival that it hands to the engine
+        segment = feed = islice(arrivals, stop - start)
+        while True:
+            if s >= 0:
+                for i in feed:
+                    t = rows[s][i]
+                    if t < 0:
+                        t = table.fill(s, i)
+                        if t < 0:
+                            feed = chain((i,), segment)
+                            s = -1
+                            break
+                    s = t
+                    if keep:
+                        keep_len(lens[s])
+                    if record:
+                        counts[s] = tally(s, 0) + 1
+                else:
+                    break
             else:
-                overflow += 1
-                if ln > max_len:
-                    max_len = ln
-                for c, q in queues:
-                    occ_sum[c] += len(q)
-    final_len = len(items)
+                for i in feed:
+                    offers[i](rng)
+                    ln = len(items)
+                    if keep:
+                        keep_len(ln)
+                    if ln <= top:
+                        s = table.enter()
+                        if s >= 0:
+                            if record:
+                                counts[s] = tally(s, 0) + 1
+                            feed = segment
+                            break
+                    if not record:
+                        continue
+                    if ln <= word_cap:
+                        w = tuple(word)
+                        counts[w] = tally(w, 0) + 1
+                    else:
+                        overflow += 1
+                        if ln > max_len:
+                            max_len = ln
+                        for c, q in queues:
+                            occ_sum[c] += len(q)
+                else:
+                    break
+    final_len = lens[s] if s >= 0 else len(items)
+    words = table.words if table else ()
     # an unstable run's buffer need not outlive the loop
-    del engine, offers, items, queues, word
-    for w, k in counts.items():
+    del engine, offers, items, queues, word, table
+    # table states longer than word_cap are overflow steps
+    tallied: dict[Word, int] = {}
+    for key, k in counts.items():
+        w = words[key] if type(key) is int else key
         max_len = max(max_len, len(w))
         for c in w:
             occ_sum[c] += k
+        if len(w) <= word_cap:
+            tallied[w] = k
+        else:
+            overflow += k
     recorded = steps - burn_in
     return SimulationResult(
         total_steps=steps,
@@ -383,7 +502,7 @@ def simulate(
         recorded_steps=recorded,
         seed=seed,
         word_cap=word_cap,
-        counts=counts,
+        counts=tallied,
         overflow_steps=overflow,
         max_queue_len=max_len,
         mean_queue_len=sum(occ_sum.values()) / recorded,

@@ -533,6 +533,17 @@ def cmd_verify_identities(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite number >= 0 (NaN would fail every check)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "graph" in names:
         p.add_argument("--graph", required=True, help="graph JSON file")
@@ -549,7 +560,7 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "max_len" in names:
         p.add_argument("--max-len", dest="max_len", type=int, default=4)
     if "tol" in names:
-        p.add_argument("--tol", type=float, default=1e-12)
+        p.add_argument("--tol", type=_tolerance, default=1e-12)
     if "replicas" in names:
         p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--out", help="directory for artifact files")

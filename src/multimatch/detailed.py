@@ -343,22 +343,31 @@ def verify_local_balance_empirical(
     Backward transitions come from the incremental recursion; forward
     transitions from the trajectory-wide partner table, skipping instants
     whose forward word is still undetermined at the horizon.  Pairs need
-    ``min_visits`` visits on both sides to be tested.
+    ``min_visits`` (at least 1) visits on both sides to be tested.
     """
+    if min_visits < 1:
+        raise DetailedError(f"min_visits must be >= 1, got {min_visits}")
     mu.check_support(g)
     rng = random.Random(seed)
     arrivals = draw_arrivals(mu, steps, rng)
     partners = fcfm_match_partners(g, arrivals)
 
-    b_visits: dict[DWord, int] = {}
-    b_counts: dict[tuple[DWord, DWord], int] = {}
+    # backward_step is a function of (state, arrival): take each distinct
+    # step once, then count visits and transitions per step
+    steps_taken: dict[tuple[DWord, Node], list] = {}  # -> [next state, count]
     b: DWord = ()
     for v in arrivals:
-        nb = backward_step(g, b, v)
-        b_visits[b] = b_visits.get(b, 0) + 1
-        key = (b, nb)
-        b_counts[key] = b_counts.get(key, 0) + 1
-        b = nb
+        taken = steps_taken.get((b, v))
+        if taken is None:
+            taken = steps_taken[b, v] = [backward_step(g, b, v), 0]
+        taken[1] += 1
+        b = taken[0]
+    b_visits: dict[DWord, int] = {}
+    b_counts: dict[tuple[DWord, DWord], int] = {}
+    while steps_taken:  # popped, so the two tables do not coexist in full
+        (w, _), (nb, k) = steps_taken.popitem()
+        b_visits[w] = b_visits.get(w, 0) + k
+        b_counts[w, nb] = b_counts.get((w, nb), 0) + k
 
     f_visits: dict[DWord, int] = {}
     f_counts: dict[tuple[DWord, DWord], int] = {}

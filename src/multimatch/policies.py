@@ -140,6 +140,16 @@ def is_class_admissible(policy: Policy) -> bool:
     return type(policy) in _CLASS_RULES
 
 
+def is_draw_free(policy: Policy) -> bool:
+    """True when no step ever draws: FCFM, LCFM, a priority without tied
+    groups, or the favored-class wrapper over one of these."""
+    if isinstance(policy, V2Favorable):
+        return is_draw_free(policy.inner)
+    if isinstance(policy, Priority):
+        return all(len(grp) == 1 for groups in policy.order.values() for grp in groups)
+    return isinstance(policy, (Fcfm, Lcfm))
+
+
 def match_the_longest(beta: Weight = 1) -> MaxWeight:
     if not beta > 0:
         raise PolicyError("match-the-longest needs beta > 0")
@@ -283,16 +293,6 @@ def choose_class(
     ``rng``, or with ``rng=None`` returns the exact law {class: probability}.
     """
     return class_rule(policy)(g, policy, counts, v, candidates, rng)
-
-
-def class_choice_distribution(
-    g: Multigraph, policy: Policy, counts: Mapping[Node, int], v: Node
-) -> dict[Node, Weight]:
-    """Law of the matched class for a class-admissible policy; {} if no match."""
-    candidates = match_candidates(g, counts, v)
-    if not candidates:
-        return {}
-    return choose_class(g, policy, counts, v, candidates)
 
 
 # -- word-level decisions ----------------------------------------------------

@@ -113,7 +113,7 @@ def finite_stationary(g: Multigraph, mu: ProbMeasure) -> dict[Word, Weight]:
     return table
 
 
-def linear_solve_stationary(
+def _linear_solve_stationary(
     states: Sequence[Word],
     rows: Mapping[Word, Mapping[Word, Weight]],
 ) -> dict[Word, float]:
@@ -158,7 +158,7 @@ def solve_finite_chain(
         max_len = len(g.nodes)
     states = enumerate_states(g, max_len)
     rows = {w: kernel_row(g, mu, policy, w) for w in states}
-    return linear_solve_stationary(states, rows)
+    return _linear_solve_stationary(states, rows)
 
 
 def balance_residual(

@@ -3,6 +3,7 @@ import hashlib
 import random
 import weakref
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from multimatch import (
     ProbMeasure,
     RandomPolicy,
     V2Favorable,
-    class_step,
     enumerate_states,
     is_admissible_word,
     kernel_row,
@@ -27,9 +27,24 @@ from multimatch import (
     simulate,
     step,
 )
-from multimatch.chain import BufferEngine, check_admissible, draw_arrivals, word_counts
+from multimatch.chain import (
+    BufferEngine,
+    SimulationResult,
+    _TABLE_MAX_LEN,
+    _TABLE_MAX_STATES,
+    _StepTable,
+    check_admissible,
+    draw_arrivals,
+    least_squares_slope,
+    word_counts,
+)
 from multimatch.detailed import fcfm_match_partners
-from multimatch.policies import decision_distribution, class_choice_distribution
+from multimatch.policies import (
+    choose_class,
+    decision_distribution,
+    is_draw_free,
+    match_candidates,
+)
 
 from conftest import random_measure, random_multigraph
 
@@ -49,27 +64,6 @@ def test_step_examples(path_loop):
     assert step(path_loop, Fcfm(), ("1", "1"), "2") == ("1",)
     assert step(path_loop, Fcfm(), ("3",), "3") == ()  # within-class match
     assert step(path_loop, Fcfm(), (), "1") == ("1",)
-
-
-def test_class_step_examples(path_loop):
-    pol = RandomPolicy()
-    assert class_step(path_loop, pol, {"1": 0, "2": 1, "3": 0}, "3") == {
-        "1": 0,
-        "2": 0,
-        "3": 0,
-    }
-    assert class_step(path_loop, pol, {"1": 0, "2": 0, "3": 1}, "3") == {
-        "1": 0,
-        "2": 0,
-        "3": 0,
-    }
-    assert class_step(path_loop, pol, {"1": 1, "2": 0, "3": 0}, "1") == {
-        "1": 2,
-        "2": 0,
-        "3": 0,
-    }
-    with pytest.raises(ChainError):
-        class_step(path_loop, Fcfm(), {"1": 0, "2": 0, "3": 0}, "1")
 
 
 def test_enumerate_states_square_is_full_space(square_loops, k2):
@@ -201,13 +195,13 @@ def test_word_and_class_dynamics_commute(path_loop, mu_path):
                     word_law[key] = word_law.get(key, Fraction(0)) + p
                 class_law = {}
                 counts = {i: word_counts(w).get(i, 0) for i in path_loop.nodes}
-                choice = class_choice_distribution(path_loop, pol, counts, v)
-                if not choice:
+                candidates = match_candidates(path_loop, counts, v)
+                if not candidates:
                     nc = dict(counts)
                     nc[v] += 1
                     class_law[tuple(sorted((k, x) for k, x in nc.items() if x))] = Fraction(1)
                 else:
-                    for j, p in choice.items():
+                    for j, p in choose_class(path_loop, pol, counts, v, candidates).items():
                         nc = dict(counts)
                         nc[j] -= 1
                         key = tuple(sorted((k, x) for k, x in nc.items() if x))
@@ -276,6 +270,126 @@ def test_buffer_engine_matches_step_on_random_models(seed):
     arrivals = draw_arrivals(random_measure(rng, g.nodes), 150, rng)
     for name, pol in policy_kinds(g).items():
         assert_engine_follows_step(g, pol, arrivals, name)
+
+
+def draw_free_kinds(g):
+    """One policy of every kind whose step never draws."""
+    strict = Priority.from_lists({v: sorted(g.adjacency[v], reverse=True) for v in g.nodes})
+    return {"fcfm": Fcfm(), "lcfm": Lcfm(), "priority": strict, "v2fav": V2Favorable(strict)}
+
+
+def test_is_draw_free_names_the_kinds_that_never_draw(tripartite_loop):
+    kinds = policy_kinds(tripartite_loop)
+    assert [k for k, p in kinds.items() if is_draw_free(p)] == ["fcfm", "lcfm"]
+    assert all(is_draw_free(p) for p in draw_free_kinds(tripartite_loop).values())
+
+
+def unstable_measure(rng, g):
+    """A class without a self-loop outweighs all the others together, so its
+    queue grows; on an all-loop (finite) model any measure is stable."""
+    if not g.v2:
+        return random_measure(rng, g.nodes)
+    heavy = rng.choice(sorted(g.v2))
+    rest = random_measure(rng, [c for c in g.nodes if c != heavy])
+    weights = {c: Fraction(2, 5) * rest[c] for c in g.nodes if c != heavy}
+    return ProbMeasure.from_dict({**weights, heavy: Fraction(3, 5)})
+
+
+def engine_run(g, mu, pol, steps, seed):
+    """The word and the class counts after each step of one engine fed
+    ``simulate``'s arrivals, for a policy that never draws (the offers get
+    an RNG that must stay untouched)."""
+    engine, spare = BufferEngine(g, pol), random.Random(0)
+    words, classes = [], []
+    for v in draw_arrivals(mu, steps, random.Random(seed)):
+        engine.offer(v, spare)
+        words.append(engine.word())
+        classes.append(engine.counts)
+    assert spare.getstate() == random.Random(0).getstate()
+    return words, classes
+
+
+def engine_simulation(g, run, burn_in, seed, word_cap):
+    """``simulate``'s result recomputed from an :func:`engine_run`."""
+    words, classes = run
+    recorded = words[burn_in:]
+    counts = {}
+    for w in recorded:
+        if len(w) <= word_cap:
+            counts[w] = counts.get(w, 0) + 1
+    occupancy = {c: sum(k[c] for k in classes[burn_in:]) for c in g.nodes}
+    n = len(recorded)
+    return SimulationResult(
+        total_steps=len(words), burn_in=burn_in, recorded_steps=n, seed=seed,
+        word_cap=word_cap, counts=counts,
+        overflow_steps=sum(1 for w in recorded if len(w) > word_cap),
+        max_queue_len=max(map(len, recorded)),
+        mean_queue_len=sum(occupancy.values()) / n,
+        class_occupancy={c: occupancy[c] / n for c in g.nodes},
+        final_queue_len=len(words[-1]),
+        tail_slope=least_squares_slope([len(w) for w in words[len(words) // 2:]]),
+    )
+
+
+def assert_table_follows_step(g, pol, arrivals, name):
+    """Every transition a run fills into the step table is the word-level step."""
+    nodes = sorted(g.nodes)
+    engine, rng = BufferEngine(g, pol), random.Random(10)
+    table = _StepTable(engine, [engine._offers[c] for c in nodes], rng)
+    s = 0
+    for v in arrivals:
+        i = nodes.index(v)
+        s = table.rows[s][i] if table.rows[s][i] >= 0 else table.fill(s, i)
+        if s < 0:  # the run would hand this step to the engine
+            break
+    assert rng.getstate() == random.Random(10).getstate(), name
+    filled = 0
+    for s, row in enumerate(table.rows):
+        for i, t in enumerate(row):
+            if t >= 0:
+                filled += 1
+                assert table.words[t] == step(g, pol, table.words[s], nodes[i]), name
+    assert filled > 0, name
+
+
+# the shipped table bounds, and small ones that runs leave and re-enter often
+TABLE_BOUNDS = ((_TABLE_MAX_LEN, _TABLE_MAX_STATES), (3, 12))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_table_runs_equal_engine_runs_on_random_models(seed):
+    rng = random.Random(seed)
+    g = random_multigraph(rng)
+    steps = 400
+    for mu in (random_measure(rng, g.nodes), unstable_measure(rng, g)):
+        arrivals = draw_arrivals(mu, 150, random.Random(seed))
+        for name, pol in draw_free_kinds(g).items():
+            run = engine_run(g, mu, pol, steps, seed)
+            for max_len, max_states in TABLE_BOUNDS:
+                with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=max_len,
+                                    _TABLE_MAX_STATES=max_states):
+                    assert_table_follows_step(g, pol, arrivals, name)
+                    for word_cap in (0, 1, 16):
+                        for burn_in in (0, 7):
+                            got = simulate(g, mu, pol, steps, burn_in=burn_in, seed=seed,
+                                           word_cap=word_cap)
+                            want = engine_simulation(g, run, burn_in, seed, word_cap)
+                            assert repr(got) == repr(want), (name, max_len, word_cap, burn_in)
+
+
+def test_table_bounds_are_crossed_both_ways(path_loop, mu_path):
+    # with a small table, the path model's queue leaves it and comes back
+    # many times; the run still equals the step-by-step engine
+    unstable = ProbMeasure.from_dict({"1": "0.4", "2": "0.2", "3": "0.4"})
+    for mu in (mu_path, unstable):
+        run = engine_run(path_loop, mu, Fcfm(), 5000, 3)
+        lengths = [len(w) for w in run[0]]
+        crossings = sum(1 for a, b in zip(lengths, lengths[1:]) if (a <= 3) != (b <= 3))
+        assert crossings >= 2
+        with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=3, _TABLE_MAX_STATES=12):
+            got = simulate(path_loop, mu, Fcfm(), 5000, burn_in=50, seed=3, word_cap=4)
+        assert repr(got) == repr(engine_simulation(path_loop, run, 50, 3, 4))
 
 
 def test_engine_is_freed_without_the_collector(tripartite_loop, mu_tripartite):

@@ -3,8 +3,9 @@ import os
 import subprocess
 import sys
 
-import multimatch.cli
+import pytest
 
+import multimatch.cli
 from multimatch.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -303,6 +304,16 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert main(["reversibility", *path_model, "--steps", "-5"]) == 2
     assert main(["excursions", *path_model, "--steps", "-2"]) == 2
     assert main(["simulate", *path_model, "--steps", "100", "--word-cap", "-1"]) == 2
+    # a pair with no visit on one side cannot be tested
+    for min_visits in ("0", "-1"):
+        assert main(["reversibility", *path_model, "--steps", "1000",
+                     "--min-visits", min_visits]) == 2
+    # a tolerance that is NaN, infinite or negative is rejected while parsing
+    for command in ("verify-balance", "tv-compare", "drift", "verify-identities"):
+        for tol in ("nan", "inf", "-1e-12"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *path_model, "--tol", tol])
+            assert exc.value.code == 2, (command, tol)
     capsys.readouterr()
 
 
