@@ -20,8 +20,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from functools import cache
+from itertools import chain, permutations, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .chain import BufferEngine, draw_arrivals
 from .graphs import Multigraph, Node
@@ -36,10 +37,14 @@ class DetailedError(ValueError):
     """Inadmissible detailed word or ill-posed trajectory request."""
 
 
+# One shared tuple per (class, bar), so stored words share their letters.
+
+@cache
 def plain(c: Node) -> DLetter:
     return (c, False)
 
 
+@cache
 def barred(c: Node) -> DLetter:
     return (c, True)
 
@@ -184,27 +189,40 @@ def forward_word(
         raise DetailedError("n outside the trajectory")
     if partners is None:
         partners = fcfm_match_partners(g, arrivals)
-    live = [k for k in range(n) if partners[k] is None or partners[k] >= n]
-    return _forward_from(arrivals, partners, n, live)
-
-
-def _forward_from(
-    arrivals: Sequence[Node],
-    partners: Sequence[Optional[int]],
-    n: int,
-    live: Collection[int],
-) -> Optional[DWord]:
-    """Forward word at ``n``, given the pre-``n`` items still unmatched at ``n``."""
-    if not live:
-        return ()
-    ends = [partners[k] for k in live]
+    ends = [partners[k] for k in range(n) if partners[k] is None or partners[k] >= n]
     if None in ends:
         return None
     letters: list[DLetter] = []
-    for m in range(n, max(ends) + 1):
+    for m in range(n, max(ends, default=n - 1) + 1):
         k = partners[m]
         letters.append(barred(arrivals[k]) if k is not None and k < n else plain(arrivals[m]))
     return tuple(letters)
+
+
+def _reversed_forward_words(
+    arrivals: Sequence[Node], partners: Sequence[Optional[int]]
+) -> Iterator[Optional[DWord]]:
+    """Reversed copy of the forward word at each instant ``0..len(arrivals)``.
+
+    One pass over the partner table with two scalars: the largest partner of
+    an earlier item, where the window ends, and whether an earlier item is
+    never matched, after which every word is undetermined (``None``).
+    """
+    end = -1
+    for n, p in enumerate(partners):
+        if end < n:
+            yield ()
+        else:
+            yield tuple([
+                plain(arrivals[k]) if (k := partners[m]) is not None and k < n
+                else barred(arrivals[m])
+                for m in range(end, n - 1, -1)
+            ])
+        if p is None:
+            yield from repeat(None, len(partners) - n)
+            return
+        end = max(end, p)
+    yield ()  # every item was matched within the trajectory
 
 
 # -- the product measure and block masses -------------------------------------
@@ -369,52 +387,35 @@ def verify_local_balance_empirical(
         b_visits[w] = b_visits.get(w, 0) + k
         b_counts[w, nb] = b_counts.get((w, nb), 0) + k
 
+    # Forward counts are keyed by reversed copies, rc(f) and (rc(f'), rc(f))
+    # for a step f -> f', so the backward transition w -> w2 and the forward
+    # one rc(w2) -> rc(w) it is compared with share the key (w, w2).
     f_visits: dict[DWord, int] = {}
     f_counts: dict[tuple[DWord, DWord], int] = {}
     undetermined = 0
-    live: set[int] = set()
-    prev_f: Optional[DWord] = None
-
-    for n in range(steps + 1):
-        f = _forward_from(arrivals, partners, n, live)
-        if f is None:
+    prev: Optional[DWord] = None
+    for rf in _reversed_forward_words(arrivals, partners):
+        if rf is None:
             undetermined += 1
         else:
-            f_visits[f] = f_visits.get(f, 0) + 1
-            if prev_f is not None and n > 0:
-                key = (prev_f, f)
-                f_counts[key] = f_counts.get(key, 0) + 1
-        prev_f = f
-        if n < steps:
-            p = partners[n]
-            if p is not None and p < n:
-                live.discard(p)
-            else:
-                live.add(n)
+            f_visits[rf] = f_visits.get(rf, 0) + 1
+            if prev is not None:
+                f_counts[rf, prev] = f_counts.get((rf, prev), 0) + 1
+        prev = rf
 
-    nu_cache: dict[DWord, float] = {}
-
+    @cache
     def nu_of(w: DWord) -> float:
-        if w not in nu_cache:
-            nu_cache[w] = float(nu(mu, w))
-        return nu_cache[w]
-
-    pairs: set[tuple[DWord, DWord]] = set()
-    for (w, w2), _ in b_counts.items():
-        if b_visits.get(w, 0) >= min_visits and f_visits.get(reverse_copy(w2), 0) >= min_visits:
-            pairs.add((w, w2))
-    for (a, b2), _ in f_counts.items():
-        w, w2 = reverse_copy(b2), reverse_copy(a)
-        if b_visits.get(w, 0) >= min_visits and f_visits.get(a, 0) >= min_visits:
-            pairs.add((w, w2))
+        return float(nu(mu, w))
 
     checks: list[PairCheck] = []
-    for w, w2 in sorted(pairs):
+    for w, w2 in sorted({
+        key for key in chain(b_counts, f_counts)
+        if b_visits.get(key[0], 0) >= min_visits and f_visits.get(key[1], 0) >= min_visits
+    }):
         n_b = b_visits[w]
         p_b = b_counts.get((w, w2), 0) / n_b
-        fw, fw2 = reverse_copy(w2), reverse_copy(w)
-        n_f = f_visits[fw]
-        p_f = f_counts.get((fw, fw2), 0) / n_f
+        n_f = f_visits[w2]
+        p_f = f_counts.get((w, w2), 0) / n_f
         lhs = nu_of(w) * p_b
         rhs = nu_of(w2) * p_f
         var = (nu_of(w) ** 2) * p_b * (1 - p_b) / n_b

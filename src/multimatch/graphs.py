@@ -79,16 +79,11 @@ class Multigraph:
             raise GraphError("multigraph must be connected")
 
     def _is_connected(self) -> bool:
-        # Self-loops do not link distinct nodes, so connectivity is judged
-        # on the plain edges alone.
-        adj: dict[Node, set[Node]] = {i: set() for i in self.nodes}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
+        # A self-loop links no two distinct nodes, so it never helps the walk.
         seen = {self.nodes[0]}
         stack = [self.nodes[0]]
         while stack:
-            for j in adj[stack.pop()]:
+            for j in self.adjacency[stack.pop()]:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
@@ -229,34 +224,14 @@ class Multigraph:
         Returns the parts when the loop-free graph is complete multipartite
         (every cross-part pair adjacent, no intra-part edge), else ``None``.
         A graph is complete multipartite exactly when non-adjacency is an
-        equivalence relation, i.e. the complement is a disjoint union of
-        cliques.
+        equivalence relation: each class's part is its set of non-neighbours,
+        itself included, and every member of a part must have that same part.
         """
-        check = self.maximal_subgraph()
-        comp_adj: dict[Node, set[Node]] = {i: set() for i in check.nodes}
-        for a in check.nodes:
-            for b in check.nodes:
-                if a < b and b not in check.adjacency[a]:
-                    comp_adj[a].add(b)
-                    comp_adj[b].add(a)
-        unassigned = set(check.nodes)
-        parts: list[frozenset[Node]] = []
-        while unassigned:
-            seed = min(unassigned)
-            comp = {seed}
-            stack = [seed]
-            while stack:
-                for j in comp_adj[stack.pop()]:
-                    if j not in comp:
-                        comp.add(j)
-                        stack.append(j)
-            for a in comp:
-                if any(b not in comp_adj[a] for b in comp if b != a):
-                    return None  # complement component is not a clique
-            parts.append(frozenset(comp))
-            unassigned -= comp
-        parts.sort(key=lambda p: sorted(p))
-        return tuple(parts)
+        everyone = frozenset(self.nodes)
+        part = {i: (everyone - self.adjacency[i]) | {i} for i in self.nodes}
+        if any(part[j] != p for p in part.values() for j in p):
+            return None
+        return tuple(sorted(set(part.values()), key=sorted))
 
     # -- serialization -------------------------------------------------------
 
@@ -303,9 +278,6 @@ class BlowupMap:
     @cached_property
     def base_of(self) -> dict[Node, Node]:
         return {c: i for i, c in self.copy_of.items()}
-
-    def is_copy(self, node: Node) -> bool:
-        return node in self.base_of
 
     def base(self, node: Node) -> Node:
         """Original class a blown-graph node stands for."""

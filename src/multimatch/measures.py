@@ -101,9 +101,6 @@ class ProbMeasure:
     def mass(self, nodes: Iterable[Node]) -> Weight:
         return sum((self[i] for i in nodes), Fraction(0))
 
-    def as_floats(self) -> dict[Node, float]:
-        return {k: float(v) for k, v in self.weights.items()}
-
     def check_support(self, g: Multigraph) -> None:
         if self.support != frozenset(g.nodes):
             missing = frozenset(g.nodes) - self.support

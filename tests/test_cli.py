@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,7 +72,7 @@ def test_stationary_and_balance(capsys, tmp_path):
     assert code == 0
     assert data["alpha"] == "3/8"
     assert data["tail_mass"] == "0"
-    csv_text = open(os.path.join(out, "stationary_fcfm.csv")).read()
+    csv_text = Path(out, "stationary_fcfm.csv").read_text()
     assert csv_text.splitlines()[0] == "word,probability"
     assert ",3/8" in csv_text
 
@@ -110,9 +111,7 @@ def test_simulate_artifacts_are_reproducible(capsys, tmp_path):
     code, _ = run(capsys, *args, "--out", out2)
     assert code == 0
     for name in os.listdir(out1):
-        assert open(os.path.join(out1, name)).read() == open(
-            os.path.join(out2, name)
-        ).read()
+        assert Path(out1, name).read_text() == Path(out2, name).read_text()
     assert data1["recorded_steps"] == 20000 - data1["burn_in"]
 
 
@@ -163,9 +162,9 @@ def test_excursions(capsys, tmp_path):
     )
     assert code == 0 and data["verified"] is True
     assert data["permutation_valid"] == data["excursions"]
-    lengths = open(os.path.join(out, "excursion_lengths.csv")).read().splitlines()
+    lengths = Path(out, "excursion_lengths.csv").read_text().splitlines()
     assert lengths[0] == "length,count"
-    letters = open(os.path.join(out, "matched_letters.csv")).read().splitlines()
+    letters = Path(out, "matched_letters.csv").read_text().splitlines()
     assert letters[0].startswith("class,count,frequency")
 
 
@@ -184,7 +183,7 @@ def test_drift_command(capsys, tmp_path):
     assert code == 0
     assert data["verified"] is True
     assert data["ldelta_bound_holds"] is True
-    header = open(os.path.join(out, "drift.csv")).read().splitlines()[0]
+    header = Path(out, "drift.csv").read_text().splitlines()[0]
     assert header == "word,drift,residual_quadratic,residual_linear_left,residual_linear_right"
 
 

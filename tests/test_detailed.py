@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multimatch import (
     DetailedError,
@@ -26,6 +28,7 @@ from multimatch import (
 )
 from multimatch.chain import BufferEngine, draw_arrivals
 from multimatch.detailed import (
+    _reversed_forward_words,
     analyze_excursions,
     barred,
     blocks,
@@ -37,7 +40,7 @@ from multimatch.detailed import (
     verify_local_balance_empirical,
 )
 
-
+from conftest import random_measure, random_multigraph
 
 
 def test_dword_formatting_round_trip():
@@ -45,6 +48,8 @@ def test_dword_formatting_round_trip():
     assert format_dword(w) == "1 3~ 1"
     assert parse_dword("1 3~ 1") == w
     assert parse_dword("") == ()
+    # letters are shared, so stored words hold no copies of them
+    assert parse_dword("1 3~")[1] is barred("3") is w[1]
 
 
 def test_backward_admissibility_rules(path_loop, triangle):
@@ -286,6 +291,22 @@ def test_local_balance_counts_undetermined_tail(path_loop, mu_path):
                                          seed=9, min_visits=200)
     assert rep.undetermined_forward > 0
     assert rep.max_z < 4.0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=120))
+def test_audit_forward_pass_matches_forward_word(seed, steps):
+    rng = random.Random(seed)
+    g = random_multigraph(rng)
+    mu = random_measure(rng, g.nodes)
+    # the audit's own trajectory: its arrivals come from Random(seed)
+    arrivals = draw_arrivals(mu, steps, random.Random(seed))
+    partners = fcfm_match_partners(g, arrivals)
+    oracle = [forward_word(g, arrivals, n, partners) for n in range(steps + 1)]
+    expected = [None if f is None else reverse_copy(f) for f in oracle]
+    assert list(_reversed_forward_words(arrivals, partners)) == expected
+    rep = verify_local_balance_empirical(g, mu, steps, seed=seed, min_visits=1)
+    assert rep.undetermined_forward == oracle.count(None)
 
 
 def test_excursions_by_hand(k2):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -154,6 +155,49 @@ def test_multipartite_decomposition(tripartite_loop, k2):
     )
     p4 = Multigraph.build(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4")])
     assert p4.complete_multipartite_decomposition() is None
+
+
+def set_partitions(items):
+    """Every partition of ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in set_partitions(rest):
+        yield [[first]] + partition
+        for k in range(len(partition)):
+            yield partition[:k] + [[first] + partition[k]] + partition[k + 1 :]
+
+
+def is_multipartition(g, parts):
+    """Parts are independent and every cross-part pair is adjacent, loops aside."""
+    return all(
+        (a in g.adjacency[b]) == (pa is not pb)
+        for pa in parts for pb in parts for a in pa for b in pb if a != b
+    )
+
+
+def test_multipartite_decomposition_meets_its_definition():
+    checked = 0
+    for n in range(2, 6):
+        nodes = [str(i) for i in range(1, n + 1)]
+        pairs = list(itertools.combinations(nodes, 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            loops = nodes[mask % n :: 2]  # loops must not matter
+            try:
+                g = Multigraph.build(nodes, edges, loops)
+            except GraphError:
+                continue  # disconnected
+            parts = g.complete_multipartite_decomposition()
+            exists = any(is_multipartition(g, p) for p in set_partitions(nodes))
+            assert (parts is not None) == exists
+            if parts is not None:
+                assert sorted(i for p in parts for i in p) == nodes
+                assert is_multipartition(g, parts)
+                assert list(parts) == sorted(parts, key=sorted)
+            checked += 1
+    assert checked == 1 + 4 + 38 + 728  # connected labelled graphs on 2..5 nodes
 
 
 def test_json_round_trip_is_byte_stable(diamond_hub):
