@@ -191,7 +191,7 @@ def cmd_stationary_fcfm(args) -> int:
     dist = stationary.product_form(g, mu)
     states = chain.enumerate_states(g, args.max_len)
     rows = [(_fmt_word(w), dist.pi(w)) for w in states]
-    inside = dist.truncated_mass(args.max_len)
+    inside = sum((p for _, p in rows), Fraction(0))
     art = Artifacts(args.out, "stationary-fcfm")
     art.add_csv("stationary_fcfm", ["word", "probability"], rows)
     art.finish(
@@ -287,20 +287,21 @@ def cmd_tv_compare(args) -> int:
     policies.validate_policy(policy, g)
     dist = stationary.product_form(g, mu)
     states = chain.enumerate_states(g, args.max_len)
-    exact_tail = 1 - float(dist.truncated_mass(args.max_len))
+    pi = {w: dist.pi(w) for w in states}
+    exact_tail = 1 - float(sum(pi.values(), Fraction(0)))
     tvs = []
     freq_cols = []
     for res in _replica_runs(g, mu, policy, args, args.max_len):
         freqs = {w: res.frequency(w) for w in states}
         emp_tail = res.overflow_steps / res.recorded_steps
         tv = 0.5 * (
-            sum(abs(freqs[w] - float(dist.pi(w))) for w in states)
+            sum(abs(freqs[w] - float(pi[w])) for w in states)
             + abs(emp_tail - exact_tail)
         )
         tvs.append(tv)
         freq_cols.append(freqs)
     rows = [
-        tuple([_fmt_word(w), dist.pi(w)] + [col[w] for col in freq_cols])
+        tuple([_fmt_word(w), pi[w]] + [col[w] for col in freq_cols])
         for w in states
     ]
     ok = all(tv <= args.tol for tv in tvs)
@@ -391,10 +392,11 @@ def cmd_excursions(args) -> int:
 
 
 def _lyapunov_from_name(name: str, g, mu, delta):
+    """The Lyapunov function and, for Ldelta, the delta it was built with."""
     if name == "Q":
-        return drift.Quadratic()
+        return drift.Quadratic(), None
     if name == "L":
-        return drift.Linear()
+        return drift.Linear(), None
     if name == "Ldelta":
         if delta is None:
             report = measures.ncond_check(g, mu)
@@ -403,7 +405,7 @@ def _lyapunov_from_name(name: str, g, mu, delta):
             delta = report.margin
         else:
             delta = measures._to_weight(delta)
-        return drift.ldelta(g, mu, delta)
+        return drift.ldelta(g, mu, delta), delta
     raise InputError(f"unknown Lyapunov function {name!r}")
 
 
@@ -412,7 +414,7 @@ def cmd_drift(args) -> int:
     mu = _load_measure(args.mu)
     policy = _load_policy(args.policy)
     policies.validate_policy(policy, g)
-    fn = _lyapunov_from_name(args.fn, g, mu, args.delta)
+    fn, delta = _lyapunov_from_name(args.fn, g, mu, args.delta)
     states = chain.enumerate_states(g, args.max_len)
     rows = []
     worst = 0.0
@@ -439,7 +441,9 @@ def cmd_drift(args) -> int:
     }
     if args.fn == "Ldelta" and g.complete_multipartite_decomposition() is not None:
         try:
-            rep = drift.verify_ppartite_bound(g, mu, policy, args.max_len, tol=args.tol)
+            rep = drift.verify_ppartite_bound(
+                g, mu, policy, args.max_len, delta=delta, tol=args.tol
+            )
             summary["ldelta_bound_holds"] = rep.ok
             summary["delta"] = rep.delta
             ok = ok and rep.ok

@@ -179,6 +179,8 @@ def validate_policy(policy: Policy, g: Multigraph) -> None:
     elif isinstance(policy, RandomPolicy) and policy.perms is not None:
         for v, dist in policy.perms.items():
             g.check_node(v)
+            if any(p < 0 for _, p in dist):
+                raise PolicyError(f"permutation weights for {v!r} must be nonnegative")
             total = sum((p for _, p in dist), Fraction(0))
             if not (abs(total - 1) <= 1e-12 if isinstance(total, float) else total == 1):
                 raise PolicyError(f"permutation weights for {v!r} do not sum to 1")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .chain import enumerate_states, check_admissible, kernel_row
 from .graphs import Multigraph, Node
-from .measures import ProbMeasure, Weight, ncond_check
+from .measures import ProbMeasure, Weight, _gap_pass
 from .policies import Fcfm, Word
 
 
@@ -39,24 +39,24 @@ def alpha(g: Multigraph, mu: ProbMeasure) -> Weight:
     product-form terms of every ordering of S, whose last factor depends on S
     alone, at a cost of one term per (independent set, member) pair.
 
-    Raises unless the graph is stabilizable (not a bipartite graph) and the
-    measure satisfies the stability condition, which is exactly what keeps
-    every denominator strictly positive.
+    The pass that gives the denominators also checks the stability condition:
+    alpha raises unless the graph is stabilizable (not bipartite) and the
+    measure satisfies it, which is exactly what keeps every denominator
+    strictly positive.
     """
     mu.check_support(g)
     bip, _ = g.is_bipartite()
     if bip:
         raise StationaryError("a bipartite graph has an empty stability region")
-    report = ncond_check(g, mu)
+    report, denoms = _gap_pass(g, mu, g.maximal_subgraph().independent_sets())
     if not report.satisfied:
         raise StationaryError(
             f"measure violates the stability condition (margin {report.margin}, "
             f"witness {sorted(report.witness) if report.witness else None})"
         )
     terms: dict[frozenset[Node], Weight] = {frozenset(): Fraction(1)}
-    for s in sorted(g.maximal_subgraph().independent_sets(), key=len):
-        denom = mu.mass(g.neighborhood(s)) - mu.mass(s & g.v2)
-        terms[s] = sum((mu[e] * terms[s - {e}] for e in s), Fraction(0)) / denom
+    for s in sorted(denoms, key=len):
+        terms[s] = sum((mu[e] * terms[s - {e}] for e in sorted(s)), Fraction(0)) / denoms[s]
     return 1 / sum(terms.values(), Fraction(0))
 
 

@@ -186,6 +186,23 @@ def test_drift_command(capsys, tmp_path):
     header = Path(out, "drift.csv").read_text().splitlines()[0]
     assert header == "word,drift,residual_quadratic,residual_linear_left,residual_linear_right"
 
+    # the bound is checked at the delta the function was built with
+    tripartite = [
+        "drift",
+        "--graph", fx("tripartite_loop.graph.json"),
+        "--mu", fx("tripartite_loop.mu.json"),
+        "--policy", fx("tripartite_loop.policy_v2fav.json"),
+        "--fn", "Ldelta",
+        "--max-len", "4",
+    ]
+    code, data = run(capsys, *tripartite, "--delta", "1/1000")
+    assert code == 0
+    assert data["delta"] == "1/1000" and data["ldelta_bound_holds"] is True
+    # a delta far above the stability margin breaks the bound
+    code, data = run(capsys, *tripartite, "--delta", "1/2")
+    assert code == 1
+    assert data["delta"] == "1/2" and data["ldelta_bound_holds"] is False
+
 
 def test_transform_and_extend_measure(capsys):
     code, data = run(
@@ -290,8 +307,14 @@ def test_input_errors_exit_2(capsys, tmp_path):
         '{"kind": "maxweight", "rewards": {"12": "1"}}',
         '{"kind": "priority", "order": {"1": ["2"], "2": [1], "3": ["2", "3"]}}',
         '{"kind": "random", "perms": {"1": [["2"]]}}',
+        # non-finite numbers and negative permutation weights
+        '{"kind": "maxweight", "beta": NaN}',
+        '{"kind": "maxweight", "beta": Infinity}',
+        '{"kind": "maxweight", "rewards": {"1,2": NaN}}',
+        '{"kind": "random", "perms": {"2": [[["1", "3"], 2], [["3", "1"], -1]]}}',
     ):
-        assert main(["simulate", *path_model, "--policy", doc, "--steps", "10"]) == 2
+        assert main(["simulate", *path_model, "--policy", doc, "--steps", "10"]) == 2, doc
+        assert main(["drift", *path_model, "--policy", doc, "--max-len", "2"]) == 2, doc
     # option values that are not weights
     for split in ('{"3": "x"}', "[1]"):
         assert main(["extend-measure", *path_model, "--split", split]) == 2
@@ -334,6 +357,34 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0
     assert json.loads(done.stdout)["self_loops"] == ["3"]
+
+
+def test_float_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # float masses are summed in sorted order, never in set iteration order
+    graph = tmp_path / "five.graph.json"
+    graph.write_text(json.dumps({
+        "nodes": ["1", "2", "3", "4", "5"],
+        "edges": [["1", "2"], ["1", "3"], ["1", "5"], ["2", "3"], ["3", "4"]],
+        "self_loops": ["2"],
+    }))
+    mu = tmp_path / "five.mu.json"
+    mu.write_text(json.dumps({"1": 29 / 65, "2": 1 / 5, "3": 2 / 13, "4": 1 / 65, "5": 12 / 65}))
+    root = os.path.join(os.path.dirname(__file__), "..")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED=hash_seed)
+        files = {}
+        for command in ("ncond", "stationary-fcfm"):
+            out = tmp_path / f"{command}-{hash_seed}"
+            done = subprocess.run(
+                [sys.executable, "-m", "multimatch", command,
+                 "--graph", str(graph), "--mu", str(mu), "--out", str(out)],
+                env=env, capture_output=True,
+            )
+            assert done.returncode == 0, done.stderr
+            files[command] = done.stdout, {f.name: f.read_bytes() for f in out.iterdir()}
+        outputs.append(files)
+    assert outputs[0] == outputs[1]
 
 
 def test_readme_library_example():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -76,21 +77,36 @@ def test_alpha_requires_stabilizable_inputs(path_loop, k2):
 
 def test_alpha_matches_block_oracle_on_random_models():
     # the set recursion against the enumeration over ordered blocks, and on
-    # finite (all-loop) models against the dense linear-algebra solver
+    # finite (all-loop) models against the dense linear-algebra solver; its
+    # stability verdict against ncond_check, on unstable draws and on float
+    # copies of the stable ones
     rng = random.Random(3)
-    done = finite = 0
+    done = finite = unstable = 0
     while done < 120:
         g = random_multigraph(rng, 6)
         mu = random_measure(rng, g.nodes)
-        if g.is_bipartite()[0] or not ncond_check(g, mu).satisfied:
+        if g.is_bipartite()[0]:
+            continue
+        report = ncond_check(g, mu)
+        if not report.satisfied:
+            message = f"margin {report.margin}, witness {sorted(report.witness)}"
+            with pytest.raises(StationaryError, match=re.escape(message)):
+                alpha(g, mu)
+            unstable += 1
             continue
         a = alpha(g, mu)
         assert a == 1 / alpha_inverse_from_blocks(g, mu)
+        mu_float = ProbMeasure({c: float(p) for c, p in mu.weights.items()})
+        if ncond_check(g, mu_float).satisfied:
+            assert abs(alpha(g, mu_float) - float(a)) <= 1e-9
+        else:
+            with pytest.raises(StationaryError):
+                alpha(g, mu_float)
         if not g.v2:
             assert abs(solve_finite_chain(g, mu, Fcfm())[()] - float(a)) <= 1e-9
             finite += 1
         done += 1
-    assert finite > 0
+    assert finite > 0 and unstable > 0
 
 
 def test_pi_values_square(square_loops, mu_square_uniform):
