@@ -9,7 +9,10 @@ engine compiles the step of each arrival class once, at construction, into a
 closure over that class's neighbour FIFOs and the policy's choice.  Under a
 policy that never draws (FCFM, LCFM, a priority without ties), the next word
 is a function of the word and the arrival, so a run reads its steps from a
-bounded memo of the engine's transitions; the RNG stream is the same.
+bounded memo of the engine's transitions.  Only the arrivals draw then, so
+they are drawn in bulk, a chunk at a time, and the bulk stream equals the
+per-step one; a policy that can draw takes its arrivals one at a time,
+interleaved with its own draws.
 """
 
 from __future__ import annotations
@@ -157,25 +160,65 @@ def predecessors(
 
 # -- simulation ---------------------------------------------------------------
 
-def _arrival_indices(mu: ProbMeasure, rng: random.Random) -> tuple[list[Node], Iterator[int]]:
-    """The sorted classes and an endless i.i.d. stream of their indices."""
+def _arrival_table(mu: ProbMeasure) -> tuple[list[Node], list[float]]:
+    """The sorted classes and the float cumulative table of their masses."""
     nodes = sorted(mu.weights)
-    cum = cumulative(mu[c] for c in nodes)
-    return nodes, map(bisect_right, repeat(cum), iter(rng.random, None))
+    return nodes, cumulative(mu[c] for c in nodes)
+
+
+def _arrival_indices(cum: list[float], rng: random.Random) -> Iterator[int]:
+    """Endless i.i.d. class indices, one ``rng.random()`` each as it is taken."""
+    return map(bisect_right, repeat(cum), iter(rng.random, None))
+
+
+# Arrivals drawn per bulk call: a few hundred kB of buffers at a time.
+_ARRIVAL_CHUNK = 1 << 14
+
+
+def _arrival_chunks(
+    cum: list[float], rng: random.Random, steps: int
+) -> Iterator[Iterator[int]]:
+    """The first ``steps`` indices of :func:`_arrival_indices`, in chunks of
+    at most ``_ARRIVAL_CHUNK``, drawn in bulk.
+
+    ``rng.getrandbits(64 * n)`` holds, least significant first, the 2n 32-bit
+    words that n calls of ``rng.random()`` consume, and leaves ``rng`` where
+    they would; each pair (a, b) gives ``random()``'s own double
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and ``searchsorted`` on the right
+    is ``bisect_right``.  Each chunk is drawn when it is taken.
+    """
+    table = np.asarray(cum)
+    while steps > 0:
+        n = min(steps, _ARRIVAL_CHUNK)
+        steps -= n
+        words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+        u = (words[0::2] >> 5).astype(np.float64)
+        u *= 67108864.0
+        u += words[1::2] >> 6
+        del words
+        u /= 9007199254740992.0
+        # an exhausted list iterator frees its list before the next chunk
+        yield iter(np.searchsorted(table, u, side="right").tolist())
 
 
 def arrival_stream(mu: ProbMeasure, rng: random.Random) -> Iterator[Node]:
     """Endless i.i.d. class sequence; each arrival takes one ``rng.random()``
     when it is taken, so the draws interleave with the policy's."""
-    nodes, indices = _arrival_indices(mu, rng)
-    return map(nodes.__getitem__, indices)
+    nodes, cum = _arrival_table(mu)
+    return map(nodes.__getitem__, _arrival_indices(cum, rng))
 
 
 def draw_arrivals(mu: ProbMeasure, steps: int, rng: random.Random) -> list[Node]:
-    """The first ``steps`` arrivals of :func:`arrival_stream`."""
+    """The first ``steps`` arrivals of :func:`arrival_stream`.
+
+    They are drawn in bulk, and ``rng`` ends in the state that ``steps``
+    per-arrival draws leave it in.
+    """
     if steps < 0:
         raise ChainError(f"steps must be >= 0, got {steps}")
-    return list(islice(arrival_stream(mu, rng), steps))
+    nodes, cum = _arrival_table(mu)
+    pick = nodes.__getitem__
+    return [pick(i) for chunk in _arrival_chunks(cum, rng, steps) for i in chunk]
 
 
 def _compile_offer(g, policy, v, fifo, items, clock):
@@ -291,9 +334,11 @@ class _StepTable:
 
     When the policy never draws, the next word is a function of the word and
     the arrival class.  States number the words of length at most
-    ``_TABLE_MAX_LEN`` met so far, at most ``_TABLE_MAX_STATES`` of them;
-    ``rows[s][i]`` is the state reached from ``s`` on arrival index ``i``,
-    or -1 until that step is first taken.  A missing entry is filled by one
+    ``_TABLE_MAX_LEN`` met so far, at most ``_TABLE_MAX_STATES`` of them; a
+    state ``s`` is addressed by its offset ``s * k``, for ``k`` arrival
+    classes.  ``succ[o + i]`` is the offset of the state reached from offset
+    ``o`` on arrival index ``i``, -1 until that step is first taken, or -2
+    once it is known to leave the table.  A missing entry is filled by one
     engine step from the state's word, so the table only caches the engine.
     """
 
@@ -301,39 +346,47 @@ class _StepTable:
         self.engine = engine
         self.offers = offers  # one compiled offer per arrival index
         self.rng = rng  # handed to the offers, which never draw from it
-        self.words: list[Word] = []
-        self.lens: list[int] = []
-        self.rows: list[list[int]] = []
-        self.ids: dict[Word, int] = {}
-        self.at = self._intern(())  # the state the engine holds, or -1
+        self.k = len(offers)
+        self.words: list[Word] = []  # per state
+        self.lens = np.zeros(_TABLE_MAX_STATES, dtype=np.int64)  # word lengths per state
+        self.succ: list[int] = []
+        self.ids: dict[Word, int] = {}  # word -> offset
+        self.at = self._intern(())  # the offset whose word the engine holds, or -1
 
     def _intern(self, w: Word) -> int:
-        s = len(self.words)
-        self.ids[w] = s
+        o = len(self.succ)
+        self.ids[w] = o
+        self.lens[len(self.words)] = len(w)
         self.words.append(w)
-        self.lens.append(len(w))
-        self.rows.append([-1] * len(self.offers))
-        return s
+        self.succ += [-1] * self.k
+        return o
 
-    def fill(self, s: int, i: int) -> int:
-        """State after arrival ``i`` in state ``s``, filled from the engine.
+    def fill(self, o: int, i: int) -> int:
+        """Offset after arrival ``i`` at offset ``o``, filled from the engine.
 
-        Returns -1 instead, with the engine holding the word of ``s``, when
-        the next word could fall outside the table's bounds; the run then
-        takes this step on the engine.
+        Returns -1 instead, with the engine holding the word of ``o``, when
+        the next word is not in the table and cannot join it: the word of
+        ``o`` is as long as the table allows, or the next word is new and the
+        table is full, which it stays.  The entry is then marked -2, so a
+        later visit skips the trial step; the run takes this step on the
+        engine.
         """
-        if self.at != s:
-            self.engine.load(self.words[s])
-        if self.lens[s] >= _TABLE_MAX_LEN or len(self.words) >= _TABLE_MAX_STATES:
-            self.at = -1
-            return -1
-        self.offers[i](self.rng)
-        t = self.enter()
-        self.rows[s][i] = t
-        return t
+        w = self.words[o // self.k]
+        if self.at != o:
+            self.engine.load(w)
+        if self.succ[o + i] == -1 and len(w) < _TABLE_MAX_LEN:
+            self.offers[i](self.rng)
+            t = self.enter()
+            if t >= 0:
+                self.succ[o + i] = t
+                return t
+            self.engine.load(w)
+        self.succ[o + i] = -2
+        self.at = -1
+        return -1
 
     def enter(self) -> int:
-        """State of the engine's word, new if the table has room, else -1.
+        """Offset of the engine's word, new if the table has room, else -1.
 
         The word must be no longer than ``_TABLE_MAX_LEN``.
         """
@@ -394,8 +447,11 @@ def simulate(
     A policy that never draws takes each step from a transition table over
     the short words met so far (a bounded memo, filled from the engine on
     first use); longer words, and the words met once the table is full, are
-    stepped on the engine.  Only the arrivals draw either way, so the result
-    is the engine's, bit for bit.
+    stepped on the engine.  Only the arrivals draw, so they are drawn in bulk
+    (the same stream as per-step draws), and the table steps of a chunk are
+    tallied together after it.  A policy that can draw takes its arrivals one
+    at a time, interleaved with its own draws.  Either way the result is the
+    engine's, bit for bit.
     """
     if steps <= 0:
         raise ChainError("steps must be positive")
@@ -407,94 +463,119 @@ def simulate(
         raise ChainError(f"word_cap must be >= 0, got {word_cap}")
     mu.check_support(g)
     rng = random.Random(seed)
-    nodes, arrivals = _arrival_indices(mu, rng)
+    nodes, cum = _arrival_table(mu)
 
     engine = BufferEngine(g, policy)
     offers = [engine._offers[c] for c in nodes]
     items, queues = engine._items, engine._fifo.items()
     word = items.values()  # a live view: tuple(word) is the current word
-    # s is the current table state, or -1 while the engine steps; the engine
-    # hands back to the table at a word no longer than top
-    table = _StepTable(engine, offers, rng) if is_draw_free(policy) else None
-    if table:
-        rows, lens = table.rows, table.lens
-        s, top = 0, _TABLE_MAX_LEN
-    else:
-        s, top = -1, -1
-    counts: dict = {}  # visits per word, or per table state
+    # visit counts, keyed in first-recorded-visit order: table states (counted
+    # in ``visits``) and the other words the engine steps to (counted here)
+    counts: dict = {}
     tally = counts.get
+    # o is the current table offset, or -1 while the engine steps; the engine
+    # hands back to the table at a word no longer than top
+    if is_draw_free(policy):
+        table = _StepTable(engine, offers, rng)
+        succ, lens, k = table.succ, table.lens, table.k
+        o, top = 0, _TABLE_MAX_LEN
+        visits = np.zeros(len(lens), dtype=np.int64)  # recorded steps per state
+
+        def feeds(n):
+            return _arrival_chunks(cum, rng, n)
+    else:
+        table, o, top = None, -1, -1
+        arrivals = _arrival_indices(cum, rng)
+
+        def feeds(n):
+            return (islice(arrivals, n),)
+
     overflow = 0
     max_len = 0  # these two over the overflow steps; counts adds the rest
     occ_sum = dict.fromkeys(g.nodes, 0)
     half = steps // 2
     tail = array("q")  # queue lengths over the last half, for the slope
     keep_len = tail.append
+
+    def flush(walk, keep, record):
+        """Tally the offsets of one walk over the table, in step order."""
+        states = np.array(walk, dtype=np.int64) // k
+        if keep:
+            tail.frombytes(lens[states].tobytes())
+        if record:
+            fresh = visits[states] == 0
+            if fresh.any():  # states recorded for the first time, in the order met
+                counts.update(dict.fromkeys(states[fresh].tolist()))
+            np.add.at(visits, states, 1)
+
     # the run cut where recording (burn_in) or the slope's tail (half) starts
     cuts = sorted({0, burn_in, half, steps})
     for start, stop in zip(cuts, cuts[1:]):
         keep, record = start >= half, start >= burn_in
-        # both loops take the segment's arrivals from ``feed``; a loop that
-        # hands over to the other leaves the rest in it, and the table puts
-        # back in front the arrival that it hands to the engine
-        segment = feed = islice(arrivals, stop - start)
-        while True:
-            if s >= 0:
-                for i in feed:
-                    t = rows[s][i]
-                    if t < 0:
-                        t = table.fill(s, i)
+        for chunk in feeds(stop - start):
+            # both loops take the chunk's arrivals from ``feed``; a loop that
+            # hands over to the other leaves the rest in it, and the table
+            # puts back in front the arrival that it hands to the engine
+            rest = feed = chunk
+            walk: list[int] = []
+            while True:
+                if o >= 0:
+                    push = walk.append
+                    for i in feed:
+                        t = succ[o + i]
                         if t < 0:
-                            feed = chain((i,), segment)
-                            s = -1
-                            break
-                    s = t
-                    if keep:
-                        keep_len(lens[s])
-                    if record:
-                        counts[s] = tally(s, 0) + 1
+                            t = table.fill(o, i)
+                            if t < 0:
+                                feed, o = chain((i,), rest), -1
+                                break
+                        o = t
+                        push(o)
+                    if keep or record:
+                        flush(walk, keep, record)
+                    walk = []
+                    if o >= 0:
+                        break
                 else:
-                    break
-            else:
-                for i in feed:
-                    offers[i](rng)
-                    ln = len(items)
-                    if keep:
-                        keep_len(ln)
-                    if ln <= top:
-                        s = table.enter()
-                        if s >= 0:
-                            if record:
-                                counts[s] = tally(s, 0) + 1
-                            feed = segment
-                            break
-                    if not record:
-                        continue
-                    if ln <= word_cap:
-                        w = tuple(word)
-                        counts[w] = tally(w, 0) + 1
-                    else:
-                        overflow += 1
-                        if ln > max_len:
-                            max_len = ln
-                        for c, q in queues:
-                            occ_sum[c] += len(q)
-                else:
-                    break
-    final_len = lens[s] if s >= 0 else len(items)
-    words = table.words if table else ()
+                    for i in feed:
+                        offers[i](rng)
+                        ln = len(items)
+                        if ln <= top:
+                            o = table.enter()
+                            if o >= 0:
+                                walk.append(o)
+                                feed = rest
+                                break
+                        if keep:
+                            keep_len(ln)
+                        if not record:
+                            continue
+                        if ln <= word_cap:
+                            w = tuple(word)
+                            counts[w] = tally(w, 0) + 1
+                        else:
+                            overflow += 1
+                            if ln > max_len:
+                                max_len = ln
+                            for c, q in queues:
+                                occ_sum[c] += len(q)
+                    if o < 0:
+                        break
+    final_len = int(lens[o // k]) if o >= 0 else len(items)
+    words, visits = (table.words, visits.tolist()) if table else ((), ())
     # an unstable run's buffer need not outlive the loop
     del engine, offers, items, queues, word, table
     # table states longer than word_cap are overflow steps
     tallied: dict[Word, int] = {}
-    for key, k in counts.items():
-        w = words[key] if type(key) is int else key
-        max_len = max(max_len, len(w))
-        for c in w:
-            occ_sum[c] += k
-        if len(w) <= word_cap:
-            tallied[w] = k
+    for key, n in counts.items():
+        if type(key) is int:
+            key, n = words[key], visits[key]
+        max_len = max(max_len, len(key))
+        for c in key:
+            occ_sum[c] += n
+        if len(key) <= word_cap:
+            tallied[key] = n
         else:
-            overflow += k
+            overflow += n
     recorded = steps - burn_in
     return SimulationResult(
         total_steps=steps,

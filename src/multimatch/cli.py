@@ -393,6 +393,8 @@ def cmd_excursions(args) -> int:
 
 def _lyapunov_from_name(name: str, g, mu, delta):
     """The Lyapunov function and, for Ldelta, the delta it was built with."""
+    if delta is not None and name != "Ldelta":
+        raise InputError(f"--delta sets the margin of Ldelta; --fn {name} takes none")
     if name == "Q":
         return drift.Quadratic(), None
     if name == "L":

@@ -142,22 +142,30 @@ class NcondReport:
     witness: Optional[frozenset[Node]]
 
 
-def _gap_pass(g: Multigraph, mu: ProbMeasure, sets: Iterable[frozenset[Node]]):
-    """NCOND over the sets inside V2, and every set's gap mu(E(S)) - mu(S & V2)."""
-    gaps = {s: mu.mass(g.neighborhood(s)) - mu.mass(s & g.v2) for s in sets}
-    witness = min((s for s in gaps if s <= g.v2), key=gaps.__getitem__, default=None)
-    best = math.inf if witness is None else gaps[witness]
+def _gaps(g: Multigraph, mu: ProbMeasure, sets: Iterable[frozenset[Node]]):
+    """Each set with its gap mu(E(S)) - mu(S & V2), one at a time."""
+    return ((s, mu.mass(g.neighborhood(s)) - mu.mass(s & g.v2)) for s in sets)
+
+
+def _ncond_report(g: Multigraph, gaps: Iterable[tuple[frozenset[Node], Weight]]) -> NcondReport:
+    """NCOND over the sets inside V2 among ``(set, gap)`` pairs, the first
+    smallest gap as witness."""
+    witness, best = None, math.inf
+    for s, gap in gaps:
+        if gap < best and s <= g.v2:
+            witness, best = s, gap
     ok = best > 0 if isinstance(best, Fraction) else best > SUM_TOL  # float ties fail
-    return NcondReport(satisfied=ok, margin=best, witness=witness), gaps
+    return NcondReport(satisfied=ok, margin=best, witness=witness)
 
 
 def ncond_check(g: Multigraph, mu: ProbMeasure) -> NcondReport:
     """Exhaustive check of mu(I) < mu(E(I)) over all independent sets.
 
-    The same subset pass as ``stationary.alpha``'s, over the sets of ``g``.
+    The same gaps and the same fold as ``stationary.alpha``'s, over the sets
+    of ``g``, taken one at a time, so memory does not grow with their number.
     """
     mu.check_support(g)
-    return _gap_pass(g, mu, g.independent_sets())[0]
+    return _ncond_report(g, _gaps(g, mu, g.independent_sets()))
 
 
 def mu_deg(g: Multigraph) -> ProbMeasure:

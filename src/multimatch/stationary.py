@@ -22,7 +22,7 @@ import numpy as np
 
 from .chain import enumerate_states, check_admissible, kernel_row
 from .graphs import Multigraph, Node
-from .measures import ProbMeasure, Weight, _gap_pass
+from .measures import ProbMeasure, Weight, _gaps, _ncond_report
 from .policies import Fcfm, Word
 
 
@@ -39,16 +39,17 @@ def alpha(g: Multigraph, mu: ProbMeasure) -> Weight:
     product-form terms of every ordering of S, whose last factor depends on S
     alone, at a cost of one term per (independent set, member) pair.
 
-    The pass that gives the denominators also checks the stability condition:
-    alpha raises unless the graph is stabilizable (not bipartite) and the
-    measure satisfies it, which is exactly what keeps every denominator
-    strictly positive.
+    The same denominators, folded as in ``ncond_check``, give the stability
+    verdict: alpha raises unless the graph is stabilizable (not bipartite)
+    and the measure satisfies it, which is exactly what keeps every
+    denominator strictly positive.
     """
     mu.check_support(g)
     bip, _ = g.is_bipartite()
     if bip:
         raise StationaryError("a bipartite graph has an empty stability region")
-    report, denoms = _gap_pass(g, mu, g.maximal_subgraph().independent_sets())
+    denoms = dict(_gaps(g, mu, g.maximal_subgraph().independent_sets()))
+    report = _ncond_report(g, denoms.items())
     if not report.satisfied:
         raise StationaryError(
             f"measure violates the stability condition (margin {report.margin}, "

@@ -1,8 +1,10 @@
 import gc
 import hashlib
+import math
 import random
 import weakref
 from fractions import Fraction
+from itertools import islice
 from unittest.mock import patch
 
 import pytest
@@ -30,9 +32,13 @@ from multimatch import (
 from multimatch.chain import (
     BufferEngine,
     SimulationResult,
+    _ARRIVAL_CHUNK,
     _TABLE_MAX_LEN,
     _TABLE_MAX_STATES,
     _StepTable,
+    _arrival_chunks,
+    _arrival_indices,
+    _arrival_table,
     check_admissible,
     draw_arrivals,
     least_squares_slope,
@@ -272,6 +278,34 @@ def test_buffer_engine_matches_step_on_random_models(seed):
         assert_engine_follows_step(g, pol, arrivals, name)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
+       st.integers(min_value=1, max_value=9))
+def test_bulk_arrivals_equal_per_step_draws(seed, exact, chunk):
+    rng = random.Random(seed)
+    mu = random_measure(rng, [str(c) for c in range(rng.randrange(1, 7))])
+    if not exact:
+        mu = ProbMeasure.from_dict({c: float(p) for c, p in mu.weights.items()})
+    nodes, cum = _arrival_table(mu)
+    for steps in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        bulk, per_step = random.Random(seed), random.Random(seed)
+        with patch("multimatch.chain._ARRIVAL_CHUNK", chunk):
+            chunks = [list(c) for c in _arrival_chunks(cum, bulk, steps)]
+            arrivals = draw_arrivals(mu, steps, bulk)
+        assert all(0 < len(c) <= chunk for c in chunks)
+        want = list(islice(_arrival_indices(cum, per_step), 2 * steps))
+        assert [i for c in chunks for i in c] == want[:steps]
+        assert arrivals == [nodes[i] for i in want[steps:]]
+        # a table with an entry at each double drawn and one just above it:
+        # a double off by one unit in the last place lands elsewhere
+        doubles = list(islice(iter(random.Random(seed).random, None), steps))
+        sharp = sorted({d for u in doubles for d in (u, math.nextafter(u, 1))} | {1.0})
+        with patch("multimatch.chain._ARRIVAL_CHUNK", chunk):
+            got = [i for c in _arrival_chunks(sharp, random.Random(seed), steps) for i in c]
+        assert got == list(islice(_arrival_indices(sharp, random.Random(seed)), steps))
+        assert bulk.getstate() == per_step.getstate()
+
+
 def draw_free_kinds(g):
     """One policy of every kind whose step never draws."""
     strict = Priority.from_lists({v: sorted(g.adjacency[v], reverse=True) for v in g.nodes})
@@ -336,24 +370,31 @@ def assert_table_follows_step(g, pol, arrivals, name):
     nodes = sorted(g.nodes)
     engine, rng = BufferEngine(g, pol), random.Random(10)
     table = _StepTable(engine, [engine._offers[c] for c in nodes], rng)
-    s = 0
+    k, succ, o = table.k, table.succ, 0
     for v in arrivals:
         i = nodes.index(v)
-        s = table.rows[s][i] if table.rows[s][i] >= 0 else table.fill(s, i)
-        if s < 0:  # the run would hand this step to the engine
+        o = succ[o + i] if succ[o + i] >= 0 else table.fill(o, i)
+        if o < 0:  # the run would hand this step to the engine
             break
     assert rng.getstate() == random.Random(10).getstate(), name
+    # one flat successor list, k offsets per state
+    assert len(succ) == k * len(table.words) and all(t % k == 0 for t in succ if t >= 0)
     filled = 0
-    for s, row in enumerate(table.rows):
-        for i, t in enumerate(row):
-            if t >= 0:
-                filled += 1
-                assert table.words[t] == step(g, pol, table.words[s], nodes[i]), name
+    for o, t in enumerate(succ):
+        if t >= 0:
+            filled += 1
+            s, i = divmod(o, k)
+            assert table.words[t // k] == step(g, pol, table.words[s], nodes[i]), name
     assert filled > 0, name
 
 
 # the shipped table bounds, and small ones that runs leave and re-enter often
 TABLE_BOUNDS = ((_TABLE_MAX_LEN, _TABLE_MAX_STATES), (3, 12))
+# (arrival chunk size, burn-in) pairs for the 400-step runs below: besides
+# the shipped chunk size, burn-in 7 is one whole chunk of 7 and falls inside
+# one of 8, and steps // 2 = 200 falls inside a chunk of 7 and on the edge of
+# one of 8
+CHUNKED_RUNS = ((_ARRIVAL_CHUNK, 0), (_ARRIVAL_CHUNK, 7), (7, 7), (8, 7))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
@@ -370,26 +411,36 @@ def test_table_runs_equal_engine_runs_on_random_models(seed):
                 with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=max_len,
                                     _TABLE_MAX_STATES=max_states):
                     assert_table_follows_step(g, pol, arrivals, name)
-                    for word_cap in (0, 1, 16):
-                        for burn_in in (0, 7):
-                            got = simulate(g, mu, pol, steps, burn_in=burn_in, seed=seed,
-                                           word_cap=word_cap)
+                    for chunk, burn_in in CHUNKED_RUNS:
+                        for word_cap in (0, 1, 16):
+                            with patch("multimatch.chain._ARRIVAL_CHUNK", chunk):
+                                got = simulate(g, mu, pol, steps, burn_in=burn_in, seed=seed,
+                                               word_cap=word_cap)
                             want = engine_simulation(g, run, burn_in, seed, word_cap)
-                            assert repr(got) == repr(want), (name, max_len, word_cap, burn_in)
+                            assert repr(got) == repr(want), (name, max_len, chunk, word_cap,
+                                                             burn_in)
 
 
 def test_table_bounds_are_crossed_both_ways(path_loop, mu_path):
     # with a small table, the path model's queue leaves it and comes back
-    # many times; the run still equals the step-by-step engine
+    # many times; the run still equals the step-by-step engine, also when
+    # the engine's stretches straddle the boundaries of small arrival chunks
     unstable = ProbMeasure.from_dict({"1": "0.4", "2": "0.2", "3": "0.4"})
     for mu in (mu_path, unstable):
         run = engine_run(path_loop, mu, Fcfm(), 5000, 3)
         lengths = [len(w) for w in run[0]]
         crossings = sum(1 for a, b in zip(lengths, lengths[1:]) if (a <= 3) != (b <= 3))
         assert crossings >= 2
-        with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=3, _TABLE_MAX_STATES=12):
-            got = simulate(path_loop, mu, Fcfm(), 5000, burn_in=50, seed=3, word_cap=4)
-        assert repr(got) == repr(engine_simulation(path_loop, run, 50, 3, 4))
+        # a stretch of words too long for the table, which the engine steps,
+        # longer than a chunk of 7 overlaps a chunk boundary however they fall
+        stretches = "".join("x" if n > 3 else " " for n in lengths).split()
+        assert max(map(len, stretches)) > 7
+        want = repr(engine_simulation(path_loop, run, 50, 3, 4))
+        for chunk in (_ARRIVAL_CHUNK, 7):
+            with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=3, _TABLE_MAX_STATES=12,
+                                _ARRIVAL_CHUNK=chunk):
+                got = simulate(path_loop, mu, Fcfm(), 5000, burn_in=50, seed=3, word_cap=4)
+            assert repr(got) == want, chunk
 
 
 def test_engine_is_freed_without_the_collector(tripartite_loop, mu_tripartite):

@@ -319,6 +319,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
     for split in ('{"3": "x"}', "[1]"):
         assert main(["extend-measure", *path_model, "--split", split]) == 2
     assert main(["drift", *path_model, "--fn", "Ldelta", "--delta", "x"]) == 2
+    # only Ldelta has a margin to set
+    for fn in ("Q", "L"):
+        assert main(["drift", *path_model, "--fn", fn, "--delta", "5"]) == 2, fn
     # a reversibility run that tests no pair verifies nothing
     assert main(["reversibility", "--graph", fx("square_loops.graph.json"),
                  "--mu", fx("square_loops.mu_uniform.json"), "--steps", "1000"]) == 2

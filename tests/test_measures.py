@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from multimatch import (
     MeasureError,
     Multigraph,
+    NcondReport,
     ProbMeasure,
     extend_measure,
     mu_deg,
@@ -207,3 +209,25 @@ def test_equivalence_with_blowup(path_loop, mu_path):
     for _ in range(150):
         g = random_multigraph(rng)
         assert ncond_equivalence_check(g, random_measure(rng, g.nodes))
+
+
+def test_ncond_check_streams_the_independent_sets():
+    # the odd cycle C17 with one loop has 5,777 independent sets; the verdict
+    # is folded over them one at a time instead of keeping every gap
+    labels = [f"c{k}" for k in range(17)]
+    g = Multigraph.build(labels, [(a, b) for a, b in zip(labels, labels[1:] + labels[:1])],
+                         [labels[0]])
+    skewed = ProbMeasure.from_dict({c: Fraction(k + 1, 153) for k, c in enumerate(labels)})
+    for mu in (ProbMeasure.uniform(g), skewed):
+        tracemalloc.start()
+        try:
+            report = ncond_check(g, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 250_000
+        # the same report from every gap kept: the first smallest is the witness
+        gaps = {s: mu.mass(g.neighborhood(s)) - mu.mass(s) for s in g.independent_sets()}
+        margin = min(gaps.values())
+        witness = next(s for s, gap in gaps.items() if gap == margin)
+        assert report == NcondReport(satisfied=margin > 0, margin=margin, witness=witness)
