@@ -201,15 +201,8 @@ def _arrival_chunks(
         yield iter(np.searchsorted(table, u, side="right").tolist())
 
 
-def arrival_stream(mu: ProbMeasure, rng: random.Random) -> Iterator[Node]:
-    """Endless i.i.d. class sequence; each arrival takes one ``rng.random()``
-    when it is taken, so the draws interleave with the policy's."""
-    nodes, cum = _arrival_table(mu)
-    return map(nodes.__getitem__, _arrival_indices(cum, rng))
-
-
 def draw_arrivals(mu: ProbMeasure, steps: int, rng: random.Random) -> list[Node]:
-    """The first ``steps`` arrivals of :func:`arrival_stream`.
+    """The classes of the first ``steps`` indices of :func:`_arrival_indices`.
 
     They are drawn in bulk, and ``rng`` ends in the state that ``steps``
     per-arrival draws leave it in.

@@ -3,10 +3,12 @@
 Alongside the queue word one can track, for each position since the oldest
 unmatched arrival, either the class of a still-unmatched item or the copy
 (barred letter) of the class its occupant was matched with.  Folding arrivals
-into that record from the left gives the backward chain; reading match
-partners forward in time gives the forward words.  The two are exchanged by
-the reversed-copy involution, and both are stationary for the product measure
-``nu`` that simply multiplies class weights, bars ignored.
+into that record from the left gives the backward chain; the forward words
+span the arrivals after an instant up to the last partner of an earlier item.
+The two are exchanged by the reversed-copy involution: the same fold, run
+backwards in time over the classes of the matched partners, steps through
+the reversed copies of the forward words.  Both chains are stationary for the
+product measure ``nu`` that simply multiplies class weights, bars ignored.
 
 These objects make the reversibility structure of first-come-first-matched
 executable: block decompositions of the backward state space recover the
@@ -21,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, permutations, repeat
+from itertools import chain, permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .chain import BufferEngine, draw_arrivals
@@ -199,32 +201,6 @@ def forward_word(
     return tuple(letters)
 
 
-def _reversed_forward_words(
-    arrivals: Sequence[Node], partners: Sequence[Optional[int]]
-) -> Iterator[Optional[DWord]]:
-    """Reversed copy of the forward word at each instant ``0..len(arrivals)``.
-
-    One pass over the partner table with two scalars: the largest partner of
-    an earlier item, where the window ends, and whether an earlier item is
-    never matched, after which every word is undetermined (``None``).
-    """
-    end = -1
-    for n, p in enumerate(partners):
-        if end < n:
-            yield ()
-        else:
-            yield tuple([
-                plain(arrivals[k]) if (k := partners[m]) is not None and k < n
-                else barred(arrivals[m])
-                for m in range(end, n - 1, -1)
-            ])
-        if p is None:
-            yield from repeat(None, len(partners) - n)
-            return
-        end = max(end, p)
-    yield ()  # every item was matched within the trajectory
-
-
 # -- the product measure and block masses -------------------------------------
 
 def nu(mu: ProbMeasure, w: DWord) -> Weight:
@@ -349,6 +325,31 @@ class LocalBalanceReport:
         return sum(1 for c in self.checks if c.z <= z) / len(self.checks)
 
 
+def _walk(
+    g: Multigraph, w: DWord, drive: Iterable[Node]
+) -> tuple[dict[DWord, int], dict[tuple[DWord, DWord], int], DWord]:
+    """Run :func:`backward_step` from ``w`` over the classes of ``drive``.
+
+    Returns the visits of each word stepped from, the count of each
+    transition ``(w, w2)`` and the word the walk ends on.  The step is a
+    function of (word, class), so each distinct step is taken once.
+    """
+    memo: dict[tuple[DWord, Node], list] = {}  # -> [next word, count]
+    for v in drive:
+        taken = memo.get((w, v))
+        if taken is None:
+            taken = memo[w, v] = [backward_step(g, w, v), 0]
+        taken[1] += 1
+        w = taken[0]
+    visits: dict[DWord, int] = {}
+    counts: dict[tuple[DWord, DWord], int] = {}
+    while memo:  # popped, so the memo and the tallies do not coexist in full
+        (w1, _), (w2, k) = memo.popitem()
+        visits[w1] = visits.get(w1, 0) + k
+        counts[w1, w2] = counts.get((w1, w2), 0) + k
+    return visits, counts, w
+
+
 def verify_local_balance_empirical(
     g: Multigraph,
     mu: ProbMeasure,
@@ -358,10 +359,15 @@ def verify_local_balance_empirical(
 ) -> LocalBalanceReport:
     """Run one long trajectory and test the pairing identity on frequent pairs.
 
-    Backward transitions come from the incremental recursion; forward
-    transitions from the trajectory-wide partner table, skipping instants
-    whose forward word is still undetermined at the horizon.  Pairs need
-    ``min_visits`` (at least 1) visits on both sides to be tested.
+    Both chains come from the one :func:`backward_step` recursion.  The
+    backward walk folds the arrivals in.  The forward word ``F_n`` is
+    determined up to instant ``u``, the first arrival never matched (or the
+    horizon); below it ``rc(F_n)`` is the backward step from ``rc(F_{n+1})``
+    by the class matched with arrival ``n``.  So the forward walk starts from
+    the one word ``rc(F_u)`` built from the partner table and runs backwards
+    in time over those partner classes; the ``steps - u`` later instants are
+    undetermined and skipped.  Pairs need ``min_visits`` (at least 1) visits
+    on both sides to be tested.
     """
     if min_visits < 1:
         raise DetailedError(f"min_visits must be >= 1, got {min_visits}")
@@ -369,39 +375,19 @@ def verify_local_balance_empirical(
     rng = random.Random(seed)
     arrivals = draw_arrivals(mu, steps, rng)
     partners = fcfm_match_partners(g, arrivals)
+    u = partners.index(None) if None in partners else steps
+    start = reverse_copy(forward_word(g, arrivals, u, partners))
+    del partners[u:]
+    # popped from the end, so the partner table is freed as this list grows
+    matched = [arrivals[partners.pop()] for _ in range(u)]
 
-    # backward_step is a function of (state, arrival): take each distinct
-    # step once, then count visits and transitions per step
-    steps_taken: dict[tuple[DWord, Node], list] = {}  # -> [next state, count]
-    b: DWord = ()
-    for v in arrivals:
-        taken = steps_taken.get((b, v))
-        if taken is None:
-            taken = steps_taken[b, v] = [backward_step(g, b, v), 0]
-        taken[1] += 1
-        b = taken[0]
-    b_visits: dict[DWord, int] = {}
-    b_counts: dict[tuple[DWord, DWord], int] = {}
-    while steps_taken:  # popped, so the two tables do not coexist in full
-        (w, _), (nb, k) = steps_taken.popitem()
-        b_visits[w] = b_visits.get(w, 0) + k
-        b_counts[w, nb] = b_counts.get((w, nb), 0) + k
-
-    # Forward counts are keyed by reversed copies, rc(f) and (rc(f'), rc(f))
-    # for a step f -> f', so the backward transition w -> w2 and the forward
-    # one rc(w2) -> rc(w) it is compared with share the key (w, w2).
-    f_visits: dict[DWord, int] = {}
-    f_counts: dict[tuple[DWord, DWord], int] = {}
-    undetermined = 0
-    prev: Optional[DWord] = None
-    for rf in _reversed_forward_words(arrivals, partners):
-        if rf is None:
-            undetermined += 1
-        else:
-            f_visits[rf] = f_visits.get(rf, 0) + 1
-            if prev is not None:
-                f_counts[rf, prev] = f_counts.get((rf, prev), 0) + 1
-        prev = rf
+    b_visits, b_counts, _ = _walk(g, (), arrivals)
+    # The walk tallies the forward step F_n -> F_{n+1} under the key
+    # (rc(F_{n+1}), rc(F_n)), so the backward transition w -> w2 and the
+    # forward one rc(w2) -> rc(w) it is compared with share the key (w, w2).
+    f_visits, f_counts, last = _walk(g, start, matched)
+    f_visits[last] = f_visits.get(last, 0) + 1  # rc(F_0), the empty word
+    undetermined = steps - u
 
     @cache
     def nu_of(w: DWord) -> float:

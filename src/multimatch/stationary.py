@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -187,7 +188,8 @@ def balance_residual(
             inflow[w] = inflow.get(w, Fraction(0)) + pi[u] * p
     worst = 0.0
     worst_word: Optional[Word] = None
-    for w in enumerate_states(g, max_len):
+    # the words up to max_len lead the list, which is sorted by length
+    for w in takewhile(lambda w: len(w) <= max_len, states):
         residual = abs(float(pi[w] - inflow[w]))
         if report is not None:
             report(w, residual)

@@ -48,11 +48,12 @@ from multimatch.detailed import fcfm_match_partners
 from multimatch.policies import (
     choose_class,
     decision_distribution,
+    is_class_admissible,
     is_draw_free,
     match_candidates,
 )
 
-from conftest import random_measure, random_multigraph
+from conftest import random_admissible_word, random_measure, random_multigraph
 
 
 def test_admissibility(path_loop, square_loops):
@@ -276,6 +277,38 @@ def test_buffer_engine_matches_step_on_random_models(seed):
     arrivals = draw_arrivals(random_measure(rng, g.nodes), 150, rng)
     for name, pol in policy_kinds(g).items():
         assert_engine_follows_step(g, pol, arrivals, name)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_sampled_class_choices_follow_the_exact_law(seed):
+    # 1000 draws per (counts, arrival); a class whose exact probability p is
+    # strictly between 0 and 1 must land within 5 binomial standard errors,
+    # and one with p in {0, 1} exactly on it.  FCFM and LCFM pick a position,
+    # not a class, so they have no class rule.
+    n = 1000
+    rng = random.Random(seed)
+    g = random_multigraph(rng)
+    sampler = random.Random(seed)
+    kinds = {k: pol for k, pol in policy_kinds(g).items() if is_class_admissible(pol)}
+    for length in (1, 3):
+        w = random_admissible_word(rng, g, length)
+        if w is None:
+            continue
+        counts = word_counts(w)
+        for v in g.nodes:
+            candidates = match_candidates(g, counts, v)
+            if not candidates:
+                continue
+            for name, pol in kinds.items():
+                law = choose_class(g, pol, counts, v, candidates)
+                assert sum(law.values()) == 1, name
+                hits = dict.fromkeys(candidates, 0)
+                for _ in range(n):
+                    hits[choose_class(g, pol, counts, v, candidates, sampler)] += 1
+                for j, k in hits.items():
+                    p = float(law.get(j, 0))
+                    assert abs(k / n - p) <= 5 * math.sqrt(p * (1 - p) / n), (name, w, v, j)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

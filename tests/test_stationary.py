@@ -188,7 +188,10 @@ def test_linear_solve_other_policy_is_a_distribution(square_loops, mu_square_uni
 
 def test_balance_residuals_are_exact(path_loop, mu_path, square_loops,
                                      mu_square_uniform, diamond_hub, mu_diamond):
-    assert balance_residual(path_loop, mu_path, 8)[0] == 0.0
+    reported = []
+    assert balance_residual(path_loop, mu_path, 8, lambda w, r: reported.append(w))[0] == 0.0
+    # one report per word up to the length, in (length, word) order
+    assert reported == enumerate_states(path_loop, 8)
     assert balance_residual(square_loops, mu_square_uniform, 4)[0] == 0.0
     assert balance_residual(diamond_hub, mu_diamond, 6)[0] == 0.0
 
