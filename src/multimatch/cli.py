@@ -392,23 +392,19 @@ def cmd_excursions(args) -> int:
 
 
 def _lyapunov_from_name(name: str, g, mu, delta):
-    """The Lyapunov function and, for Ldelta, the delta it was built with."""
-    if delta is not None and name != "Ldelta":
-        raise InputError(f"--delta sets the margin of Ldelta; --fn {name} takes none")
-    if name == "Q":
-        return drift.Quadratic(), None
-    if name == "L":
-        return drift.Linear(), None
-    if name == "Ldelta":
-        if delta is None:
-            report = measures.ncond_check(g, mu)
-            if not report.satisfied:
-                raise InputError("Ldelta needs a stability margin; measure is outside the region")
-            delta = report.margin
-        else:
-            delta = measures._to_weight(delta)
-        return drift.ldelta(g, mu, delta), delta
-    raise InputError(f"unknown Lyapunov function {name!r}")
+    """The Lyapunov function, the delta it was built with (Ldelta only), and
+    the NCOND report that delta was read from, if any."""
+    if name != "Ldelta":
+        if delta is not None:
+            raise InputError(f"--delta sets the margin of Ldelta; --fn {name} takes none")
+        return {"Q": drift.Quadratic, "L": drift.Linear}[name](), None, None
+    if delta is not None:
+        delta = measures._to_weight(delta)
+        return drift.ldelta(g, mu, delta), delta, None
+    report = measures.ncond_check(g, mu)
+    if not report.satisfied:
+        raise InputError("Ldelta needs a stability margin; measure is outside the region")
+    return drift.ldelta(g, mu, report.margin), report.margin, report
 
 
 def cmd_drift(args) -> int:
@@ -416,23 +412,17 @@ def cmd_drift(args) -> int:
     mu = _load_measure(args.mu)
     policy = _load_policy(args.policy)
     policies.validate_policy(policy, g)
-    fn, delta = _lyapunov_from_name(args.fn, g, mu, args.delta)
+    fn, delta, report = _lyapunov_from_name(args.fn, g, mu, args.delta)
     states = chain.enumerate_states(g, args.max_len)
     rows = []
-    worst = 0.0
     for w in states:
-        d = drift.exact_drift(g, mu, policy, w, fn).drift
-        rq = drift.verify_quadratic_identity(g, mu, policy, w)
-        rl, rr = drift.verify_linear_chain(g, mu, policy, w)
-        worst = max(worst, rq, rl, rr)
-        rows.append((_fmt_word(w), d, rq, rl, rr))
+        residuals = drift._residuals(g, mu, policy, w, None)  # first: exact_drift reuses its pass
+        rows.append((_fmt_word(w), drift.exact_drift(g, mu, policy, w, fn).drift, *residuals))
+    worst = max(max(row[2:]) for row in rows)
     ok = worst <= args.tol
     art = Artifacts(args.out, "drift")
-    art.add_csv(
-        "drift",
-        ["word", "drift", "residual_quadratic", "residual_linear_left", "residual_linear_right"],
-        rows,
-    )
+    header = ["word", "drift", "residual_quadratic", "residual_linear_left", "residual_linear_right"]
+    art.add_csv("drift", header, rows)
     summary = {
         "function": args.fn,
         "max_len": args.max_len,
@@ -443,13 +433,9 @@ def cmd_drift(args) -> int:
     }
     if args.fn == "Ldelta" and g.complete_multipartite_decomposition() is not None:
         try:
-            rep = drift.verify_ppartite_bound(
-                g, mu, policy, args.max_len, delta=delta, tol=args.tol
-            )
-            summary["ldelta_bound_holds"] = rep.ok
-            summary["delta"] = rep.delta
+            rep = drift._ppartite_bound(g, mu, policy, args.max_len, delta, args.tol, report)
             ok = ok and rep.ok
-            summary["verified"] = ok
+            summary.update(ldelta_bound_holds=rep.ok, delta=rep.delta, verified=ok)
         except drift.DriftError:
             pass
     art.finish(summary)
@@ -511,16 +497,11 @@ def cmd_verify_identities(args) -> int:
         "match_shortest": policies.match_the_shortest(),
     }
     states = chain.enumerate_states(g, args.max_len)
-    per_policy = {}
-    worst = 0.0
-    for name, pol in battery.items():
-        local = 0.0
-        for w in states:
-            rq = drift.verify_quadratic_identity(g, mu, pol, w)
-            rl, rr = drift.verify_linear_chain(g, mu, pol, w)
-            local = max(local, rq, rl, rr)
-        per_policy[name] = local
-        worst = max(worst, local)
+    per_policy = {
+        name: max(max(drift._residuals(g, mu, pol, w, None)) for w in states)
+        for name, pol in battery.items()
+    }
+    worst = max(per_policy.values())
     ok = worst <= args.tol
     art = Artifacts(args.out, "verify-identities")
     art.finish(

@@ -51,21 +51,6 @@ def barred(c: Node) -> DLetter:
     return (c, True)
 
 
-def format_dword(w: DWord) -> str:
-    """Render with a trailing ``~`` on copied letters, e.g. ``1 3~``."""
-    return " ".join(c + ("~" if b else "") for c, b in w)
-
-
-def parse_dword(text: str) -> DWord:
-    out: list[DLetter] = []
-    for token in text.split():
-        if token.endswith("~"):
-            out.append(barred(token[:-1]))
-        else:
-            out.append(plain(token))
-    return tuple(out)
-
-
 def reverse_copy(w: DWord) -> DWord:
     """Reverse the word and flip every bar; an involution."""
     return tuple((c, not b) for c, b in reversed(w))

@@ -16,6 +16,7 @@ drift inequalities into machine-checkable identities:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -91,24 +92,98 @@ class DriftReport:
     per_class: dict[Node, Weight]
 
 
+def _laws(g: Multigraph, policy: Policy, w: Word) -> list:
+    """One pass over the arrivals: per class, the law of the count change at
+    ``w`` as ((class, +1 or -1), probability) pairs."""
+    return [
+        (v, [((d.matched_class, -1) if d.is_match else (v, 1), p)
+             for d, p in decision_distribution(g, policy, w, v).items()])
+        for v in g.nodes
+    ]
+
+
+def _dot(pairs: list) -> Weight:
+    """Sum of a * b over the pairs, in order; over one common denominator
+    when every factor is exact."""
+    try:
+        dens = [a.denominator * b.denominator for a, b in pairs]
+    except AttributeError:  # a float factor
+        return sum((a * b for a, b in pairs), Fraction(0))
+    d = math.lcm(*dens)
+    return Fraction(sum(a.numerator * b.numerator * (d // e) for (a, b), e in zip(pairs, dens)), d)
+
+
+def _mean(law: list, change) -> Weight:
+    """Expected ``change(class, move)`` under one arrival's law.  A single
+    exact decision has p = 1 and skips the product (a float p may not be 1)."""
+    if len(law) == 1 and isinstance(law[0][1], Fraction):
+        return change(*law[0][0])
+    return _dot([(p, change(c, s)) for (c, s), p in law])
+
+
+def _ql(laws: list, mu: ProbMeasure, counts: dict[Node, int]) -> tuple[Weight, Weight]:
+    """The Q and L drifts together: moving class c by s changes Q by
+    2 s k_c + 1 and L by s."""
+    dq = [(mu[v], _mean(law, lambda c, s: 2 * s * counts.get(c, 0) + 1)) for v, law in laws]
+    dl = [(mu[v], _mean(law, lambda c, s: s)) for v, law in laws]
+    return _dot(dq), _dot(dl)
+
+
+# One model and one word, kept: callers loop policy-major, so a model's derived
+# graphs are built once per policy, and the identity checks and the drift of
+# one word share its passes.  The model's objects are compared by identity.
+_MEMO: dict = {"model": (None,) * 4, "w": None}
+
+
+def _residuals(g, mu, policy, w, split) -> tuple[float, float, float]:
+    """Residuals of the quadratic identity and of the two linear
+    decompositions, from one law pass on each of the three graphs."""
+    m = _MEMO
+    key = m["model"]
+    # typed, since a float share 0.5 extends the measure in floats and 1/2 exactly
+    shares = None if split is None else [(i, type(s), s) for i, s in split.items()]
+    if not (key[0] is g and key[1] is mu and key[2] is policy and key[3] == shares):
+        bmap = g.minimal_blowup()
+        m.update(model=(g, mu, policy, shares), w=None,
+                 bmap=bmap, mu_hat=extend_measure(mu, bmap, split),
+                 pol_hat=extend_policy(policy, bmap), check=g.maximal_subgraph(),
+                 pol_check=reduce_policy(policy, g))
+    if m["w"] != w:
+        stored, _ = special_sets(g, w)  # the model's extend_measure checked mu's support
+        counts = word_counts(w)
+        laws = _laws(g, policy, w)
+        q, l = _ql(laws, mu, counts)
+        q_hat, l_hat = _ql(_laws(m["bmap"].blown, m["pol_hat"], w), m["mu_hat"], counts)
+        _, l_check = _ql(_laws(m["check"], m["pol_check"], w), mu, counts)
+        mass = m["mu_hat"].mass
+        residuals = (
+            q - (q_hat - 4 * mass(stored)),
+            l - (l_hat - 2 * mass(stored)),
+            l_hat - (l_check - 2 * mass(m["bmap"].copies(stored))),
+        )
+        m.update(w=w, laws=laws, residuals=tuple(abs(float(r)) for r in residuals))
+    return m["residuals"]
+
+
 def exact_drift(
     g: Multigraph, mu: ProbMeasure, policy: Policy, w: Word, fn: LyapunovFn
 ) -> DriftReport:
-    """Expected one-step change of ``fn``, enumerated exactly."""
+    """Expected one-step change of ``fn``, enumerated exactly.  Reuses the
+    multigraph pass of the last identity check at the same graph, policy and word."""
     check_admissible(g, w)
     mu.check_support(g)
-    base = fn.value(word_counts(w))
-    per_class: dict[Node, Weight] = {}
-    for v in g.nodes:
-        contrib: Weight = Fraction(0)
-        for decision, p in decision_distribution(g, policy, w, v).items():
-            if decision.is_match:
-                counts = word_counts(w)
-                counts[decision.matched_class] -= 1
-            else:
-                counts = word_counts(w + (v,))
-            contrib += p * (fn.value(counts) - base)
-        per_class[v] = mu[v] * contrib
+    m = _MEMO
+    same = m["w"] == w and m["model"][0] is g and m["model"][2] is policy
+    laws = m["laws"] if same else _laws(g, policy, w)
+    counts = word_counts(w)
+    base = fn.value(counts)
+
+    def change(c: Node, s: int) -> Weight:
+        moved = dict(counts)
+        moved[c] = moved.get(c, 0) + s
+        return fn.value(moved) - base
+
+    per_class = {v: mu[v] * _mean(law, change) for v, law in laws}
     total = sum(per_class.values(), Fraction(0))
     return DriftReport(state=w, fn_name=fn.name, drift=total, per_class=per_class)
 
@@ -131,10 +206,6 @@ def special_sets(g: Multigraph, w: Word) -> tuple[frozenset[Node], frozenset[Nod
     return stored, idle
 
 
-def _as_residual(x: Weight) -> float:
-    return abs(float(x))
-
-
 def verify_quadratic_identity(
     g: Multigraph,
     mu: ProbMeasure,
@@ -144,14 +215,7 @@ def verify_quadratic_identity(
 ) -> float:
     """Residual of: multigraph Q-drift = blown Q-drift - 4 * extended mass of
     the stored self-looped classes.  Zero up to representation error."""
-    bmap = g.minimal_blowup()
-    mu_hat = extend_measure(mu, bmap, split)
-    pol_hat = extend_policy(policy, bmap)
-    stored, _ = special_sets(g, w)
-    lhs = exact_drift(g, mu, policy, w, Quadratic()).drift
-    rhs = exact_drift(bmap.blown, mu_hat, pol_hat, w, Quadratic()).drift
-    rhs -= 4 * mu_hat.mass(stored)
-    return _as_residual(lhs - rhs)
+    return _residuals(g, mu, policy, w, split)[0]
 
 
 def verify_linear_chain(
@@ -168,21 +232,7 @@ def verify_linear_chain(
     *copies* of the stored looped classes.  Together they imply the
     multigraph <= blown <= loop-free drift ordering.
     """
-    bmap = g.minimal_blowup()
-    mu_hat = extend_measure(mu, bmap, split)
-    pol_hat = extend_policy(policy, bmap)
-    pol_check = reduce_policy(policy, g)
-    check = g.maximal_subgraph()
-    stored, _ = special_sets(g, w)
-    fn = Linear()
-    d_multi = exact_drift(g, mu, policy, w, fn).drift
-    d_blown = exact_drift(bmap.blown, mu_hat, pol_hat, w, fn).drift
-    d_check = exact_drift(check, mu, pol_check, w, fn).drift
-    res_left = _as_residual(d_multi - (d_blown - 2 * mu_hat.mass(stored)))
-    res_right = _as_residual(
-        d_blown - (d_check - 2 * mu_hat.mass(bmap.copies(stored)))
-    )
-    return res_left, res_right
+    return _residuals(g, mu, policy, w, split)[1:]
 
 
 @dataclass(frozen=True)
@@ -210,33 +260,31 @@ def verify_ppartite_bound(
     margin.  Words whose support avoids the non-looped classes form the
     finite exceptional set and are skipped.
     """
+    return _ppartite_bound(g, mu, policy, max_len, delta, tol)
+
+
+def _ppartite_bound(g, mu, policy, max_len, delta, tol, report=None) -> PpartiteReport:
+    """:func:`verify_ppartite_bound`, reusing the caller's NCOND ``report`` if it has one."""
     parts = g.complete_multipartite_decomposition()
     if parts is None:
         raise DriftError("graph is not complete multipartite")
     if len(parts) < 3 and not g.v1:
         raise DriftError("bound needs at least 3 parts or a self-loop")
-    report = ncond_check(g, mu)
+    report = report or ncond_check(g, mu)
     if not report.satisfied:
         raise DriftError("measure violates the stability condition")
     if delta is None:
         delta = report.margin
     fn = ldelta(g, mu, delta)
-    bound = -delta / 2
-    violations: list[tuple[Word, float]] = []
-    checked = 0
-    for w in enumerate_states(g, max_len):
-        if not w or not (set(w) & g.v2):
-            continue
-        checked += 1
-        d = exact_drift(g, mu, policy, w, fn).drift
-        if not float(d) <= float(bound) + tol:
-            violations.append((w, float(d)))
+    words = [w for w in enumerate_states(g, max_len) if set(w) & g.v2]
+    drifts = [(w, float(exact_drift(g, mu, policy, w, fn).drift)) for w in words]
+    violations = tuple((w, d) for w, d in drifts if not d <= float(-delta / 2) + tol)
     return PpartiteReport(
         ok=not violations,
         parts=len(parts),
         delta=delta,
-        states_checked=checked,
-        violations=tuple(violations),
+        states_checked=len(words),
+        violations=violations,
     )
 
 
@@ -261,18 +309,12 @@ def negative_drift_scan(
     fn: LyapunovFn,
     max_len: int,
 ) -> NegativeDriftScan:
-    worst_by_len: dict[int, float] = {}
+    worst: dict[int, float] = {}
     for w in enumerate_states(g, max_len):
         d = float(exact_drift(g, mu, policy, w, fn).drift)
-        ln = len(w)
-        worst_by_len[ln] = max(worst_by_len.get(ln, -float("inf")), d)
-    threshold: Optional[int] = None
+        worst[len(w)] = max(worst.get(len(w), -math.inf), d)
     for cut in range(max_len + 1):
-        tail = [worst_by_len[ln] for ln in worst_by_len if ln > cut]
+        tail = [d for ln, d in worst.items() if ln > cut]
         if tail and max(tail) < 0:
-            threshold = cut
-            break
-    if threshold is None:
-        return NegativeDriftScan(None, None, max_len)
-    eta = max(worst_by_len[ln] for ln in worst_by_len if ln > threshold)
-    return NegativeDriftScan(threshold, eta, max_len)
+            return NegativeDriftScan(cut, max(tail), max_len)
+    return NegativeDriftScan(None, None, max_len)

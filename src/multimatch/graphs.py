@@ -135,9 +135,6 @@ class Multigraph:
         """
         return 2 * len(self.edges) + len(self.self_loops)
 
-    def are_adjacent(self, a: Node, b: Node) -> bool:
-        return b in self.adjacency[a]
-
     # -- predicates and transforms -----------------------------------------
 
     def is_bipartite(self) -> tuple[bool, Optional[tuple[frozenset[Node], frozenset[Node]]]]:

@@ -1,12 +1,16 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 import multimatch.cli
+from multimatch import drift, measures, policies
+from multimatch.graphs import Multigraph
 from multimatch.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -202,6 +206,63 @@ def test_drift_command(capsys, tmp_path):
     code, data = run(capsys, *tripartite, "--delta", "1/2")
     assert code == 1
     assert data["delta"] == "1/2" and data["ldelta_bound_holds"] is False
+
+
+# sha256 of the --out files on tripartite_loop at --max-len 5, computed
+# before the drift identities shared one decision-law pass per word
+PINNED_DRIFT_ARTIFACTS = {
+    "verify-identities": {
+        "verify-identities.json": "7529d650f10cffad54000bc81a3deca1632cbf0ac00743700df1f221a24ba742",
+    },
+    "drift": {
+        "drift.csv": "fd4c269f48bdddbe692ecc56186aa122a320951e003a65a7a2df16d071160f98",
+        "drift.json": "b8d3f51288a2b27bb5ebf0d837be5c12d075c73d8b41738a16bbb18740def5ef",
+    },
+}
+
+
+def test_drift_artifacts_are_pinned(capsys, tmp_path):
+    model = ["--graph", fx("tripartite_loop.graph.json"), "--mu", fx("tripartite_loop.mu.json"),
+             "--max-len", "5"]
+    extra = {
+        "verify-identities": [],
+        "drift": ["--policy", fx("tripartite_loop.policy_v2fav.json"), "--fn", "Ldelta"],
+    }
+    for command, pinned in PINNED_DRIFT_ARTIFACTS.items():
+        out = tmp_path / command
+        code, _ = run(capsys, command, *model, *extra[command], "--out", str(out))
+        assert code == 0
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        assert digests == pinned, command
+
+
+def test_drift_commands_make_one_law_pass_per_graph_and_word(capsys):
+    # a pass asks for the decision law of every arrival class on one graph;
+    # tripartite_loop has 5 classes, its blow-up 6, its loop-free graph 5
+    per_word = 5 + 6 + 5
+    model = ["--graph", fx("tripartite_loop.graph.json"), "--mu", fx("tripartite_loop.mu.json"),
+             "--max-len", "3"]
+    for command, models in (("verify-identities", 6), ("drift", 1)):
+        laws = patch.object(drift, "decision_distribution", wraps=policies.decision_distribution)
+        blowup = patch.object(Multigraph, "minimal_blowup", autospec=True,
+                              side_effect=Multigraph.minimal_blowup)
+        with laws as law_calls, blowup as blowup_calls:
+            code, data = run(capsys, command, *model)
+        assert code == 0
+        assert law_calls.call_count == models * data["states"] * per_word, command
+        assert blowup_calls.call_count == models, command
+
+
+def test_drift_ldelta_scans_the_independent_sets_once(capsys):
+    model = ["drift", "--graph", fx("tripartite_loop.graph.json"),
+             "--mu", fx("tripartite_loop.mu.json"),
+             "--policy", fx("tripartite_loop.policy_v2fav.json"), "--fn", "Ldelta", "--max-len", "3"]
+    for extra in ([], ["--delta", "1/1000"]):
+        with patch.object(measures, "ncond_check", wraps=measures.ncond_check) as scans, \
+                patch.object(drift, "ncond_check", scans):
+            code, data = run(capsys, *model, *extra)
+        assert code == 0 and data["ldelta_bound_holds"] is True
+        assert scans.call_count == 1, extra
 
 
 def test_transform_and_extend_measure(capsys):

@@ -34,22 +34,11 @@ from multimatch.detailed import (
     blocks,
     enumerate_backward_states,
     fcfm_match_partners,
-    format_dword,
-    parse_dword,
     plain,
     verify_local_balance_empirical,
 )
 
 from conftest import random_measure, random_multigraph
-
-
-def test_dword_formatting_round_trip():
-    w = (plain("1"), barred("3"), plain("1"))
-    assert format_dword(w) == "1 3~ 1"
-    assert parse_dword("1 3~ 1") == w
-    assert parse_dword("") == ()
-    # letters are shared, so stored words hold no copies of them
-    assert parse_dword("1 3~")[1] is barred("3") is w[1]
 
 
 def test_backward_admissibility_rules(path_loop, triangle):
@@ -75,6 +64,9 @@ def test_backward_step_examples(triangle, path_loop):
     assert backward_step(path_loop, (plain("3"),), "3") == ()  # within-class match
     assert backward_step(path_loop, (plain("1"),), "3") == (plain("1"), plain("3"))
     assert backward_step(path_loop, (), "2") == (plain("2"),)
+    # letters are shared, so stored words hold no copies of them
+    stepped = backward_step(triangle, (plain("1"), plain("1")), "2")
+    assert stepped[0] is plain("1") and stepped[1] is barred("1") is barred("1")
 
 
 def test_backward_incremental_equals_from_scratch(path_loop, diamond_hub,

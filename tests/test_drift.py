@@ -2,11 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multimatch import (
+    ChainError,
     DriftError,
     Fcfm,
+    Lcfm,
     Linear,
+    MeasureError,
     Multigraph,
     Priority,
     ProbMeasure,
@@ -30,7 +35,7 @@ from multimatch import (
 )
 from multimatch.chain import word_counts
 
-from conftest import random_admissible_word
+from conftest import random_admissible_word, random_measure, random_multigraph
 
 
 def lyapunov_battery(g, mu):
@@ -232,3 +237,79 @@ def test_longer_random_states_keep_identities(path_loop, mu_path):
                 continue
             assert verify_quadratic_identity(path_loop, mu_path, Fcfm(), w) == 0.0
             assert verify_linear_chain(path_loop, mu_path, Fcfm(), w) == (0.0, 0.0)
+
+
+def identity_battery(g):
+    """The six policies of ``multimatch verify-identities``."""
+    prio = Priority.from_lists({v: sorted(g.adjacency[v]) for v in g.nodes})
+    return [Fcfm(), Lcfm(), RandomPolicy(), prio, match_the_longest(), match_the_shortest()]
+
+
+def kernel_drift(g, mu, pol, w, fn):
+    """The drift as sum_u kernel_row(w)[u] * (F(u) - F(w)), an independent oracle."""
+    base = fn.value(word_counts(w))
+    row = kernel_row(g, mu, pol, w)
+    return sum((p * (fn.value(word_counts(u)) - base) for u, p in row.items()), Fraction(0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_shared_passes_match_the_kernel_on_random_models(seed):
+    rng = random.Random(seed)
+    models = []
+    for _ in range(2):
+        g = random_multigraph(rng, 5)
+        mu = random_measure(rng, g.nodes)
+        words = [random_admissible_word(rng, g, k) for k in range(5)]
+        uneven = {i: Fraction(rng.randrange(1, 10), 10) for i in g.v1}
+        models.append((g, mu, [w for w in words if w is not None], uneven))
+    for g, mu, words, uneven in models:
+        fns = [Quadratic(), Linear()] + ([ldelta(g, mu, Fraction(1, 10))] if g.v1 else [])
+        for pol in identity_battery(g):
+            for w in words:
+                for split in (None, uneven):
+                    assert verify_quadratic_identity(g, mu, pol, w, split) == 0.0
+                    assert verify_linear_chain(g, mu, pol, w, split) == (0.0, 0.0)
+                for fn in fns:
+                    rep = exact_drift(g, mu, pol, w, fn)
+                    assert rep.drift == kernel_drift(g, mu, pol, w, fn)
+                    assert sum(rep.per_class.values(), Fraction(0)) == rep.drift
+
+    # the memos cannot go stale: linear before quadratic, models interleaved
+    # (the other graph, and this one with another measure and the battery
+    # reversed), and equal but distinct splits give the same values
+    (g, mu, words, uneven), (h, mu_h, words_h, _) = models
+    nu = random_measure(rng, g.nodes)
+    batteries = zip(identity_battery(g), reversed(identity_battery(g)), identity_battery(h))
+    for pol, other, pol_h in batteries:
+        for w in words:
+            assert verify_linear_chain(g, mu, pol, w, dict(uneven)) == (0.0, 0.0)
+            assert verify_quadratic_identity(h, mu_h, pol_h, words_h[-1]) == 0.0
+            assert verify_linear_chain(g, nu, other, w) == (0.0, 0.0)
+            assert verify_quadratic_identity(g, mu, pol, w, dict(uneven)) == 0.0
+            for m, p in ((nu, pol), (mu, other), (mu, pol)):
+                assert exact_drift(g, m, p, w, Quadratic()).drift == kernel_drift(g, m, p, w, Quadratic())
+    # and every key is read again: the measure, the split (also when
+    # changed in place), the graph and the word
+    fcfm, w = Fcfm(), words[-1]
+    wider = ProbMeasure.from_dict({**{c: m / 2 for c, m in mu.weights.items()}, "x": Fraction(1, 2)})
+    assert verify_linear_chain(g, mu, fcfm, w) == (0.0, 0.0)
+    with pytest.raises(MeasureError):
+        verify_linear_chain(g, wider, fcfm, w)
+    if not g.v1:
+        return
+    loop, split = min(g.v1), dict(uneven)
+    assert verify_linear_chain(g, mu, fcfm, w, split) == (0.0, 0.0)
+    split[loop] = Fraction(3, 2)
+    with pytest.raises(MeasureError):
+        verify_linear_chain(g, mu, fcfm, w, split)
+    halves, floats = {i: Fraction(1, 2) for i in g.v1}, {i: 0.5 for i in g.v1}
+    for w in words:
+        fresh = verify_linear_chain(g, mu, Fcfm(), w, floats)  # may carry float noise
+        assert verify_linear_chain(g, mu, fcfm, w, halves) == (0.0, 0.0)
+        assert verify_linear_chain(g, mu, fcfm, w, floats) == fresh
+    check = g.maximal_subgraph()
+    for h, before in [(check, (loop, loop))] + [(g, x) for x in words if len(x) == 2]:
+        assert verify_quadratic_identity(h, mu, fcfm, before) == 0.0
+        with pytest.raises(ChainError):
+            verify_quadratic_identity(g, mu, fcfm, (loop, loop))
