@@ -6,13 +6,16 @@ self-looped class appears at most once.  Transition kernels are computed
 exactly (policy randomness enumerated with its probabilities); Monte-Carlo
 runs use a compact per-class FIFO engine so long trajectories stay cheap.  The
 engine compiles the step of each arrival class once, at construction, into a
-closure over that class's neighbour FIFOs and the policy's choice.  Under a
-policy that never draws (FCFM, LCFM, a priority without ties), the next word
-is a function of the word and the arrival, so a run reads its steps from a
-bounded memo of the engine's transitions.  Only the arrivals draw then, so
-they are drawn in bulk, a chunk at a time, and the bulk stream equals the
-per-step one; a policy that can draw takes its arrivals one at a time,
-interleaved with its own draws.
+closure over that class's neighbour FIFOs and the policy's choice.
+
+Under FCFM, LCFM or a class rule, the next word is a function of the word,
+the arrival and the class the policy draws, and which RNG call the policy
+makes is a function of the word and the arrival.  So a run reads its steps
+from a bounded memo of the engine's transitions, whose entries are either
+the next word or a draw record that replays the policy's own RNG call.  When
+the policy never draws, only the arrivals draw, so they are drawn in bulk, a
+chunk at a time, and the bulk stream equals the per-step one; a policy that
+can draw takes its arrivals one at a time, interleaved with its own draws.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .policies import (
     MatchDecision,
     Policy,
     Word,
+    _sample,
     class_rule,
     decision_distribution,
     decide,
@@ -217,9 +221,12 @@ def draw_arrivals(mu: ProbMeasure, steps: int, rng: random.Random) -> list[Node]
 def _compile_offer(g, policy, v, fifo, items, clock):
     """The step for one arrival class: ``offer(rng)`` stores or matches it.
 
-    The closure holds the class's own FIFO, its neighbours' FIFOs in sorted
-    order and the policy's choice, and no reference to the engine, so an
-    engine is freed as soon as it is dropped.
+    Returns ``(offer, spec)``.  For a class rule, ``spec()`` is the rule's
+    draw spec for the stored items, or None when no candidate is stored; it
+    is None for FCFM and LCFM, which pick an item, not a class.  The closures
+    hold the class's own FIFO, its neighbours' FIFOs in sorted order and the
+    policy's choice, and no reference to the engine, so an engine is freed as
+    soon as it is dropped.
     """
     own = fifo[v]
     nbrs = sorted(g.adjacency[v])
@@ -246,7 +253,7 @@ def _compile_offer(g, policy, v, fifo, items, clock):
             del items[key]
             return key
 
-        return offer
+        return offer, None
 
     rule = class_rule(policy)
     named = tuple((j, fifo[j]) for j in nbrs)
@@ -259,11 +266,16 @@ def _compile_offer(g, policy, v, fifo, items, clock):
             items[key] = v
             own.append(key)
             return None
-        key = fifo[rule(g, policy, counts, v, frozenset(counts), rng)].popleft()
+        spec = rule(g, policy, counts, v, frozenset(counts))
+        key = fifo[spec[0][0 if spec[1] is None else _sample(spec, rng)]].popleft()
         del items[key]
         return key
 
-    return offer
+    def spec():
+        counts = {j: len(q) for j, q in named if q}
+        return rule(g, policy, counts, v, frozenset(counts)) if counts else None
+
+    return offer, spec
 
 
 class BufferEngine:
@@ -281,10 +293,12 @@ class BufferEngine:
         self.policy = policy
         self._items: dict[int, Node] = {}
         self._fifo = {c: deque() for c in g.nodes}
-        clock = count()
-        self._offers = {
+        self._clock = clock = count()
+        compiled = {
             v: _compile_offer(g, policy, v, self._fifo, self._items, clock) for v in g.nodes
         }
+        self._offers = {v: offer for v, (offer, _) in compiled.items()}
+        self._specs = {v: spec for v, (_, spec) in compiled.items()}
 
     @property
     def length(self) -> int:
@@ -303,6 +317,12 @@ class BufferEngine:
         engine's offers) of the item it matched, or None if it is stored."""
         return self._offers[v](rng)
 
+    def _take(self, j: Node) -> None:
+        """One arrival matched with the oldest stored item of class ``j``: the
+        step of a class rule that chose ``j``."""
+        next(self._clock)
+        del self._items[self._fifo[j].popleft()]
+
     def load(self, w: Word) -> None:
         """Hold exactly the admissible word ``w``.
 
@@ -316,33 +336,44 @@ class BufferEngine:
             self._offers[c](None)
 
 
-# Bounds of the transition table of a draw-free run: a longer word, or a
-# word met after this many states, is stepped on the engine itself.
+# Bounds of a run's transition table: a longer word, or a word met after
+# this many states, is stepped on the engine itself.
 _TABLE_MAX_LEN = 24
 _TABLE_MAX_STATES = 4096
 
 
 class _StepTable:
-    """Lazily filled transition table of a draw-free policy, read off one engine.
+    """Lazily filled transition table of a policy, read off one engine.
 
-    When the policy never draws, the next word is a function of the word and
-    the arrival class.  States number the words of length at most
-    ``_TABLE_MAX_LEN`` met so far, at most ``_TABLE_MAX_STATES`` of them; a
-    state ``s`` is addressed by its offset ``s * k``, for ``k`` arrival
-    classes.  ``succ[o + i]`` is the offset of the state reached from offset
-    ``o`` on arrival index ``i``, -1 until that step is first taken, or -2
-    once it is known to leave the table.  A missing entry is filled by one
-    engine step from the state's word, so the table only caches the engine.
+    Under FCFM, LCFM or a class rule, the next word is a function of the word,
+    the arrival class and the class the policy draws, and whether and how it
+    draws is a function of the word and the arrival.  States number the words
+    of length at most ``_TABLE_MAX_LEN`` met so far, at most
+    ``_TABLE_MAX_STATES`` of them; a state ``s`` is addressed by its offset
+    ``s * k``, for ``k`` arrival classes.  The entry ``succ[o + i]`` for
+    arrival index ``i`` at offset ``o`` is
+      - the offset of the next state, when the step does not draw;
+      - ``-3 - r`` for draw record ``r`` when it does: ``records[r]`` holds
+        the policy's draw spec and, per class of the spec, the offset of the
+        state its draw leads to, -1 until a draw of that class joins the
+        table;
+      - -1 until the step is first taken, or -2 once it is known to leave
+        the table.
+    A missing entry is filled by one engine step from the state's word, or,
+    when the step draws, by the draw spec the engine's step would sample; so
+    the table only caches the engine, and filling never draws.
     """
 
-    def __init__(self, engine: BufferEngine, offers: list, rng: random.Random):
+    def __init__(self, engine: BufferEngine, nodes: list[Node], rng: random.Random):
         self.engine = engine
-        self.offers = offers  # one compiled offer per arrival index
-        self.rng = rng  # handed to the offers, which never draw from it
-        self.k = len(offers)
+        self.offers = [engine._offers[c] for c in nodes]  # per arrival index
+        self.specs = [engine._specs[c] for c in nodes]
+        self.rng = rng  # the run's: records replay their draws on it, fills never draw
+        self.k = len(nodes)
         self.words: list[Word] = []  # per state
         self.lens = np.zeros(_TABLE_MAX_STATES, dtype=np.int64)  # word lengths per state
         self.succ: list[int] = []
+        self.records: list[tuple] = []
         self.ids: dict[Word, int] = {}  # word -> offset
         self.at = self._intern(())  # the offset whose word the engine holds, or -1
 
@@ -355,8 +386,9 @@ class _StepTable:
         return o
 
     def fill(self, o: int, i: int) -> int:
-        """Offset after arrival ``i`` at offset ``o``, filled from the engine.
+        """Entry for arrival ``i`` at offset ``o``, filled from the engine.
 
+        Returns the next offset, or a draw record's code when the step draws.
         Returns -1 instead, with the engine holding the word of ``o``, when
         the next word is not in the table and cannot join it: the word of
         ``o`` is as long as the table allows, or the next word is new and the
@@ -367,8 +399,17 @@ class _StepTable:
         w = self.words[o // self.k]
         if self.at != o:
             self.engine.load(w)
+            self.at = o
         if self.succ[o + i] == -1 and len(w) < _TABLE_MAX_LEN:
-            self.offers[i](self.rng)
+            spec = self.specs[i]() if self.specs[i] else None
+            if spec is None:
+                self.offers[i](self.rng)  # stores, or FCFM / LCFM matches
+            elif spec[1] is None:
+                self.engine._take(spec[0][0])
+            else:
+                self.records.append((spec, [-1] * len(spec[0])))
+                t = self.succ[o + i] = -2 - len(self.records)
+                return t
             t = self.enter()
             if t >= 0:
                 self.succ[o + i] = t
@@ -377,6 +418,38 @@ class _StepTable:
         self.succ[o + i] = -2
         self.at = -1
         return -1
+
+    def draw(self, o: int, t: int) -> int:
+        """Next offset after the draw of record ``t`` at offset ``o``.
+
+        The record's spec makes its one call on the run's RNG.  A class drawn
+        for the first time has its next word interned, from the engine when
+        it holds the word of ``o``.  Returns -1 instead when that word is not
+        in the table and cannot join it; the step is then taken, and the
+        engine holds the word it reached.
+        """
+        spec, outs = self.records[-3 - t]
+        x = _sample(spec, self.rng)
+        t = outs[x]
+        if t >= 0:
+            return t
+        j = spec[0][x]
+        if self.at == o:
+            self.engine._take(j)
+            t = self.enter()
+        else:
+            w = self.words[o // self.k]
+            p = w.index(j)
+            w = w[:p] + w[p + 1 :]
+            t = self.ids.get(w, -1)
+            if t < 0:
+                if len(self.words) < _TABLE_MAX_STATES:
+                    t = self._intern(w)
+                else:
+                    self.engine.load(w)
+                    self.at = -1
+        outs[x] = t
+        return t
 
     def enter(self) -> int:
         """Offset of the engine's word, new if the table has room, else -1.
@@ -389,6 +462,10 @@ class _StepTable:
             t = self._intern(w) if len(self.words) < _TABLE_MAX_STATES else -1
         self.at = t
         return t
+
+
+def _taken(rng) -> None:
+    """The offer of an arrival that the step table has already stepped."""
 
 
 @dataclass(frozen=True)
@@ -437,14 +514,16 @@ def simulate(
     bit-identical across runs; the per-step draw order is fixed (arrival
     first, then any policy draws).
 
-    A policy that never draws takes each step from a transition table over
-    the short words met so far (a bounded memo, filled from the engine on
-    first use); longer words, and the words met once the table is full, are
-    stepped on the engine.  Only the arrivals draw, so they are drawn in bulk
-    (the same stream as per-step draws), and the table steps of a chunk are
-    tallied together after it.  A policy that can draw takes its arrivals one
-    at a time, interleaved with its own draws.  Either way the result is the
-    engine's, bit for bit.
+    Every policy takes its steps from a transition table over the short
+    words met so far (a bounded memo, filled from the engine on first use);
+    longer words, and the words met once the table is full, are stepped on
+    the engine.  A step whose policy draws reads a draw record from the
+    table and replays the policy's own RNG call.  A policy that never draws
+    only draws arrivals, so they are drawn in bulk (the same stream as
+    per-step draws); a policy that can draw takes its arrivals one at a
+    time, interleaved with its own draws.  The table steps of a chunk of
+    arrivals are tallied together after it.  Either way the result, and the
+    RNG's final state, are the engine's, bit for bit.
     """
     if steps <= 0:
         raise ChainError("steps must be positive")
@@ -459,29 +538,32 @@ def simulate(
     nodes, cum = _arrival_table(mu)
 
     engine = BufferEngine(g, policy)
-    offers = [engine._offers[c] for c in nodes]
+    # arrival index k stands for a step that the table has taken already
+    offers = [engine._offers[c] for c in nodes] + [_taken]
     items, queues = engine._items, engine._fifo.items()
     word = items.values()  # a live view: tuple(word) is the current word
     # visit counts, keyed in first-recorded-visit order: table states (counted
     # in ``visits``) and the other words the engine steps to (counted here)
     counts: dict = {}
     tally = counts.get
+    table = _StepTable(engine, nodes, rng)
+    succ, lens, k, fill, draw = table.succ, table.lens, table.k, table.fill, table.draw
+    visits = np.zeros(len(lens), dtype=np.int64)  # recorded steps per state
     # o is the current table offset, or -1 while the engine steps; the engine
-    # hands back to the table at a word no longer than top
+    # hands back to the table at a word no longer than _TABLE_MAX_LEN
+    o, top = 0, _TABLE_MAX_LEN
     if is_draw_free(policy):
-        table = _StepTable(engine, offers, rng)
-        succ, lens, k = table.succ, table.lens, table.k
-        o, top = 0, _TABLE_MAX_LEN
-        visits = np.zeros(len(lens), dtype=np.int64)  # recorded steps per state
 
         def feeds(n):
             return _arrival_chunks(cum, rng, n)
     else:
-        table, o, top = None, -1, -1
         arrivals = _arrival_indices(cum, rng)
 
         def feeds(n):
-            return (islice(arrivals, n),)
+            while n > 0:
+                m = min(n, _ARRIVAL_CHUNK)
+                n -= m
+                yield islice(arrivals, m)
 
     overflow = 0
     max_len = 0  # these two over the overflow steps; counts adds the rest
@@ -517,8 +599,14 @@ def simulate(
                     for i in feed:
                         t = succ[o + i]
                         if t < 0:
-                            t = table.fill(o, i)
-                            if t < 0:
+                            if t > -3:
+                                t = fill(o, i)
+                            if t < -2:
+                                t = draw(o, t)
+                                if t < 0:  # the engine holds the drawn word
+                                    feed, o = chain((k,), rest), -1
+                                    break
+                            elif t < 0:
                                 feed, o = chain((i,), rest), -1
                                 break
                         o = t
@@ -554,9 +642,9 @@ def simulate(
                     if o < 0:
                         break
     final_len = int(lens[o // k]) if o >= 0 else len(items)
-    words, visits = (table.words, visits.tolist()) if table else ((), ())
+    words, visits = table.words, visits.tolist()
     # an unstable run's buffer need not outlive the loop
-    del engine, offers, items, queues, word, table
+    del engine, offers, items, queues, word, table, succ, fill, draw
     # table states longer than word_cap are overflow steps
     tallied: dict[Word, int] = {}
     for key, n in counts.items():

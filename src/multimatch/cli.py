@@ -414,10 +414,11 @@ def cmd_drift(args) -> int:
     policies.validate_policy(policy, g)
     fn, delta, report = _lyapunov_from_name(args.fn, g, mu, args.delta)
     states = chain.enumerate_states(g, args.max_len)
-    rows = []
+    rows, drifts = [], {}
     for w in states:
         residuals = drift._residuals(g, mu, policy, w, None)  # first: exact_drift reuses its pass
-        rows.append((_fmt_word(w), drift.exact_drift(g, mu, policy, w, fn).drift, *residuals))
+        drifts[w] = drift.exact_drift(g, mu, policy, w, fn).drift
+        rows.append((_fmt_word(w), drifts[w], *residuals))
     worst = max(max(row[2:]) for row in rows)
     ok = worst <= args.tol
     art = Artifacts(args.out, "drift")
@@ -433,7 +434,8 @@ def cmd_drift(args) -> int:
     }
     if args.fn == "Ldelta" and g.complete_multipartite_decomposition() is not None:
         try:
-            rep = drift._ppartite_bound(g, mu, policy, args.max_len, delta, args.tol, report)
+            rep = drift._ppartite_bound(g, mu, policy, args.max_len, delta, args.tol, report,
+                                        drifts)
             ok = ok and rep.ok
             summary.update(ldelta_bound_holds=rep.ok, delta=rep.delta, verified=ok)
         except drift.DriftError:

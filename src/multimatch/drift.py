@@ -263,8 +263,11 @@ def verify_ppartite_bound(
     return _ppartite_bound(g, mu, policy, max_len, delta, tol)
 
 
-def _ppartite_bound(g, mu, policy, max_len, delta, tol, report=None) -> PpartiteReport:
-    """:func:`verify_ppartite_bound`, reusing the caller's NCOND ``report`` if it has one."""
+def _ppartite_bound(
+    g, mu, policy, max_len, delta, tol, report=None, drifts=None
+) -> PpartiteReport:
+    """:func:`verify_ppartite_bound`, reusing the caller's NCOND ``report`` and
+    its Ldelta ``drifts`` {word: drift} at this delta, if it has them."""
     parts = g.complete_multipartite_decomposition()
     if parts is None:
         raise DriftError("graph is not complete multipartite")
@@ -275,10 +278,12 @@ def _ppartite_bound(g, mu, policy, max_len, delta, tol, report=None) -> Ppartite
         raise DriftError("measure violates the stability condition")
     if delta is None:
         delta = report.margin
-    fn = ldelta(g, mu, delta)
     words = [w for w in enumerate_states(g, max_len) if set(w) & g.v2]
-    drifts = [(w, float(exact_drift(g, mu, policy, w, fn).drift)) for w in words]
-    violations = tuple((w, d) for w, d in drifts if not d <= float(-delta / 2) + tol)
+    if drifts is None:
+        fn = ldelta(g, mu, delta)
+        drifts = {w: exact_drift(g, mu, policy, w, fn).drift for w in words}
+    floats = ((w, float(drifts[w])) for w in words)
+    violations = tuple((w, d) for w, d in floats if not d <= float(-delta / 2) + tol)
     return PpartiteReport(
         ok=not violations,
         parts=len(parts),

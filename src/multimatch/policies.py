@@ -6,8 +6,10 @@ that favors classes without self-loops.  Within a chosen class the oldest
 stored item is always taken, so every class-level rule also acts on queue
 words.
 
-Each class-level kind has one rule (:func:`choose_class`) that either draws
-the chosen class from an explicit RNG or, given no RNG, returns its exact law.
+Each class-level kind has one rule that returns a draw spec: the classes it
+may choose and the one RNG call that picks among them.  The same spec gives
+the sampled class and, given no RNG, its exact law (:func:`choose_class`), and
+the simulation engine and its step table replay it call for call.
 :func:`decide` samples one decision and :func:`decision_distribution`
 enumerates every decision with its exact probability (used by transition
 kernels and drift computations); both go through the same candidate and
@@ -217,53 +219,100 @@ def match_candidates(g: Multigraph, counts: Mapping[Node, int], v: Node) -> froz
     return frozenset(j for j in g.adjacency[v] if counts.get(j, 0) > 0)
 
 
-def _uniform(choices: Sequence[Node], rng: Optional[random.Random]):
-    """Uniform pick among sorted choices; draws only when there is a tie."""
-    if rng is None:
-        p = Fraction(1, len(choices))
-        return {j: p for j in choices}
-    return choices[0] if len(choices) == 1 else choices[rng.randrange(len(choices))]
+# A class rule returns its draw spec ``(classes, draw)``: the classes it may
+# choose, and the one RNG call that picks among them.  ``draw`` is one of
+#   None              no draw; ``classes`` holds the one choice;
+#   (_RANDRANGE,)     ``rng.randrange(len(classes))`` indexes the sorted tied
+#                     ``classes`` (tied priorities, match-the-longest and
+#                     match-the-shortest);
+#   (_SHUFFLE, nbrs)  ``rng.shuffle`` of a copy of the sorted neighbourhood
+#                     ``nbrs``; its first entry among ``classes`` is chosen
+#                     (uniform RandomPolicy);
+#   (_RANDOM, cum, firsts, weights)
+#                     ``rng.random()`` bisected over ``cum``, the float running
+#                     sums of the permutations' ``weights``, picks a
+#                     permutation; ``firsts`` holds the index in ``classes``
+#                     of the first candidate of each (explicit RandomPolicy
+#                     permutations).
+# Uniform random and explicit permutations draw even with one candidate, as
+# the per-arrival permutation they stand for is drawn whatever it meets; a tie
+# draws only among two or more classes.  The sample (:func:`_sample`), the
+# exact law (:func:`_law`), the engine's step and the simulation's step table
+# all read the same spec.  It is a function of the arrival and the stored
+# items per class, so under a class rule the next queue word is a function of
+# the word, the arrival and the drawn class.
+_RANDRANGE, _SHUFFLE, _RANDOM = "randrange", "shuffle", "random"
+_TIE = (_RANDRANGE,)
 
 
-def _random_rule(g, policy, counts, v, candidates, rng):
+def _sample(spec, rng: random.Random) -> int:
+    """Index in ``classes`` of the class a draw spec picks, making its one
+    call on ``rng``."""
+    classes, draw = spec
+    if draw is None:
+        return 0
+    kind = draw[0]
+    if kind is _RANDRANGE:
+        return rng.randrange(len(classes))
+    if kind is _RANDOM:
+        return draw[2][bisect_right(draw[1], rng.random())]
+    perm = list(draw[1])
+    rng.shuffle(perm)
+    for j in perm:  # the first candidate; every candidate is a neighbour
+        if j in classes:
+            break
+    return classes.index(j)
+
+
+def _law(spec) -> dict[Node, Weight]:
+    """The exact law {class: probability} of a draw spec."""
+    classes, draw = spec
+    if draw is not None and draw[0] is _RANDOM:
+        law: dict[Node, Weight] = {}
+        for x, p in zip(draw[2], draw[3]):
+            j = classes[x]
+            law[j] = law.get(j, Fraction(0)) + p
+        return law
+    # a uniform permutation's first hit is uniform on the candidates
+    p = Fraction(1, len(classes))
+    return {j: p for j in classes}
+
+
+def _uniform(choices: Sequence[Node]):
+    """Spec of a uniform pick among sorted choices: a draw only on a tie."""
+    return choices, (_TIE if len(choices) > 1 else None)
+
+
+def _random_rule(g, policy, counts, v, candidates):
     dist = (policy.perms or {}).get(v)
     if dist is None:
-        if rng is None:
-            # A uniform permutation's first hit is uniform on the candidates.
-            return _uniform(sorted(candidates), None)
-        perm = sorted(g.adjacency[v])
-        rng.shuffle(perm)
-        return next(j for j in perm if j in candidates)
-    if rng is None:
-        law: dict[Node, Weight] = {}
-        for perm, p in dist:
-            first = next(j for j in perm if j in candidates)
-            law[first] = law.get(first, Fraction(0)) + p
-        return law
-    perm = dist[bisect_right(cumulative(p for _, p in dist), rng.random())][0]
-    return next(j for j in perm if j in candidates)
+        return sorted(candidates), (_SHUFFLE, sorted(g.adjacency[v]))
+    firsts = [next(j for j in perm if j in candidates) for perm, _ in dist]
+    classes = list(dict.fromkeys(firsts))
+    weights = [p for _, p in dist]
+    return classes, (_RANDOM, cumulative(weights), list(map(classes.index, firsts)), weights)
 
 
-def _priority_rule(g, policy, counts, v, candidates, rng):
+def _priority_rule(g, policy, counts, v, candidates):
     groups = policy.order.get(v)
     if groups is None:
         raise PolicyError(f"priority policy lacks an order for class {v!r}")
     for group in groups:
         present = sorted(candidates.intersection(group))
         if present:
-            return _uniform(present, rng)
+            return _uniform(present)
     raise PolicyError(f"priority order for {v!r} missed candidates {sorted(candidates)}")
 
 
-def _max_weight_rule(g, policy, counts, v, candidates, rng):
+def _max_weight_rule(g, policy, counts, v, candidates):
     scores = {j: policy.beta * counts.get(j, 0) + policy.reward(v, j) for j in candidates}
     top = max(scores.values())
-    return _uniform(sorted(j for j, s in scores.items() if s == top), rng)
+    return _uniform(sorted(j for j, s in scores.items() if s == top))
 
 
-def _favored_rule(g, policy, counts, v, candidates, rng):
+def _favored_rule(g, policy, counts, v, candidates):
     restricted = candidates & policy.resolve_favored(g) or candidates
-    return choose_class(g, policy.inner, counts, v, restricted, rng)
+    return class_rule(policy.inner)(g, policy.inner, counts, v, restricted)
 
 
 _CLASS_RULES = {
@@ -275,7 +324,8 @@ _CLASS_RULES = {
 
 
 def class_rule(policy: Policy):
-    """The function behind :func:`choose_class` for this policy's kind."""
+    """The draw-spec rule behind :func:`choose_class` for this policy's kind:
+    ``rule(g, policy, counts, v, candidates)`` returns ``(classes, draw)``."""
     if type(policy) not in _CLASS_RULES:
         raise PolicyError(f"{type(policy).__name__} is not class-admissible")
     return _CLASS_RULES[type(policy)]
@@ -291,10 +341,12 @@ def choose_class(
 ) -> Union[Node, dict[Node, Weight]]:
     """Class matched with arrival ``v`` among the nonempty ``candidates``.
 
-    One rule per class-level kind gives both modes: it draws the class from
-    ``rng``, or with ``rng=None`` returns the exact law {class: probability}.
+    One draw spec per class-level kind gives both modes: the class is drawn
+    from ``rng``, or with ``rng=None`` the exact law {class: probability} is
+    returned.
     """
-    return class_rule(policy)(g, policy, counts, v, candidates, rng)
+    spec = class_rule(policy)(g, policy, counts, v, candidates)
+    return _law(spec) if rng is None else spec[0][_sample(spec, rng)]
 
 
 # -- word-level decisions ----------------------------------------------------

@@ -39,6 +39,7 @@ from multimatch.chain import (
     _arrival_chunks,
     _arrival_indices,
     _arrival_table,
+    apply_decision,
     check_admissible,
     draw_arrivals,
     least_squares_slope,
@@ -46,6 +47,8 @@ from multimatch.chain import (
 )
 from multimatch.detailed import fcfm_match_partners
 from multimatch.policies import (
+    MatchDecision,
+    _law,
     choose_class,
     decision_distribution,
     is_class_admissible,
@@ -364,21 +367,24 @@ def unstable_measure(rng, g):
 
 def engine_run(g, mu, pol, steps, seed):
     """The word and the class counts after each step of one engine fed
-    ``simulate``'s arrivals, for a policy that never draws (the offers get
-    an RNG that must stay untouched)."""
-    engine, spare = BufferEngine(g, pol), random.Random(0)
+    ``simulate``'s per-step stream, and the RNG's final state: one shared
+    ``random.Random(seed)`` draws each step's arrival, then the policy's
+    draws."""
+    nodes, cum = _arrival_table(mu)
+    engine, rng = BufferEngine(g, pol), random.Random(seed)
+    offers = [engine._offers[c] for c in nodes]
+    items, fifo = engine._items, engine._fifo.items()
     words, classes = [], []
-    for v in draw_arrivals(mu, steps, random.Random(seed)):
-        engine.offer(v, spare)
-        words.append(engine.word())
-        classes.append(engine.counts)
-    assert spare.getstate() == random.Random(0).getstate()
-    return words, classes
+    for i in islice(_arrival_indices(cum, rng), steps):
+        offers[i](rng)
+        words.append(tuple(items.values()))
+        classes.append({c: len(q) for c, q in fifo})
+    return words, classes, rng.getstate()
 
 
 def engine_simulation(g, run, burn_in, seed, word_cap):
     """``simulate``'s result recomputed from an :func:`engine_run`."""
-    words, classes = run
+    words, classes = run[:2]
     recorded = words[burn_in:]
     counts = {}
     for w in recorded:
@@ -398,27 +404,83 @@ def engine_simulation(g, run, burn_in, seed, word_cap):
     )
 
 
+class RecordingRandom(random.Random):
+    """A ``random.Random`` that keeps every instance made, so a test can read
+    the final state of the generator that ``simulate`` makes for itself."""
+
+    made: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        RecordingRandom.made.append(self)
+
+
+def recorded_simulate(*args, **kwargs):
+    """``simulate``'s result and the final state of its RNG."""
+    RecordingRandom.made.clear()
+    with patch("multimatch.chain.random.Random", RecordingRandom):
+        res = simulate(*args, **kwargs)
+    (rng,) = RecordingRandom.made
+    return res, rng.getstate()
+
+
+def taken_by_class(w, v, j):
+    """The word after arrival ``v`` at ``w`` takes the oldest stored ``j``."""
+    return apply_decision(w, v, MatchDecision(w.index(j), j))
+
+
 def assert_table_follows_step(g, pol, arrivals, name):
-    """Every transition a run fills into the step table is the word-level step."""
+    """Every transition a run fills into the step table is the word-level
+    step, and every draw record is the word-level decision law; filling
+    leaves the RNG untouched."""
     nodes = sorted(g.nodes)
     engine, rng = BufferEngine(g, pol), random.Random(10)
-    table = _StepTable(engine, [engine._offers[c] for c in nodes], rng)
+    table = _StepTable(engine, nodes, rng)
     k, succ, o = table.k, table.succ, 0
     for v in arrivals:
         i = nodes.index(v)
-        o = succ[o + i] if succ[o + i] >= 0 else table.fill(o, i)
+        t = succ[o + i]
+        if -3 < t < 0:
+            before = rng.getstate()
+            t = table.fill(o, i)
+            assert rng.getstate() == before, name
+        if t < -2:
+            t = table.draw(o, t)
+        o = t
         if o < 0:  # the run would hand this step to the engine
             break
-    assert rng.getstate() == random.Random(10).getstate(), name
     # one flat successor list, k offsets per state
     assert len(succ) == k * len(table.words) and all(t % k == 0 for t in succ if t >= 0)
     filled = 0
     for o, t in enumerate(succ):
+        s, i = divmod(o, k)
+        w, v = table.words[s], nodes[i]
         if t >= 0:
             filled += 1
-            s, i = divmod(o, k)
-            assert table.words[t // k] == step(g, pol, table.words[s], nodes[i]), name
+            assert table.words[t // k] == step(g, pol, w, v), name
+        elif t < -2:
+            filled += 1
+            spec, outs = table.records[-3 - t]
+            law = {taken_by_class(w, v, j): p for j, p in _law(spec).items()}
+            want = {apply_decision(w, v, d): p
+                    for d, p in decision_distribution(g, pol, w, v).items()}
+            assert law == want, name
+            assert len(law) > 1 or spec[1][0] in ("shuffle", "random"), name
+            for j, u in zip(spec[0], outs):
+                assert u < 0 or table.words[u // k] == taken_by_class(w, v, j), name
     assert filled > 0, name
+    if is_draw_free(pol):
+        assert not table.records and rng.getstate() == random.Random(10).getstate(), name
+
+
+def table_kinds(g):
+    """Every kind of :func:`draw_free_kinds` and every drawing kind: ties
+    (match-the-longest, match-the-shortest, a tied priority, the favored-class
+    wrapper over it), uniform random and explicit permutations."""
+    kinds = policy_kinds(g)
+    drawing = {name: kinds[name] for name in ("ml", "ms", "random", "random_perms")}
+    tied = kinds["priority"]
+    return {**draw_free_kinds(g), **drawing, "tied": tied, "v2fav_tied": V2Favorable(tied)}
 
 
 # the shipped table bounds, and small ones that runs leave and re-enter often
@@ -438,8 +500,10 @@ def test_table_runs_equal_engine_runs_on_random_models(seed):
     steps = 400
     for mu in (random_measure(rng, g.nodes), unstable_measure(rng, g)):
         arrivals = draw_arrivals(mu, 150, random.Random(seed))
-        for name, pol in draw_free_kinds(g).items():
+        for name, pol in table_kinds(g).items():
             run = engine_run(g, mu, pol, steps, seed)
+            wants = {(burn_in, word_cap): repr(engine_simulation(g, run, burn_in, seed, word_cap))
+                     for _, burn_in in CHUNKED_RUNS for word_cap in (0, 1, 16)}
             for max_len, max_states in TABLE_BOUNDS:
                 with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=max_len,
                                     _TABLE_MAX_STATES=max_states):
@@ -447,11 +511,11 @@ def test_table_runs_equal_engine_runs_on_random_models(seed):
                     for chunk, burn_in in CHUNKED_RUNS:
                         for word_cap in (0, 1, 16):
                             with patch("multimatch.chain._ARRIVAL_CHUNK", chunk):
-                                got = simulate(g, mu, pol, steps, burn_in=burn_in, seed=seed,
-                                               word_cap=word_cap)
-                            want = engine_simulation(g, run, burn_in, seed, word_cap)
-                            assert repr(got) == repr(want), (name, max_len, chunk, word_cap,
-                                                             burn_in)
+                                got, state = recorded_simulate(g, mu, pol, steps, burn_in=burn_in,
+                                                               seed=seed, word_cap=word_cap)
+                            case = (name, max_len, chunk, word_cap, burn_in)
+                            assert repr(got) == wants[burn_in, word_cap], case
+                            assert state == run[2], case
 
 
 def test_table_bounds_are_crossed_both_ways(path_loop, mu_path):
@@ -474,6 +538,28 @@ def test_table_bounds_are_crossed_both_ways(path_loop, mu_path):
                                 _ARRIVAL_CHUNK=chunk):
                 got = simulate(path_loop, mu, Fcfm(), 5000, burn_in=50, seed=3, word_cap=4)
             assert repr(got) == want, chunk
+
+
+def test_drawn_steps_that_leave_a_full_table_are_engine_steps(diamond_hub, mu_diamond):
+    # with a small table that fills up, a drawn class can lead to a new word
+    # that cannot join it; that step has been taken, and it is tallied as an
+    # engine step, with the engine holding the drawn word
+    real, left = _StepTable.draw, []
+
+    def draw(table, o, t):
+        t = real(table, o, t)
+        left.append(t < 0)
+        return t
+
+    pol = match_the_longest()
+    run = engine_run(diamond_hub, mu_diamond, pol, 3000, 5)
+    with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=3, _TABLE_MAX_STATES=12), \
+            patch.object(_StepTable, "draw", draw):
+        got, state = recorded_simulate(diamond_hub, mu_diamond, pol, 3000,
+                                       burn_in=30, seed=5, word_cap=2)
+    assert any(left) and not all(left)
+    assert repr(got) == repr(engine_simulation(diamond_hub, run, 30, 5, 2))
+    assert state == run[2]
 
 
 def test_engine_is_freed_without_the_collector(tripartite_loop, mu_tripartite):

@@ -253,6 +253,24 @@ def test_drift_commands_make_one_law_pass_per_graph_and_word(capsys):
         assert blowup_calls.call_count == models, command
 
 
+def test_drift_ldelta_bound_reads_the_drift_column(capsys):
+    # the Ldelta bound reuses the drifts of the drift column, so --fn Ldelta
+    # makes as many law passes as --fn Q: 88 words at --max-len 5, 5 + 6 + 5
+    # laws each
+    model = ["drift", "--graph", fx("tripartite_loop.graph.json"),
+             "--mu", fx("tripartite_loop.mu.json"),
+             "--policy", fx("tripartite_loop.policy_v2fav.json"), "--max-len", "5"]
+    calls = {}
+    for fn in ("Q", "Ldelta"):
+        with patch.object(drift, "decision_distribution",
+                          wraps=policies.decision_distribution) as laws:
+            code, data = run(capsys, *model, "--fn", fn)
+        assert code == 0
+        calls[fn] = laws.call_count
+    assert data["ldelta_bound_holds"] is True
+    assert calls == {"Q": 88 * 16, "Ldelta": 88 * 16}
+
+
 def test_drift_ldelta_scans_the_independent_sets_once(capsys):
     model = ["drift", "--graph", fx("tripartite_loop.graph.json"),
              "--mu", fx("tripartite_loop.mu.json"),
