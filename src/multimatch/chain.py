@@ -11,9 +11,10 @@ closure over that class's neighbour FIFOs and the policy's choice.
 Under FCFM, LCFM or a class rule, the next word is a function of the word,
 the arrival and the class the policy draws, and which RNG call the policy
 makes is a function of the word and the arrival.  So a run reads its steps
-from a bounded memo of the engine's transitions, whose entries are either
-the next word or a draw record that replays the policy's own RNG call.  When
-the policy never draws, only the arrivals draw, so they are drawn in bulk, a
+from a bounded table filled from the word-level transition of the policy;
+an entry is the next word or a draw record that replays the policy's own RNG
+call, and the engine steps only the words the table does not hold.  When the
+policy never draws, only the arrivals draw, so they are drawn in bulk, a
 chunk at a time, and the bulk stream equals the per-step one; a policy that
 can draw takes its arrivals one at a time, interleaved with its own draws.
 """
@@ -40,6 +41,7 @@ from .policies import (
     Policy,
     Word,
     _sample,
+    _transition,
     class_rule,
     decision_distribution,
     decide,
@@ -221,12 +223,9 @@ def draw_arrivals(mu: ProbMeasure, steps: int, rng: random.Random) -> list[Node]
 def _compile_offer(g, policy, v, fifo, items, clock):
     """The step for one arrival class: ``offer(rng)`` stores or matches it.
 
-    Returns ``(offer, spec)``.  For a class rule, ``spec()`` is the rule's
-    draw spec for the stored items, or None when no candidate is stored; it
-    is None for FCFM and LCFM, which pick an item, not a class.  The closures
-    hold the class's own FIFO, its neighbours' FIFOs in sorted order and the
-    policy's choice, and no reference to the engine, so an engine is freed as
-    soon as it is dropped.
+    The closure holds the class's own FIFO, its neighbours' FIFOs in sorted
+    order and the policy's choice, and no reference to the engine, so an
+    engine is freed as soon as it is dropped.
     """
     own = fifo[v]
     nbrs = sorted(g.adjacency[v])
@@ -253,7 +252,7 @@ def _compile_offer(g, policy, v, fifo, items, clock):
             del items[key]
             return key
 
-        return offer, None
+        return offer
 
     rule = class_rule(policy)
     named = tuple((j, fifo[j]) for j in nbrs)
@@ -271,11 +270,7 @@ def _compile_offer(g, policy, v, fifo, items, clock):
         del items[key]
         return key
 
-    def spec():
-        counts = {j: len(q) for j, q in named if q}
-        return rule(g, policy, counts, v, frozenset(counts)) if counts else None
-
-    return offer, spec
+    return offer
 
 
 class BufferEngine:
@@ -294,11 +289,9 @@ class BufferEngine:
         self._items: dict[int, Node] = {}
         self._fifo = {c: deque() for c in g.nodes}
         self._clock = clock = count()
-        compiled = {
+        self._offers = {
             v: _compile_offer(g, policy, v, self._fifo, self._items, clock) for v in g.nodes
         }
-        self._offers = {v: offer for v, (offer, _) in compiled.items()}
-        self._specs = {v: spec for v, (_, spec) in compiled.items()}
 
     @property
     def length(self) -> int:
@@ -317,33 +310,25 @@ class BufferEngine:
         engine's offers) of the item it matched, or None if it is stored."""
         return self._offers[v](rng)
 
-    def _take(self, j: Node) -> None:
-        """One arrival matched with the oldest stored item of class ``j``: the
-        step of a class rule that chose ``j``."""
-        next(self._clock)
-        del self._items[self._fifo[j].popleft()]
-
     def load(self, w: Word) -> None:
-        """Hold exactly the admissible word ``w``.
-
-        The buffer is emptied and the letters are offered in order; no two
-        letters of an admissible word match, so each one is stored.
-        """
+        """Hold exactly the admissible word ``w``: its letters are stored in
+        order, each under the next arrival index."""
         self._items.clear()
         for q in self._fifo.values():
             q.clear()
-        for c in w:
-            self._offers[c](None)
+        for c, key in zip(w, self._clock):
+            self._items[key] = c
+            self._fifo[c].append(key)
 
 
-# Bounds of a run's transition table: a longer word, or a word met after
-# this many states, is stepped on the engine itself.
+# Bounds of a run's transition table: a longer word, or a word met when no
+# state is free, is stepped on the engine itself.
 _TABLE_MAX_LEN = 24
 _TABLE_MAX_STATES = 4096
 
 
 class _StepTable:
-    """Lazily filled transition table of a policy, read off one engine.
+    """Lazily filled transition table of a policy on queue words.
 
     Under FCFM, LCFM or a class rule, the next word is a function of the word,
     the arrival class and the class the policy draws, and whether and how it
@@ -355,19 +340,19 @@ class _StepTable:
       - the offset of the next state, when the step does not draw;
       - ``-3 - r`` for draw record ``r`` when it does: ``records[r]`` holds
         the policy's draw spec and, per class of the spec, the offset of the
-        state its draw leads to, -1 until a draw of that class joins the
-        table;
+        state its draw leads to, -1 until that class is first drawn;
       - -1 until the step is first taken, or -2 once it is known to leave
         the table.
-    A missing entry is filled by one engine step from the state's word, or,
-    when the step draws, by the draw spec the engine's step would sample; so
-    the table only caches the engine, and filling never draws.
+    A missing entry is filled from :func:`policies._transition` at the
+    state's word, so filling never draws.  A draw record reserves one state
+    per class of its spec, so every draw lands in the table; ``free`` counts
+    the states neither interned nor reserved.
     """
 
-    def __init__(self, engine: BufferEngine, nodes: list[Node], rng: random.Random):
-        self.engine = engine
-        self.offers = [engine._offers[c] for c in nodes]  # per arrival index
-        self.specs = [engine._specs[c] for c in nodes]
+    def __init__(self, g: Multigraph, policy: Policy, nodes: list[Node], rng: random.Random):
+        self.g = g
+        self.policy = policy
+        self.nodes = nodes  # per arrival index
         self.rng = rng  # the run's: records replay their draws on it, fills never draw
         self.k = len(nodes)
         self.words: list[Word] = []  # per state
@@ -375,7 +360,8 @@ class _StepTable:
         self.succ: list[int] = []
         self.records: list[tuple] = []
         self.ids: dict[Word, int] = {}  # word -> offset
-        self.at = self._intern(())  # the offset whose word the engine holds, or -1
+        self.free = _TABLE_MAX_STATES - 1
+        self._intern(())
 
     def _intern(self, w: Word) -> int:
         o = len(self.succ)
@@ -386,86 +372,55 @@ class _StepTable:
         return o
 
     def fill(self, o: int, i: int) -> int:
-        """Entry for arrival ``i`` at offset ``o``, filled from the engine.
+        """Entry for arrival ``i`` at offset ``o``: the next offset, or a draw
+        record's code when the step draws.
 
-        Returns the next offset, or a draw record's code when the step draws.
-        Returns -1 instead, with the engine holding the word of ``o``, when
-        the next word is not in the table and cannot join it: the word of
-        ``o`` is as long as the table allows, or the next word is new and the
-        table is full, which it stays.  The entry is then marked -2, so a
-        later visit skips the trial step; the run takes this step on the
-        engine.
+        The entry is -2 instead, and the run takes this step on the engine,
+        when the word of ``o`` is as long as the table allows, the next word
+        is new and no state is free, or a draw record finds too few free
+        states to reserve; the engine's step makes the record's RNG call.
         """
         w = self.words[o // self.k]
-        if self.at != o:
-            self.engine.load(w)
-            self.at = o
-        if self.succ[o + i] == -1 and len(w) < _TABLE_MAX_LEN:
-            spec = self.specs[i]() if self.specs[i] else None
-            if spec is None:
-                self.offers[i](self.rng)  # stores, or FCFM / LCFM matches
-            elif spec[1] is None:
-                self.engine._take(spec[0][0])
-            else:
-                self.records.append((spec, [-1] * len(spec[0])))
-                t = self.succ[o + i] = -2 - len(self.records)
-                return t
-            t = self.enter()
-            if t >= 0:
-                self.succ[o + i] = t
-                return t
-            self.engine.load(w)
-        self.succ[o + i] = -2
-        self.at = -1
-        return -1
+        t = -2
+        if len(w) < _TABLE_MAX_LEN:
+            x = _transition(self.g, self.policy, w, self.nodes[i])
+            if x is None:
+                t = self.enter(w + (self.nodes[i],))
+            elif type(x) is int:
+                t = self.enter(w[:x] + w[x + 1 :])
+            elif self.free >= len(x[0]):
+                self.free -= len(x[0])
+                self.records.append((x, [-1] * len(x[0])))
+                t = -2 - len(self.records)
+        self.succ[o + i] = t
+        return t
 
     def draw(self, o: int, t: int) -> int:
         """Next offset after the draw of record ``t`` at offset ``o``.
 
         The record's spec makes its one call on the run's RNG.  A class drawn
-        for the first time has its next word interned, from the engine when
-        it holds the word of ``o``.  Returns -1 instead when that word is not
-        in the table and cannot join it; the step is then taken, and the
-        engine holds the word it reached.
+        for the first time takes the oldest item of that class out of the
+        word of ``o``; the next word takes the state reserved for it, which
+        is freed again when the word is in the table already.
         """
         spec, outs = self.records[-3 - t]
         x = _sample(spec, self.rng)
         t = outs[x]
-        if t >= 0:
-            return t
-        j = spec[0][x]
-        if self.at == o:
-            self.engine._take(j)
-            t = self.enter()
-        else:
+        if t < 0:
             w = self.words[o // self.k]
-            p = w.index(j)
-            w = w[:p] + w[p + 1 :]
-            t = self.ids.get(w, -1)
-            if t < 0:
-                if len(self.words) < _TABLE_MAX_STATES:
-                    t = self._intern(w)
-                else:
-                    self.engine.load(w)
-                    self.at = -1
-        outs[x] = t
+            p = w.index(spec[0][x])
+            self.free += 1  # the state reserved for this class
+            t = outs[x] = self.enter(w[:p] + w[p + 1 :])
         return t
 
-    def enter(self) -> int:
-        """Offset of the engine's word, new if the table has room, else -1.
-
-        The word must be no longer than ``_TABLE_MAX_LEN``.
-        """
-        w = self.engine.word()
-        t = self.ids.get(w)
-        if t is None:
-            t = self._intern(w) if len(self.words) < _TABLE_MAX_STATES else -1
-        self.at = t
+    def enter(self, w: Word) -> int:
+        """Offset of the word ``w``, interned if it is new and a state is
+        free, else -2.  The word must be no longer than ``_TABLE_MAX_LEN``."""
+        t = self.ids.get(w, -2)
+        if t < 0 and self.free:
+            self.free -= 1
+            t = self._intern(w)
         return t
-
-
-def _taken(rng) -> None:
-    """The offer of an arrival that the step table has already stepped."""
 
 
 @dataclass(frozen=True)
@@ -515,14 +470,15 @@ def simulate(
     first, then any policy draws).
 
     Every policy takes its steps from a transition table over the short
-    words met so far (a bounded memo, filled from the engine on first use);
-    longer words, and the words met once the table is full, are stepped on
-    the engine.  A step whose policy draws reads a draw record from the
-    table and replays the policy's own RNG call.  A policy that never draws
-    only draws arrivals, so they are drawn in bulk (the same stream as
-    per-step draws); a policy that can draw takes its arrivals one at a
-    time, interleaved with its own draws.  The table steps of a chunk of
-    arrivals are tallied together after it.  Either way the result, and the
+    words met so far (a bounded memo, filled from the word-level transition
+    on first use); longer words, and the words met when the table has no
+    free state, are stepped on the engine, loaded with the table's word.  A
+    step whose policy draws reads a draw record from the table and replays
+    the policy's own RNG call.  A policy that never draws only draws
+    arrivals, so they are drawn in bulk (the same stream as per-step draws);
+    a policy that can draw takes its arrivals one at a time, interleaved with
+    its own draws.  The table steps of a chunk of arrivals are tallied
+    together after it.  Either way the result, and the
     RNG's final state, are the engine's, bit for bit.
     """
     if steps <= 0:
@@ -538,19 +494,19 @@ def simulate(
     nodes, cum = _arrival_table(mu)
 
     engine = BufferEngine(g, policy)
-    # arrival index k stands for a step that the table has taken already
-    offers = [engine._offers[c] for c in nodes] + [_taken]
+    offers, load = [engine._offers[c] for c in nodes], engine.load
     items, queues = engine._items, engine._fifo.items()
     word = items.values()  # a live view: tuple(word) is the current word
     # visit counts, keyed in first-recorded-visit order: table states (counted
     # in ``visits``) and the other words the engine steps to (counted here)
     counts: dict = {}
     tally = counts.get
-    table = _StepTable(engine, nodes, rng)
+    table = _StepTable(g, policy, nodes, rng)
     succ, lens, k, fill, draw = table.succ, table.lens, table.k, table.fill, table.draw
+    words, enter = table.words, table.enter
     visits = np.zeros(len(lens), dtype=np.int64)  # recorded steps per state
-    # o is the current table offset, or -1 while the engine steps; the engine
-    # hands back to the table at a word no longer than _TABLE_MAX_LEN
+    # o is the current table offset, or negative while the engine steps; the
+    # engine hands back to the table at a word no longer than _TABLE_MAX_LEN
     o, top = 0, _TABLE_MAX_LEN
     if is_draw_free(policy):
 
@@ -599,14 +555,12 @@ def simulate(
                     for i in feed:
                         t = succ[o + i]
                         if t < 0:
-                            if t > -3:
+                            if t == -1:
                                 t = fill(o, i)
                             if t < -2:
                                 t = draw(o, t)
-                                if t < 0:  # the engine holds the drawn word
-                                    feed, o = chain((k,), rest), -1
-                                    break
                             elif t < 0:
+                                load(words[o // k])
                                 feed, o = chain((i,), rest), -1
                                 break
                         o = t
@@ -621,7 +575,7 @@ def simulate(
                         offers[i](rng)
                         ln = len(items)
                         if ln <= top:
-                            o = table.enter()
+                            o = enter(tuple(word))
                             if o >= 0:
                                 walk.append(o)
                                 feed = rest
@@ -642,10 +596,11 @@ def simulate(
                     if o < 0:
                         break
     final_len = int(lens[o // k]) if o >= 0 else len(items)
-    words, visits = table.words, visits.tolist()
+    visits = visits.tolist()
     # an unstable run's buffer need not outlive the loop
-    del engine, offers, items, queues, word, table, succ, fill, draw
-    # table states longer than word_cap are overflow steps
+    del engine, offers, load, items, queues, word, table, succ, fill, draw, enter
+    # table states longer than word_cap are overflow steps; a word the engine
+    # tallied may join the table later, as a drawn word, so tallies add up
     tallied: dict[Word, int] = {}
     for key, n in counts.items():
         if type(key) is int:
@@ -654,7 +609,7 @@ def simulate(
         for c in key:
             occ_sum[c] += n
         if len(key) <= word_cap:
-            tallied[key] = n
+            tallied[key] = tallied.get(key, 0) + n
         else:
             overflow += n
     recorded = steps - burn_in

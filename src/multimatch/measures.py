@@ -29,6 +29,8 @@ class MeasureError(ValueError):
 
 
 def _to_weight(v) -> Weight:
+    if isinstance(v, bool):
+        raise MeasureError(f"weight {v!r} is not a number")
     if isinstance(v, float):
         if not math.isfinite(v):
             raise MeasureError(f"weight {v!r} is not a finite number")
@@ -38,7 +40,7 @@ def _to_weight(v) -> Weight:
     if isinstance(v, str):
         try:
             return Fraction(v)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise MeasureError(f"cannot parse weight {v!r}") from exc
     raise MeasureError(f"unsupported weight type {type(v).__name__}")
 

@@ -8,12 +8,13 @@ words.
 
 Each class-level kind has one rule that returns a draw spec: the classes it
 may choose and the one RNG call that picks among them.  The same spec gives
-the sampled class and, given no RNG, its exact law (:func:`choose_class`), and
-the simulation engine and its step table replay it call for call.
-:func:`decide` samples one decision and :func:`decision_distribution`
-enumerates every decision with its exact probability (used by transition
-kernels and drift computations); both go through the same candidate and
-first/last-come position logic.
+the sampled class and, given no RNG, its exact law, and the simulation engine
+replays it call for call.  What an arrival does at a queue word is defined
+once, by :func:`_transition`: the position it matches, no match, or the
+rule's draw spec.  :func:`decide` samples one decision from it and
+:func:`decision_distribution` enumerates every decision with its exact
+probability (used by transition kernels and drift computations); the
+simulation's step table fills its entries from it too.
 """
 
 from __future__ import annotations
@@ -200,6 +201,8 @@ def validate_policy(policy: Policy, g: Multigraph) -> None:
     elif isinstance(policy, V2Favorable):
         if not is_class_admissible(policy.inner):
             raise PolicyError("the favored-class wrapper needs a class-admissible inner policy")
+        for v in sorted(policy.favored or ()):
+            g.check_node(v)
         validate_policy(policy.inner, g)
 
 
@@ -324,50 +327,56 @@ _CLASS_RULES = {
 
 
 def class_rule(policy: Policy):
-    """The draw-spec rule behind :func:`choose_class` for this policy's kind:
+    """The draw-spec rule of this policy's kind:
     ``rule(g, policy, counts, v, candidates)`` returns ``(classes, draw)``."""
     if type(policy) not in _CLASS_RULES:
         raise PolicyError(f"{type(policy).__name__} is not class-admissible")
     return _CLASS_RULES[type(policy)]
 
 
-def choose_class(
-    g: Multigraph,
-    policy: Policy,
-    counts: Mapping[Node, int],
-    v: Node,
-    candidates: frozenset[Node],
-    rng: Optional[random.Random] = None,
-) -> Union[Node, dict[Node, Weight]]:
-    """Class matched with arrival ``v`` among the nonempty ``candidates``.
-
-    One draw spec per class-level kind gives both modes: the class is drawn
-    from ``rng``, or with ``rng=None`` the exact law {class: probability} is
-    returned.
-    """
-    spec = class_rule(policy)(g, policy, counts, v, candidates)
-    return _law(spec) if rng is None else spec[0][_sample(spec, rng)]
-
-
 # -- word-level decisions ----------------------------------------------------
+
+def _transition(g: Multigraph, policy: Policy, w: Word, v: Node):
+    """What arrival ``v`` does at word ``w``: the 0-based position it matches,
+    None when it is stored, or the class rule's draw spec when the rule draws.
+
+    One pass over ``w``, restricted to the neighbourhood of ``v``.  A class
+    rule reads the stored items per candidate class, so its spec is the one
+    the engine's compiled step builds; the matched item is the oldest of the
+    drawn class.
+    """
+    nbrs = g.adjacency.get(v)
+    if nbrs is None:
+        g.check_node(v)
+    if isinstance(policy, Fcfm):
+        return next((k for k, c in enumerate(w) if c in nbrs), None)
+    if isinstance(policy, Lcfm):
+        return next((k for k in range(len(w) - 1, -1, -1) if w[k] in nbrs), None)
+    counts: dict[Node, int] = {}
+    for c in w:
+        if c in nbrs:
+            counts[c] = counts.get(c, 0) + 1
+    if not counts:
+        return None
+    spec = class_rule(policy)(g, policy, counts, v, frozenset(counts))
+    return w.index(spec[0][0]) if spec[1] is None else spec
+
 
 def _decision(
     g: Multigraph, policy: Policy, w: Word, v: Node, rng: Optional[random.Random]
 ):
     """One sampled decision, or with ``rng=None`` the exact decision law."""
-    counts = word_counts(w)
-    candidates = match_candidates(g, counts, v)
-    if not candidates:
-        return NO_MATCH if rng is not None else {NO_MATCH: Fraction(1)}
-    if isinstance(policy, (Fcfm, Lcfm)):
-        hits = [k for k, c in enumerate(w) if c in candidates]
-        pos = hits[0] if isinstance(policy, Fcfm) else hits[-1]
-        decision = MatchDecision(pos, w[pos])
-        return decision if rng is not None else {decision: Fraction(1)}
-    chosen = choose_class(g, policy, counts, v, candidates, rng)
-    if rng is not None:
-        return MatchDecision(w.index(chosen), chosen)
-    return {MatchDecision(w.index(j), j): p for j, p in chosen.items()}
+    t = _transition(g, policy, w, v)
+    if t is None:
+        decision = NO_MATCH
+    elif type(t) is int:
+        decision = MatchDecision(t, w[t])
+    elif rng is None:
+        return {MatchDecision(w.index(j), j): p for j, p in _law(t).items()}
+    else:
+        j = t[0][_sample(t, rng)]
+        decision = MatchDecision(w.index(j), j)
+    return decision if rng is not None else {decision: Fraction(1)}
 
 
 def decision_distribution(

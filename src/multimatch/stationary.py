@@ -178,6 +178,8 @@ def balance_residual(
     rather than truncated.  Returns the maximum absolute residual and the
     word attaining it.
     """
+    if max_len < 0:
+        raise StationaryError(f"max_len must be >= 0, got {max_len}")
     dist = product_form(g, mu)
     policy = Fcfm()
     states = enumerate_states(g, max_len + 1)

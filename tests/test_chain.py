@@ -45,11 +45,13 @@ from multimatch.chain import (
     least_squares_slope,
     word_counts,
 )
+import multimatch.chain as chain_module
 from multimatch.detailed import fcfm_match_partners
 from multimatch.policies import (
     MatchDecision,
     _law,
-    choose_class,
+    _sample,
+    class_rule,
     decision_distribution,
     is_class_admissible,
     is_draw_free,
@@ -211,7 +213,8 @@ def test_word_and_class_dynamics_commute(path_loop, mu_path):
                     nc[v] += 1
                     class_law[tuple(sorted((k, x) for k, x in nc.items() if x))] = Fraction(1)
                 else:
-                    for j, p in choose_class(path_loop, pol, counts, v, candidates).items():
+                    spec = class_rule(pol)(path_loop, pol, counts, v, candidates)
+                    for j, p in _law(spec).items():
                         nc = dict(counts)
                         nc[j] -= 1
                         key = tuple(sorted((k, x) for k, x in nc.items() if x))
@@ -304,11 +307,12 @@ def test_sampled_class_choices_follow_the_exact_law(seed):
             if not candidates:
                 continue
             for name, pol in kinds.items():
-                law = choose_class(g, pol, counts, v, candidates)
+                spec = class_rule(pol)(g, pol, counts, v, candidates)
+                law = _law(spec)
                 assert sum(law.values()) == 1, name
                 hits = dict.fromkeys(candidates, 0)
                 for _ in range(n):
-                    hits[choose_class(g, pol, counts, v, candidates, sampler)] += 1
+                    hits[spec[0][_sample(spec, sampler)]] += 1
                 for j, k in hits.items():
                     p = float(law.get(j, 0))
                     assert abs(k / n - p) <= 5 * math.sqrt(p * (1 - p) / n), (name, w, v, j)
@@ -432,10 +436,11 @@ def taken_by_class(w, v, j):
 def assert_table_follows_step(g, pol, arrivals, name):
     """Every transition a run fills into the step table is the word-level
     step, and every draw record is the word-level decision law; filling
-    leaves the RNG untouched."""
+    leaves the RNG untouched, and the interned, reserved and free states
+    make up the table's state bound."""
     nodes = sorted(g.nodes)
-    engine, rng = BufferEngine(g, pol), random.Random(10)
-    table = _StepTable(engine, nodes, rng)
+    rng = random.Random(10)
+    table = _StepTable(g, pol, nodes, rng)
     k, succ, o = table.k, table.succ, 0
     for v in arrivals:
         i = nodes.index(v)
@@ -469,6 +474,8 @@ def assert_table_follows_step(g, pol, arrivals, name):
             for j, u in zip(spec[0], outs):
                 assert u < 0 or table.words[u // k] == taken_by_class(w, v, j), name
     assert filled > 0, name
+    reserved = sum(u < 0 for _, outs in table.records for u in outs)
+    assert len(table.words) + reserved + table.free == chain_module._TABLE_MAX_STATES, name
     if is_draw_free(pol):
         assert not table.records and rng.getstate() == random.Random(10).getstate(), name
 
@@ -540,25 +547,34 @@ def test_table_bounds_are_crossed_both_ways(path_loop, mu_path):
             assert repr(got) == want, chunk
 
 
-def test_drawn_steps_that_leave_a_full_table_are_engine_steps(diamond_hub, mu_diamond):
-    # with a small table that fills up, a drawn class can lead to a new word
-    # that cannot join it; that step has been taken, and it is tallied as an
-    # engine step, with the engine holding the drawn word
-    real, left = _StepTable.draw, []
+def test_every_draw_lands_in_a_table_that_fills_up(diamond_hub, mu_diamond):
+    # with a small table, draw records reserve the states of the words they
+    # can draw: each draw lands in the table, the table fills up to its
+    # bound and no further, and a drawn word still joins it when no state is
+    # free; a word the engine tallied may be such a word, so the run's
+    # tallies add up to the engine's
+    seen = []  # (free before, states before, states after, result) per call
 
-    def draw(table, o, t):
-        t = real(table, o, t)
-        left.append(t < 0)
-        return t
+    def watched(real):
+        def call(table, o, t):
+            free, before = table.free, len(table.words)
+            t = real(table, o, t)
+            seen.append((real.__name__, free, before, len(table.words), t))
+            return t
+        return call
 
     pol = match_the_longest()
-    run = engine_run(diamond_hub, mu_diamond, pol, 3000, 5)
+    run = engine_run(diamond_hub, mu_diamond, pol, 3000, 2)
     with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=3, _TABLE_MAX_STATES=12), \
-            patch.object(_StepTable, "draw", draw):
+            patch.object(_StepTable, "draw", watched(_StepTable.draw)), \
+            patch.object(_StepTable, "fill", watched(_StepTable.fill)):
         got, state = recorded_simulate(diamond_hub, mu_diamond, pol, 3000,
-                                       burn_in=30, seed=5, word_cap=2)
-    assert any(left) and not all(left)
-    assert repr(got) == repr(engine_simulation(diamond_hub, run, 30, 5, 2))
+                                       burn_in=30, seed=2, word_cap=16)
+    draws = [s for s in seen if s[0] == "draw"]
+    assert draws and all(t >= 0 for *_, t in draws)
+    assert max(after for *_, after, _ in seen) == 12
+    assert any(free == 0 and after > before for _, free, before, after, _ in draws)
+    assert repr(got) == repr(engine_simulation(diamond_hub, run, 30, 2, 16))
     assert state == run[2]
 
 

@@ -1,12 +1,18 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multimatch.cli
 from multimatch import drift, measures, policies
@@ -419,6 +425,133 @@ def test_input_errors_exit_2(capsys, tmp_path):
                 main([command, *path_model, "--tol", tol])
             assert exc.value.code == 2, (command, tol)
     capsys.readouterr()
+
+
+def test_bad_weights_and_unknown_classes_exit_2(capsys, tmp_path):
+    # a weight "1/0" or a JSON boolean is not a weight wherever a weight is
+    # read; a favored class must be a class of the graph; a balance check
+    # must cover at least the empty word
+    path_model = ["--graph", fx("path_loop.graph.json"), "--mu", fx("path_loop.mu.json")]
+    for name, doc in (("div0", '{"1": "1/0", "2": "3/10", "3": "1/2"}'),
+                      ("bool", '{"1": true, "2": "3/10", "3": "1/2"}')):
+        mu = tmp_path / f"{name}.mu.json"
+        mu.write_text(doc)
+        for command in ("ncond", "stationary-fcfm", "verify-balance"):
+            assert main([command, "--graph", fx("path_loop.graph.json"), "--mu", str(mu)]) == 2
+    assert main(["drift", *path_model, "--fn", "Ldelta", "--delta", "1/0"]) == 2
+    for split in ('{"3": "1/0"}', '{"3": true}'):
+        assert main(["extend-measure", *path_model, "--split", split]) == 2, split
+    for doc in (
+        '{"kind": "maxweight", "beta": "1/0"}',
+        '{"kind": "maxweight", "beta": true}',
+        '{"kind": "maxweight", "rewards": {"1,2": "1/0"}}',
+        '{"kind": "maxweight", "rewards": {"1,2": false}}',
+        '{"kind": "random", "perms": {"2": [[["1", "3"], "1/0"], [["3", "1"], "0"]]}}',
+        '{"kind": "random", "perms": {"2": [[["1", "3"], true], [["3", "1"], "0"]]}}',
+        '{"kind": "v2favorable", "inner": {"kind": "random"}, "favored": ["9"]}',
+    ):
+        assert main(["simulate", *path_model, "--policy", doc, "--steps", "10"]) == 2, doc
+        assert main(["drift", *path_model, "--policy", doc, "--max-len", "2"]) == 2, doc
+    for max_len in ("-1", "-5"):
+        assert main(["verify-balance", *path_model, "--max-len", max_len]) == 2, max_len
+    capsys.readouterr()
+
+
+def _load_fixture(name):
+    with open(fx(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# Malformed values by kind: a wrong JSON type, NaN or an infinity, "1/0", a
+# boolean, a negative number, and an unknown class; MISSING deletes the field.
+MISSING = object()
+NOT_FINITE = [float("nan"), float("inf"), float("-inf")]
+BOOLS = [True, False]
+NOT_A_NAME = [5, -1, None, ["1"], {"1": "2"}, *NOT_FINITE, *BOOLS]
+NOT_A_CLASS = ["9", "1/0", MISSING, *NOT_A_NAME]
+NOT_A_WEIGHT = ["1/0", None, ["1"], {"1": "2"}, *NOT_FINITE, *BOOLS]
+NOT_AN_ARRAY = [5, -1, "1/0", None, {"1": "2"}, *NOT_FINITE, *BOOLS]
+NOT_AN_OBJECT = [5, -1, "1/0", None, ["1"], *NOT_FINITE, *BOOLS]
+
+# (document, command reading it, [(field path, malformed values)]); every
+# value makes the document invalid for path_loop, so the command exits 2
+FUZZED_DOCUMENTS = [
+    (_load_fixture("path_loop.graph.json"), ["info"], [
+        (("nodes",), NOT_AN_ARRAY + [MISSING]),
+        (("nodes", 0), NOT_A_CLASS),
+        (("edges",), NOT_AN_ARRAY + [MISSING]),
+        (("edges", 1), NOT_AN_ARRAY + [MISSING, ["2"]]),
+        (("edges", 1, 1), NOT_A_CLASS),
+        (("self_loops",), NOT_AN_ARRAY),
+        (("self_loops", 0), ["9", "1/0", *NOT_A_NAME]),
+    ]),
+    (_load_fixture("path_loop.mu.json"), ["ncond"], [
+        ((c,), NOT_A_WEIGHT + [MISSING, "-1/5", -0.2, 0]) for c in ("1", "2", "3")
+    ]),
+    (_load_fixture("path_loop.policy_v2fav.json"), ["simulate", "--steps", "10"], [
+        (("kind",), ["priority!", *NOT_A_NAME, MISSING]),
+        (("inner",), NOT_AN_OBJECT + [MISSING, {"kind": "fcfm"}]),
+        (("inner", "kind"), ["v2favorable", *NOT_A_NAME, MISSING]),
+        (("inner", "order"), NOT_AN_OBJECT + [MISSING]),
+        (("inner", "order", "2"), NOT_AN_ARRAY + [MISSING, ["1"]]),
+        # an order entry may be a group of classes, and no favored list
+        # means the loop-free classes
+        (("inner", "order", "2", 0), [v for v in NOT_A_CLASS if v != ["1"]] + [["9"]]),
+        (("favored",), [v for v in NOT_AN_ARRAY if v is not None] + [["9"], ["1", "1/0"], [5]]),
+    ]),
+    ({"kind": "maxweight", "beta": "1", "rewards": {"1,2": "1/2"}},
+     ["simulate", "--steps", "10"], [
+        (("beta",), NOT_A_WEIGHT),
+        (("rewards",), NOT_AN_OBJECT),
+        (("rewards", "1,2"), NOT_A_WEIGHT),
+    ]),
+    ({"kind": "random", "perms": {"2": [[["1", "3"], "7/10"], [["3", "1"], "3/10"]]}},
+     ["drift", "--max-len", "2"], [
+        (("perms", "2"), NOT_AN_ARRAY + [MISSING]),
+        (("perms", "2", 0), NOT_AN_ARRAY + [MISSING]),
+        (("perms", "2", 0, 1), NOT_A_WEIGHT + ["-7/10", -0.7, MISSING]),
+        (("perms", "2", 0, 0, 0), NOT_A_CLASS),
+    ]),
+]
+
+
+@st.composite
+def malformed_documents(draw):
+    """One document of FUZZED_DOCUMENTS with one field set to a malformed
+    value (or deleted), and the command that reads it."""
+    doc, command, fields = draw(st.sampled_from(FUZZED_DOCUMENTS))
+    path, values = draw(st.sampled_from(fields))
+    value = draw(st.sampled_from(values))
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc, command, (path, value)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(malformed_documents())
+def test_malformed_documents_exit_2(case):
+    doc, command, mutation = case
+    graph, mu = fx("path_loop.graph.json"), fx("path_loop.mu.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        if command[0] == "info":
+            argv = ["info", "--graph", path]
+        elif command[0] == "ncond":
+            argv = ["ncond", "--graph", graph, "--mu", path]
+        else:
+            argv = [command[0], "--graph", graph, "--mu", mu, "--policy", path, *command[1:]]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    assert code == 2, (mutation, err.getvalue())
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):

@@ -24,6 +24,7 @@ from multimatch import (
     validate_policy,
 )
 from multimatch.chain import enumerate_states, word_counts
+from multimatch.graphs import GraphError
 
 from conftest import random_admissible_word
 
@@ -229,6 +230,8 @@ def test_validate_policy_errors(path_loop):
         validate_policy(MaxWeight(beta=1, rewards={("1", "3"): 1}), path_loop)
     with pytest.raises(PolicyError):
         validate_policy(V2Favorable(Fcfm()), path_loop)  # inner must be class-admissible
+    with pytest.raises(GraphError):  # a favored class must be a class of the graph
+        validate_policy(V2Favorable(RandomPolicy(), frozenset({"1", "9"})), path_loop)
     with pytest.raises(PolicyError):
         match_the_longest(beta=-1)
 

@@ -230,3 +230,10 @@ def test_product_form_matches_fcfm_chain_everywhere(path_loop, mu_path):
         inflow = sum((row.get(w, Fraction(0)) * dist.pi(u) for u, row in rows.items()),
                      Fraction(0))
         assert inflow == dist.pi(w)
+
+
+def test_balance_residual_rejects_a_negative_length(path_loop, mu_path):
+    # max_len -1 would check no word at all and still report residual 0
+    for max_len in (-1, -5):
+        with pytest.raises(StationaryError):
+            balance_residual(path_loop, mu_path, max_len)
