@@ -22,9 +22,7 @@ from .measures import (
 from .policies import (
     Fcfm,
     Lcfm,
-    MatchDecision,
     MaxWeight,
-    NO_MATCH,
     Policy,
     PolicyError,
     Priority,

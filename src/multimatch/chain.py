@@ -2,7 +2,10 @@
 
 The Markov state is the word of unmatched item classes in arrival order.  A
 word is admissible when no two adjacent classes are both present and each
-self-looped class appears at most once.  Transition kernels are computed
+self-looped class appears at most once.  A policy's decision is the position
+in the word of the stored item an arrival takes, or None when the arrival is
+stored; :func:`apply_decision` makes the next word from it for the exact
+kernels, the sampled step and the step table alike.  Kernels are computed
 exactly (policy randomness enumerated with its probabilities); Monte-Carlo
 runs use a compact per-class FIFO engine so long trajectories stay cheap.  The
 engine compiles the step of each arrival class once, at construction, into a
@@ -13,8 +16,9 @@ the arrival and the class the policy draws, and which RNG call the policy
 makes is a function of the word and the arrival.  So a run reads its steps
 from a bounded table filled from the word-level transition of the policy;
 an entry is the next word or a draw record that replays the policy's own RNG
-call, and the engine steps only the words the table does not hold.  When the
-policy never draws, only the arrivals draw, so they are drawn in bulk, a
+call.  The engine takes the other steps: from a word the table does not
+hold, and a draw that may lead to a new word when the table is full.  When
+the policy never draws, only the arrivals draw, so they are drawn in bulk, a
 chunk at a time, and the bulk stream equals the per-step one; a policy that
 can draw takes its arrivals one at a time, interleaved with its own draws.
 """
@@ -37,7 +41,6 @@ from .measures import ProbMeasure, Weight, cumulative
 from .policies import (
     Fcfm,
     Lcfm,
-    MatchDecision,
     Policy,
     Word,
     _sample,
@@ -74,19 +77,18 @@ def check_admissible(g: Multigraph, w: Word) -> None:
         raise ChainError(f"word {w!r} is not admissible")
 
 
-def apply_decision(w: Word, v: Node, decision: MatchDecision) -> Word:
-    if decision.is_match:
-        k = decision.position
-        return w[:k] + w[k + 1 :]
-    return w + (v,)
+def apply_decision(w: Word, v: Node, x: Optional[int]) -> Word:
+    """The next word: ``w`` without its letter at position ``x``, or with the
+    arrival ``v`` stored at its end when ``x`` is None."""
+    return w + (v,) if x is None else w[:x] + w[x + 1 :]
 
 
 def step(
     g: Multigraph, policy: Policy, w: Word, v: Node, rng: Optional[random.Random] = None
 ) -> Word:
     """One arrival applied to a queue word.  ``rng`` is only touched on draws."""
-    decision = decide(g, policy, w, v, rng if rng is not None else random.Random(0))
-    return apply_decision(w, v, decision)
+    x = decide(g, policy, w, v, rng if rng is not None else random.Random(0))
+    return apply_decision(w, v, x)
 
 
 def enumerate_states(g: Multigraph, max_len: int) -> list[Word]:
@@ -128,8 +130,8 @@ def kernel_row(
     row: dict[Word, Weight] = {}
     for v in g.nodes:
         pv = mu[v]
-        for decision, p in decision_distribution(g, policy, w, v).items():
-            target = apply_decision(w, v, decision)
+        for x, p in decision_distribution(g, policy, w, v).items():
+            target = apply_decision(w, v, x)
             mass = pv * p
             row[target] = row.get(target, Fraction(0)) + mass
     return row
@@ -228,7 +230,7 @@ def _compile_offer(g, policy, v, fifo, items, clock):
     engine is freed as soon as it is dropped.
     """
     own = fifo[v]
-    nbrs = sorted(g.adjacency[v])
+    nbrs = g._sorted_adjacency[v]
     if isinstance(policy, (Fcfm, Lcfm)):
         # the neighbour whose oldest (newest) stored item arrived first (last);
         # heads are distinct arrival indices, so ``(a > b) is newest`` reads
@@ -265,7 +267,7 @@ def _compile_offer(g, policy, v, fifo, items, clock):
             items[key] = v
             own.append(key)
             return None
-        spec = rule(g, policy, counts, v, frozenset(counts))
+        spec = rule(g, policy, counts, v)
         key = fifo[spec[0][0 if spec[1] is None else _sample(spec, rng)]].popleft()
         del items[key]
         return key
@@ -344,9 +346,9 @@ class _StepTable:
       - -1 until the step is first taken, or -2 once it is known to leave
         the table.
     A missing entry is filled from :func:`policies._transition` at the
-    state's word, so filling never draws.  A draw record reserves one state
-    per class of its spec, so every draw lands in the table; ``free`` counts
-    the states neither interned nor reserved.
+    state's word, so filling never draws, and every next word is
+    :func:`apply_decision` of the word, the arrival and the matched
+    position.  States hold words only: ``free`` counts the states left.
     """
 
     def __init__(self, g: Multigraph, policy: Policy, nodes: list[Node], rng: random.Random):
@@ -376,41 +378,39 @@ class _StepTable:
         record's code when the step draws.
 
         The entry is -2 instead, and the run takes this step on the engine,
-        when the word of ``o`` is as long as the table allows, the next word
-        is new and no state is free, or a draw record finds too few free
-        states to reserve; the engine's step makes the record's RNG call.
+        when the word of ``o`` is as long as the table allows, or the next
+        word is new and no state is free.
         """
-        w = self.words[o // self.k]
+        w, v = self.words[o // self.k], self.nodes[i]
         t = -2
         if len(w) < _TABLE_MAX_LEN:
-            x = _transition(self.g, self.policy, w, self.nodes[i])
-            if x is None:
-                t = self.enter(w + (self.nodes[i],))
-            elif type(x) is int:
-                t = self.enter(w[:x] + w[x + 1 :])
-            elif self.free >= len(x[0]):
-                self.free -= len(x[0])
+            x = _transition(self.g, self.policy, w, v)
+            if x is None or type(x) is int:
+                t = self.enter(apply_decision(w, v, x))
+            else:
                 self.records.append((x, [-1] * len(x[0])))
                 t = -2 - len(self.records)
         self.succ[o + i] = t
         return t
 
-    def draw(self, o: int, t: int) -> int:
-        """Next offset after the draw of record ``t`` at offset ``o``.
+    def draw(self, o: int, i: int, t: int) -> int:
+        """Next offset after the draw of record ``t``, the entry for arrival
+        ``i`` at offset ``o``.
 
         The record's spec makes its one call on the run's RNG.  A class drawn
         for the first time takes the oldest item of that class out of the
-        word of ``o``; the next word takes the state reserved for it, which
-        is freed again when the word is in the table already.
+        word of ``o``.  When no state is free and some class of the record
+        has no state yet, the draw is -2 and makes no call: the run hands
+        this step to the engine, whose step makes the same call.
         """
         spec, outs = self.records[-3 - t]
+        if not self.free and -1 in outs:
+            return -2
         x = _sample(spec, self.rng)
         t = outs[x]
         if t < 0:
             w = self.words[o // self.k]
-            p = w.index(spec[0][x])
-            self.free += 1  # the state reserved for this class
-            t = outs[x] = self.enter(w[:p] + w[p + 1 :])
+            t = outs[x] = self.enter(apply_decision(w, self.nodes[i], w.index(spec[0][x])))
         return t
 
     def enter(self, w: Word) -> int:
@@ -474,7 +474,8 @@ def simulate(
     on first use); longer words, and the words met when the table has no
     free state, are stepped on the engine, loaded with the table's word.  A
     step whose policy draws reads a draw record from the table and replays
-    the policy's own RNG call.  A policy that never draws only draws
+    the policy's own RNG call, or, when the table is full and the draw may
+    lead to a new word, hands the step to the engine before the call.  A policy that never draws only draws
     arrivals, so they are drawn in bulk (the same stream as per-step draws);
     a policy that can draw takes its arrivals one at a time, interleaved with
     its own draws.  The table steps of a chunk of arrivals are tallied
@@ -558,8 +559,8 @@ def simulate(
                             if t == -1:
                                 t = fill(o, i)
                             if t < -2:
-                                t = draw(o, t)
-                            elif t < 0:
+                                t = draw(o, i, t)
+                            if t < 0:
                                 load(words[o // k])
                                 feed, o = chain((i,), rest), -1
                                 break

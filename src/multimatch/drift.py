@@ -96,8 +96,8 @@ def _laws(g: Multigraph, policy: Policy, w: Word) -> list:
     """One pass over the arrivals: per class, the law of the count change at
     ``w`` as ((class, +1 or -1), probability) pairs."""
     return [
-        (v, [((d.matched_class, -1) if d.is_match else (v, 1), p)
-             for d, p in decision_distribution(g, policy, w, v).items()])
+        (v, [((v, 1) if x is None else (w[x], -1), p)
+             for x, p in decision_distribution(g, policy, w, v).items()])
         for v in g.nodes
     ]
 

@@ -102,6 +102,11 @@ class Multigraph:
             nb[i].add(i)
         return {i: frozenset(v) for i, v in nb.items()}
 
+    @cached_property
+    def _sorted_adjacency(self) -> dict[Node, tuple[Node, ...]]:
+        """Each neighborhood as one sorted tuple, shared by every reader."""
+        return {i: tuple(sorted(nb)) for i, nb in self.adjacency.items()}
+
     @property
     def v1(self) -> frozenset[Node]:
         return self.self_loops

@@ -6,12 +6,14 @@ that favors classes without self-loops.  Within a chosen class the oldest
 stored item is always taken, so every class-level rule also acts on queue
 words.
 
-Each class-level kind has one rule that returns a draw spec: the classes it
-may choose and the one RNG call that picks among them.  The same spec gives
-the sampled class and, given no RNG, its exact law, and the simulation engine
+A decision is the 0-based position in the queue word of the stored item
+that the arrival takes, or None when the arrival is stored.  Each
+class-level kind has one rule that returns a draw spec: the classes it may
+choose and the one RNG call that picks among them.  The same spec gives the
+sampled class and, given no RNG, its exact law, and the simulation engine
 replays it call for call.  What an arrival does at a queue word is defined
-once, by :func:`_transition`: the position it matches, no match, or the
-rule's draw spec.  :func:`decide` samples one decision from it and
+once, by :func:`_transition`: the position it matches, None, or the rule's
+draw spec.  :func:`decide` samples one decision from it and
 :func:`decision_distribution` enumerates every decision with its exact
 probability (used by transition kernels and drift computations); the
 simulation's step table fills its entries from it too.
@@ -34,21 +36,6 @@ Word = tuple[Node, ...]
 
 class PolicyError(ValueError):
     """Policy specification not valid for the given graph."""
-
-
-@dataclass(frozen=True)
-class MatchDecision:
-    """Either no match, or the 0-based queue position that gets matched."""
-
-    position: Optional[int]
-    matched_class: Optional[Node]
-
-    @property
-    def is_match(self) -> bool:
-        return self.position is not None
-
-
-NO_MATCH = MatchDecision(None, None)
 
 
 # -- policy kinds ----------------------------------------------------------
@@ -228,9 +215,9 @@ def match_candidates(g: Multigraph, counts: Mapping[Node, int], v: Node) -> froz
 #   (_RANDRANGE,)     ``rng.randrange(len(classes))`` indexes the sorted tied
 #                     ``classes`` (tied priorities, match-the-longest and
 #                     match-the-shortest);
-#   (_SHUFFLE, nbrs)  ``rng.shuffle`` of a copy of the sorted neighbourhood
-#                     ``nbrs``; its first entry among ``classes`` is chosen
-#                     (uniform RandomPolicy);
+#   (_SHUFFLE, nbrs)  ``rng.shuffle`` of a copy of ``nbrs``, the graph's one
+#                     sorted neighbourhood tuple of the arrival; its first
+#                     entry among ``classes`` is chosen (uniform RandomPolicy);
 #   (_RANDOM, cum, firsts, weights)
 #                     ``rng.random()`` bisected over ``cum``, the float running
 #                     sums of the permutations' ``weights``, picks a
@@ -286,36 +273,37 @@ def _uniform(choices: Sequence[Node]):
     return choices, (_TIE if len(choices) > 1 else None)
 
 
-def _random_rule(g, policy, counts, v, candidates):
+def _random_rule(g, policy, counts, v):
     dist = (policy.perms or {}).get(v)
     if dist is None:
-        return sorted(candidates), (_SHUFFLE, sorted(g.adjacency[v]))
-    firsts = [next(j for j in perm if j in candidates) for perm, _ in dist]
+        return sorted(counts), (_SHUFFLE, g._sorted_adjacency[v])
+    firsts = [next(j for j in perm if j in counts) for perm, _ in dist]
     classes = list(dict.fromkeys(firsts))
     weights = [p for _, p in dist]
     return classes, (_RANDOM, cumulative(weights), list(map(classes.index, firsts)), weights)
 
 
-def _priority_rule(g, policy, counts, v, candidates):
+def _priority_rule(g, policy, counts, v):
     groups = policy.order.get(v)
     if groups is None:
         raise PolicyError(f"priority policy lacks an order for class {v!r}")
     for group in groups:
-        present = sorted(candidates.intersection(group))
+        present = sorted(counts.keys() & group)
         if present:
             return _uniform(present)
-    raise PolicyError(f"priority order for {v!r} missed candidates {sorted(candidates)}")
+    raise PolicyError(f"priority order for {v!r} missed candidates {sorted(counts)}")
 
 
-def _max_weight_rule(g, policy, counts, v, candidates):
-    scores = {j: policy.beta * counts.get(j, 0) + policy.reward(v, j) for j in candidates}
+def _max_weight_rule(g, policy, counts, v):
+    scores = {j: policy.beta * n + policy.reward(v, j) for j, n in counts.items()}
     top = max(scores.values())
     return _uniform(sorted(j for j, s in scores.items() if s == top))
 
 
-def _favored_rule(g, policy, counts, v, candidates):
-    restricted = candidates & policy.resolve_favored(g) or candidates
-    return class_rule(policy.inner)(g, policy.inner, counts, v, restricted)
+def _favored_rule(g, policy, counts, v):
+    favored = policy.resolve_favored(g)
+    narrowed = {j: n for j, n in counts.items() if j in favored} or counts
+    return class_rule(policy.inner)(g, policy.inner, narrowed, v)
 
 
 _CLASS_RULES = {
@@ -327,8 +315,9 @@ _CLASS_RULES = {
 
 
 def class_rule(policy: Policy):
-    """The draw-spec rule of this policy's kind:
-    ``rule(g, policy, counts, v, candidates)`` returns ``(classes, draw)``."""
+    """The draw-spec rule of this policy's kind: ``rule(g, policy, counts, v)``
+    returns ``(classes, draw)``, where the keys of ``counts`` are the candidate
+    classes and its values their stored items."""
     if type(policy) not in _CLASS_RULES:
         raise PolicyError(f"{type(policy).__name__} is not class-admissible")
     return _CLASS_RULES[type(policy)]
@@ -358,46 +347,37 @@ def _transition(g: Multigraph, policy: Policy, w: Word, v: Node):
             counts[c] = counts.get(c, 0) + 1
     if not counts:
         return None
-    spec = class_rule(policy)(g, policy, counts, v, frozenset(counts))
+    spec = class_rule(policy)(g, policy, counts, v)
     return w.index(spec[0][0]) if spec[1] is None else spec
-
-
-def _decision(
-    g: Multigraph, policy: Policy, w: Word, v: Node, rng: Optional[random.Random]
-):
-    """One sampled decision, or with ``rng=None`` the exact decision law."""
-    t = _transition(g, policy, w, v)
-    if t is None:
-        decision = NO_MATCH
-    elif type(t) is int:
-        decision = MatchDecision(t, w[t])
-    elif rng is None:
-        return {MatchDecision(w.index(j), j): p for j, p in _law(t).items()}
-    else:
-        j = t[0][_sample(t, rng)]
-        decision = MatchDecision(w.index(j), j)
-    return decision if rng is not None else {decision: Fraction(1)}
 
 
 def decision_distribution(
     g: Multigraph, policy: Policy, w: Word, v: Node
-) -> dict[MatchDecision, Weight]:
-    """Exact law of the decision from queue word ``w`` on arrival ``v``.
+) -> dict[Optional[int], Weight]:
+    """Exact law of the decision from queue word ``w`` on arrival ``v``, as
+    {matched 0-based position, or None when ``v`` is stored: probability}.
 
     Class-level choices land on the oldest stored item of the chosen class.
     """
-    return _decision(g, policy, w, v, None)
+    t = _transition(g, policy, w, v)
+    if t is None or type(t) is int:
+        return {t: Fraction(1)}
+    return {w.index(j): p for j, p in _law(t).items()}
 
 
 def decide(
     g: Multigraph, policy: Policy, w: Word, v: Node, rng: random.Random
-) -> MatchDecision:
-    """Sample one decision.  Deterministic rules ignore ``rng``.
+) -> Optional[int]:
+    """Sample one decision: the matched 0-based position in ``w``, or None
+    when ``v`` is stored.  Deterministic rules ignore ``rng``.
 
     Random policies draw their preference permutation first; any tie-break
     draw comes after, so a seeded stream replays identically.
     """
-    return _decision(g, policy, w, v, rng)
+    t = _transition(g, policy, w, v)
+    if t is None or type(t) is int:
+        return t
+    return w.index(t[0][_sample(t, rng)])
 
 
 # -- transforms between a multigraph and its blow-up / loop-free versions ----

@@ -18,9 +18,11 @@ from multimatch import (
     Multigraph,
     Priority,
     ProbMeasure,
+    Quadratic,
     RandomPolicy,
     V2Favorable,
     enumerate_states,
+    exact_drift,
     is_admissible_word,
     kernel_row,
     match_the_longest,
@@ -48,7 +50,6 @@ from multimatch.chain import (
 import multimatch.chain as chain_module
 from multimatch.detailed import fcfm_match_partners
 from multimatch.policies import (
-    MatchDecision,
     _law,
     _sample,
     class_rule,
@@ -197,10 +198,10 @@ def test_word_and_class_dynamics_commute(path_loop, mu_path):
         for w in enumerate_states(path_loop, 5):
             for v in path_loop.nodes:
                 word_law = {}
-                for d, p in decision_distribution(path_loop, pol, w, v).items():
-                    if d.is_match:
+                for x, p in decision_distribution(path_loop, pol, w, v).items():
+                    if x is not None:
                         c = word_counts(w)
-                        c[d.matched_class] -= 1
+                        c[w[x]] -= 1
                     else:
                         c = word_counts(w + (v,))
                     key = tuple(sorted((k, x) for k, x in c.items() if x))
@@ -213,7 +214,8 @@ def test_word_and_class_dynamics_commute(path_loop, mu_path):
                     nc[v] += 1
                     class_law[tuple(sorted((k, x) for k, x in nc.items() if x))] = Fraction(1)
                 else:
-                    spec = class_rule(pol)(path_loop, pol, counts, v, candidates)
+                    narrowed = {j: counts[j] for j in candidates}
+                    spec = class_rule(pol)(path_loop, pol, narrowed, v)
                     for j, p in _law(spec).items():
                         nc = dict(counts)
                         nc[j] -= 1
@@ -246,6 +248,36 @@ def policy_kinds(g):
         "priority": tied,
         "v2fav": V2Favorable(RandomPolicy()),
     }
+
+
+def exact_layer_digests(models) -> dict[str, str]:
+    """sha256 per model of every kernel row and every quadratic drift over
+    the words of at most 3 letters, under every kind of :func:`policy_kinds`."""
+    out = {}
+    for name, (g, mu) in models.items():
+        rows, drifts = hashlib.sha256(), hashlib.sha256()
+        for pol in policy_kinds(g).values():
+            for w in enumerate_states(g, 3):
+                rows.update(repr(sorted(kernel_row(g, mu, pol, w).items())).encode())
+                drifts.update(repr(exact_drift(g, mu, pol, w, Quadratic())).encode())
+        out[name + " kernel_row"] = rows.hexdigest()
+        out[name + " exact_drift"] = drifts.hexdigest()
+    return out
+
+
+# computed at the word-level transition that returned MatchDecision objects
+PINNED_EXACT_DIGESTS = {
+    "tripartite_loop kernel_row": "bb7515c1616def4c0fb9498eecc71e107c6b2bd1b7c5e183935f8d78e020c8af",
+    "tripartite_loop exact_drift": "7d0da746132063fc27de7f0dc8f4b208a327fe0de33dcb0cb42b1b7520c506bb",
+    "diamond_hub_loop kernel_row": "890e961357d2d46917951ab1092abf7e8c9673cbc8ed7b5c807b5996187814a7",
+    "diamond_hub_loop exact_drift": "a65fdaa4b8984c869864e24dd22238bbfd00714e0128993db6e996c8915bbf8c",
+}
+
+
+def test_exact_layer_is_pinned(tripartite_loop, mu_tripartite, diamond_hub, mu_diamond):
+    models = {"tripartite_loop": (tripartite_loop, mu_tripartite),
+              "diamond_hub_loop": (diamond_hub, mu_diamond)}
+    assert exact_layer_digests(models) == PINNED_EXACT_DIGESTS
 
 
 def assert_engine_follows_step(g, pol, arrivals, name):
@@ -306,8 +338,9 @@ def test_sampled_class_choices_follow_the_exact_law(seed):
             candidates = match_candidates(g, counts, v)
             if not candidates:
                 continue
+            narrowed = {j: counts[j] for j in candidates}
             for name, pol in kinds.items():
-                spec = class_rule(pol)(g, pol, counts, v, candidates)
+                spec = class_rule(pol)(g, pol, narrowed, v)
                 law = _law(spec)
                 assert sum(law.values()) == 1, name
                 hits = dict.fromkeys(candidates, 0)
@@ -430,14 +463,14 @@ def recorded_simulate(*args, **kwargs):
 
 def taken_by_class(w, v, j):
     """The word after arrival ``v`` at ``w`` takes the oldest stored ``j``."""
-    return apply_decision(w, v, MatchDecision(w.index(j), j))
+    return apply_decision(w, v, w.index(j))
 
 
 def assert_table_follows_step(g, pol, arrivals, name):
     """Every transition a run fills into the step table is the word-level
     step, and every draw record is the word-level decision law; filling
-    leaves the RNG untouched, and the interned, reserved and free states
-    make up the table's state bound."""
+    leaves the RNG untouched, a draw that hands its step over does too, and
+    the interned and free states make up the table's state bound."""
     nodes = sorted(g.nodes)
     rng = random.Random(10)
     table = _StepTable(g, pol, nodes, rng)
@@ -450,7 +483,10 @@ def assert_table_follows_step(g, pol, arrivals, name):
             t = table.fill(o, i)
             assert rng.getstate() == before, name
         if t < -2:
-            t = table.draw(o, t)
+            before = rng.getstate()
+            t = table.draw(o, i, t)
+            if t < 0:
+                assert table.free == 0 and rng.getstate() == before, name
         o = t
         if o < 0:  # the run would hand this step to the engine
             break
@@ -467,15 +503,14 @@ def assert_table_follows_step(g, pol, arrivals, name):
             filled += 1
             spec, outs = table.records[-3 - t]
             law = {taken_by_class(w, v, j): p for j, p in _law(spec).items()}
-            want = {apply_decision(w, v, d): p
-                    for d, p in decision_distribution(g, pol, w, v).items()}
+            want = {apply_decision(w, v, x): p
+                    for x, p in decision_distribution(g, pol, w, v).items()}
             assert law == want, name
             assert len(law) > 1 or spec[1][0] in ("shuffle", "random"), name
             for j, u in zip(spec[0], outs):
                 assert u < 0 or table.words[u // k] == taken_by_class(w, v, j), name
     assert filled > 0, name
-    reserved = sum(u < 0 for _, outs in table.records for u in outs)
-    assert len(table.words) + reserved + table.free == chain_module._TABLE_MAX_STATES, name
+    assert len(table.words) + table.free == chain_module._TABLE_MAX_STATES, name
     if is_draw_free(pol):
         assert not table.records and rng.getstate() == random.Random(10).getstate(), name
 
@@ -547,33 +582,37 @@ def test_table_bounds_are_crossed_both_ways(path_loop, mu_path):
             assert repr(got) == want, chunk
 
 
-def test_every_draw_lands_in_a_table_that_fills_up(diamond_hub, mu_diamond):
-    # with a small table, draw records reserve the states of the words they
-    # can draw: each draw lands in the table, the table fills up to its
-    # bound and no further, and a drawn word still joins it when no state is
-    # free; a word the engine tallied may be such a word, so the run's
-    # tallies add up to the engine's
-    seen = []  # (free before, states before, states after, result) per call
+def test_a_full_table_hands_draws_to_the_engine(diamond_hub, mu_diamond):
+    # with a small table, the table fills up to its bound and no further;
+    # once it is full, a draw record with a class that has no state yet hands
+    # its step to the engine before its draw, and the engine's step makes the
+    # same RNG call, so the run and the RNG's final state are the engine's
+    tables, sizes, handed = [], [], []
+    real_enter, real_draw = _StepTable.enter, _StepTable.draw
 
-    def watched(real):
-        def call(table, o, t):
-            free, before = table.free, len(table.words)
-            t = real(table, o, t)
-            seen.append((real.__name__, free, before, len(table.words), t))
-            return t
-        return call
+    def enter(table, w):
+        o = real_enter(table, w)
+        sizes.append(len(table.words))
+        return o
+
+    def draw(table, o, i, t):
+        free, before = table.free, table.rng.getstate()
+        t = real_draw(table, o, i, t)
+        if t < 0:
+            handed.append((free, before == table.rng.getstate()))
+            tables.append(table)
+        return t
 
     pol = match_the_longest()
     run = engine_run(diamond_hub, mu_diamond, pol, 3000, 2)
     with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=3, _TABLE_MAX_STATES=12), \
-            patch.object(_StepTable, "draw", watched(_StepTable.draw)), \
-            patch.object(_StepTable, "fill", watched(_StepTable.fill)):
+            patch.multiple(_StepTable, enter=enter, draw=draw):
         got, state = recorded_simulate(diamond_hub, mu_diamond, pol, 3000,
                                        burn_in=30, seed=2, word_cap=16)
-    draws = [s for s in seen if s[0] == "draw"]
-    assert draws and all(t >= 0 for *_, t in draws)
-    assert max(after for *_, after, _ in seen) == 12
-    assert any(free == 0 and after > before for _, free, before, after, _ in draws)
+    assert max(sizes) == 12
+    assert handed and all(h == (0, True) for h in handed)
+    # a hand-over is never stored: no record's class leads off the table
+    assert all(u >= -1 for _, outs in tables[0].records for u in outs)
     assert repr(got) == repr(engine_simulation(diamond_hub, run, 30, 2, 16))
     assert state == run[2]
 

@@ -1,9 +1,12 @@
+import argparse
 import contextlib
 import copy
 import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -615,3 +618,23 @@ def test_readme_library_example():
     assert dist.alpha == Fraction(4, 25)
     res = simulate(g, mu, Fcfm(), steps=10**5, seed=0)
     assert abs(res.frequency(()) - float(dist.pi(()))) < 0.01
+
+
+def readme_command_lines() -> list[list[str]]:
+    """The ``multimatch ...`` lines of the README's ``sh`` blocks, with
+    backslash continuations joined, split as the shell would."""
+    text = Path(__file__).resolve().parent.parent.joinpath("README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    joined = "\n".join(blocks).replace("\\\n", " ")
+    return [shlex.split(line, comments=True) for line in joined.splitlines()
+            if line.startswith("multimatch ")]
+
+
+def test_readme_command_lines_parse():
+    parser = multimatch.cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    lines = readme_command_lines()
+    for argv in lines:
+        parser.parse_args(argv[1:])
+    assert {argv[1] for argv in lines} == set(commands)

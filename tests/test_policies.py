@@ -40,19 +40,18 @@ def test_match_candidates_square(square_loops):
 def test_fcfm_lcfm_positions(square_loops):
     rng = random.Random(0)
     w = ("2", "4")
-    d = decide(square_loops, Fcfm(), w, "1", rng)
-    assert (d.position, d.matched_class) == (0, "2")
-    d = decide(square_loops, Lcfm(), w, "1", rng)
-    assert (d.position, d.matched_class) == (1, "4")
-    d = decide(square_loops, Fcfm(), (), "1", rng)
-    assert not d.is_match
+    x = decide(square_loops, Fcfm(), w, "1", rng)
+    assert (x, w[x]) == (0, "2")
+    x = decide(square_loops, Lcfm(), w, "1", rng)
+    assert (x, w[x]) == (1, "4")
+    assert decide(square_loops, Fcfm(), (), "1", rng) is None
 
 
 def test_match_the_longest_picks_longer_queue(square_loops):
     rng = random.Random(0)
     w = ("2", "2", "4")
-    d = decide(square_loops, match_the_longest(), w, "1", rng)
-    assert d.matched_class == "2" and d.position == 0
+    x = decide(square_loops, match_the_longest(), w, "1", rng)
+    assert w[x] == "2" and x == 0
 
 
 def test_longest_and_shortest_extremes(path_loop):
@@ -69,8 +68,8 @@ def test_longest_and_shortest_extremes(path_loop):
                 cands = match_candidates(path_loop, counts, v)
                 if not cands:
                     continue
-                top = decide(path_loop, ml, w, v, rng).matched_class
-                bot = decide(path_loop, ms, w, v, rng).matched_class
+                top = w[decide(path_loop, ml, w, v, rng)]
+                bot = w[decide(path_loop, ms, w, v, rng)]
                 assert counts[top] == max(counts[c] for c in cands)
                 assert counts[bot] == min(counts[c] for c in cands)
 
@@ -106,7 +105,7 @@ def test_v2_favorable_never_picks_looped_when_avoidable(path_loop):
                 cands = match_candidates(path_loop, counts, v)
                 if not cands:
                     continue
-                chosen = decide(path_loop, pol, w, v, rng).matched_class
+                chosen = w[decide(path_loop, pol, w, v, rng)]
                 if cands & path_loop.v2:
                     assert chosen in path_loop.v2
 
@@ -130,17 +129,20 @@ def test_decide_only_returns_adjacent(diamond_hub):
     for pol in (Fcfm(), Lcfm(), RandomPolicy(), match_the_longest()):
         for w in enumerate_states(diamond_hub, 4):
             for v in diamond_hub.nodes:
-                d = decide(diamond_hub, pol, w, v, rng)
-                if d.is_match:
-                    assert d.matched_class in diamond_hub.adjacency[v]
-                    assert w[d.position] == d.matched_class
+                x = decide(diamond_hub, pol, w, v, rng)
+                if x is not None:
+                    assert w[x] in diamond_hub.adjacency[v]
+                    # the oldest stored item of its class, the newest under LCFM
+                    same = [k for k, c in enumerate(w) if c == w[x]]
+                    assert x == (same[-1] if isinstance(pol, Lcfm) else same[0])
 
 
 def test_random_uniform_distribution(diamond_hub):
     # with the hub stored twice nothing changes; with classes 3 and 4 stored a
     # hub arrival is torn uniformly
-    law = decision_distribution(diamond_hub, RandomPolicy(), ("3", "4"), "2")
-    assert {d.matched_class: p for d, p in law.items()} == {
+    w = ("3", "4")
+    law = decision_distribution(diamond_hub, RandomPolicy(), w, "2")
+    assert {w[x]: p for x, p in law.items()} == {
         "3": Fraction(1, 2),
         "4": Fraction(1, 2),
     }
@@ -156,8 +158,9 @@ def test_explicit_permutation_distribution(path_loop):
         }
     )
     validate_policy(pol, path_loop)
-    law = decision_distribution(path_loop, pol, ("1", "3"), "2")
-    assert {d.matched_class: p for d, p in law.items()} == {
+    w = ("1", "3")
+    law = decision_distribution(path_loop, pol, w, "2")
+    assert {w[x]: p for x, p in law.items()} == {
         "1": Fraction(7, 10),
         "3": Fraction(3, 10),
     }
