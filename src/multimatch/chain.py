@@ -132,8 +132,10 @@ def kernel_row(
         pv = mu[v]
         for x, p in decision_distribution(g, policy, w, v).items():
             target = apply_decision(w, v, x)
-            mass = pv * p
-            row[target] = row.get(target, Fraction(0)) + mass
+            # a sure decision's exact 1 keeps the arrival's mass and its type;
+            # a float probability, even 1.0, still turns the mass into a float
+            mass = pv if type(p) is Fraction and p == 1 else pv * p
+            row[target] = row[target] + mass if target in row else mass
     return row
 
 

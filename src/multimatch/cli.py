@@ -189,16 +189,16 @@ def cmd_stationary_fcfm(args) -> int:
     g = _load_graph(args.graph)
     mu = _load_measure(args.mu)
     dist = stationary.product_form(g, mu)
-    states = chain.enumerate_states(g, args.max_len)
-    rows = [(_fmt_word(w), dist.pi(w)) for w in states]
-    inside = sum((p for _, p in rows), Fraction(0))
+    pi = dist.table(args.max_len)
+    rows = [(_fmt_word(w), p) for w, p in pi.items()]
+    inside = sum(pi.values(), Fraction(0))
     art = Artifacts(args.out, "stationary-fcfm")
     art.add_csv("stationary_fcfm", ["word", "probability"], rows)
     art.finish(
         {
             "alpha": dist.alpha,
             "max_len": args.max_len,
-            "states": len(states),
+            "states": len(pi),
             "truncated_mass": inside,
             "tail_mass": 1 - inside,
         }
@@ -286,23 +286,22 @@ def cmd_tv_compare(args) -> int:
     policy = _load_policy(args.policy)
     policies.validate_policy(policy, g)
     dist = stationary.product_form(g, mu)
-    states = chain.enumerate_states(g, args.max_len)
-    pi = {w: dist.pi(w) for w in states}
+    pi = dist.table(args.max_len)
     exact_tail = 1 - float(sum(pi.values(), Fraction(0)))
     tvs = []
     freq_cols = []
     for res in _replica_runs(g, mu, policy, args, args.max_len):
-        freqs = {w: res.frequency(w) for w in states}
+        freqs = {w: res.frequency(w) for w in pi}
         emp_tail = res.overflow_steps / res.recorded_steps
         tv = 0.5 * (
-            sum(abs(freqs[w] - float(pi[w])) for w in states)
+            sum(abs(freqs[w] - float(pi[w])) for w in pi)
             + abs(emp_tail - exact_tail)
         )
         tvs.append(tv)
         freq_cols.append(freqs)
     rows = [
         tuple([_fmt_word(w), pi[w]] + [col[w] for col in freq_cols])
-        for w in states
+        for w in pi
     ]
     ok = all(tv <= args.tol for tv in tvs)
     art = Artifacts(args.out, "tv-compare")

@@ -82,12 +82,32 @@ class ProductFormDistribution:
             )
         return value
 
+    def table(self, max_len: int) -> dict[Word, Weight]:
+        """Stationary probability of every admissible word up to ``max_len``,
+        in the order of ``enumerate_states``.
+
+        pi(w) is pi of ``w`` without its last letter times that letter's mass
+        over the neighborhood mass of the letter set of ``w``.  The sorted
+        enumeration puts every prefix before its extensions, so each word
+        costs one product, and each distinct letter set one neighborhood
+        mass.  The factors are folded in the order :meth:`pi` uses, so float
+        values equal :meth:`pi`'s too.
+        """
+        g, mu = self.graph, self.measure
+        out: dict[Word, Weight] = {(): self.alpha}
+        masses: dict[frozenset[Node], Weight] = {}
+        # the enumeration starts with the empty word, whose pi is alpha
+        for w in enumerate_states(g, max_len)[1:]:
+            letters = frozenset(w)
+            d = masses.get(letters)
+            if d is None:
+                d = masses[letters] = mu.mass(g.neighborhood(letters))
+            out[w] = out[w[:-1]] * (mu[w[-1]] / d)
+        return out
+
     def truncated_mass(self, max_len: int) -> Weight:
         """Total stationary mass on words of length at most ``max_len``."""
-        return sum(
-            (self.pi(w) for w in enumerate_states(self.graph, max_len)),
-            Fraction(0),
-        )
+        return sum(self.table(max_len).values(), Fraction(0))
 
 
 def product_form(g: Multigraph, mu: ProbMeasure) -> ProductFormDistribution:
@@ -105,8 +125,7 @@ def finite_stationary(g: Multigraph, mu: ProbMeasure) -> dict[Word, Weight]:
         raise StationaryError(
             f"finite table needs every node self-looped; {sorted(g.v2)} are not"
         )
-    dist = product_form(g, mu)
-    table = {w: dist.pi(w) for w in enumerate_states(g, len(g.nodes))}
+    table = product_form(g, mu).table(len(g.nodes))
     total = sum(table.values())
     if isinstance(total, Fraction):
         assert total == 1, f"finite table sums to {total}"
@@ -180,18 +199,17 @@ def balance_residual(
     """
     if max_len < 0:
         raise StationaryError(f"max_len must be >= 0, got {max_len}")
-    dist = product_form(g, mu)
     policy = Fcfm()
-    states = enumerate_states(g, max_len + 1)
-    pi = {u: dist.pi(u) for u in states}
+    pi = product_form(g, mu).table(max_len + 1)
     inflow: dict[Word, Weight] = {}
-    for u in states:
+    for u, pu in pi.items():
         for w, p in kernel_row(g, mu, policy, u).items():
-            inflow[w] = inflow.get(w, Fraction(0)) + pi[u] * p
+            term = pu * p
+            inflow[w] = inflow[w] + term if w in inflow else term
     worst = 0.0
     worst_word: Optional[Word] = None
-    # the words up to max_len lead the list, which is sorted by length
-    for w in takewhile(lambda w: len(w) <= max_len, states):
+    # the words up to max_len lead the table, which is sorted by length
+    for w in takewhile(lambda w: len(w) <= max_len, pi):
         residual = abs(float(pi[w] - inflow[w]))
         if report is not None:
             report(w, residual)

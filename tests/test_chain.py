@@ -280,6 +280,52 @@ def test_exact_layer_is_pinned(tripartite_loop, mu_tripartite, diamond_hub, mu_d
     assert exact_layer_digests(models) == PINNED_EXACT_DIGESTS
 
 
+def float_row_digests(models) -> dict[str, str]:
+    """sha256 per model of the repr of every kernel row, entry order and
+    value types included, over the words of at most 3 letters: under a float
+    measure with every kind of :func:`policy_kinds`, and under explicit
+    permutations with float weights with a float and with an exact measure.
+    The float weights are dyadic, so a class every permutation puts first
+    has the float probability 1.0 exactly."""
+    out = {}
+    for name, (g, mu) in models.items():
+        mu_float = ProbMeasure({c: float(p) for c, p in mu.weights.items()})
+        kinds = policy_kinds(g)
+        float_perms = RandomPolicy({v: tuple((perm, p) for (perm, _), p in zip(dist, (0.5, 0.25, 0.25)))
+                                    for v, dist in kinds["random_perms"].perms.items()})
+        cases = {
+            "float measure": [(mu_float, pol) for pol in kinds.values()],
+            "float perms": [(mu_float, float_perms)],
+            "exact measure, float perms": [(mu, float_perms)],
+        }
+        for case, runs in cases.items():
+            digest = hashlib.sha256()
+            for m, pol in runs:
+                for w in enumerate_states(g, 3):
+                    digest.update(repr(list(kernel_row(g, m, pol, w).items())).encode())
+            out[f"{name} {case}"] = digest.hexdigest()
+    return out
+
+
+# computed while kernel_row multiplied every decision's probability
+PINNED_FLOAT_ROW_DIGESTS = {
+    "tripartite_loop float measure": "50653176a0f4ad3e93e682742cb7e517cb19255b65ef2c2cdb1ba4ed1b5c1e3d",
+    "tripartite_loop float perms": "62eaca5b784bff2ccd53430fba053302523a702fa457d326a13040456aac1f47",
+    "tripartite_loop exact measure, float perms": "0bee4818576274a682430b8d2fa24f909be119661c4abcbb8d73f1e214619493",
+    "diamond_hub_loop float measure": "d7612a289b05069faea2bca2c89a84daed20e068f467b7fed62f2f180c2b38e2",
+    "diamond_hub_loop float perms": "952658fdfa452eacd8cc983b0df61306db1297258af71f606cd32b44a909d351",
+    "diamond_hub_loop exact measure, float perms": "8eab6ba5fb37100bbd9a749a4a47a0ad5169e4472b247ba6d70ed3adf2dfa1c5",
+}
+
+
+def test_float_kernel_rows_are_pinned(tripartite_loop, mu_tripartite, diamond_hub, mu_diamond):
+    # a sure decision may skip its product only when its probability is the
+    # exact 1: a float probability still turns an exact mass into a float
+    models = {"tripartite_loop": (tripartite_loop, mu_tripartite),
+              "diamond_hub_loop": (diamond_hub, mu_diamond)}
+    assert float_row_digests(models) == PINNED_FLOAT_ROW_DIGESTS
+
+
 def assert_engine_follows_step(g, pol, arrivals, name):
     """Same words and the same RNG stream as the word-level step."""
     engine = BufferEngine(g, pol)

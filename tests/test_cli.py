@@ -245,6 +245,30 @@ def test_drift_artifacts_are_pinned(capsys, tmp_path):
         assert digests == pinned, command
 
 
+# sha256 of the --out files on tripartite_loop, computed while every command
+# still evaluated pi word by word
+PINNED_PRODUCT_FORM_ARTIFACTS = {
+    ("verify-balance", "7"): {
+        "balance_residuals.csv": "ecf6e7b13eabbea6c0a9c8a80d91db1902e377d963f352ac04a954c56e50b9a8",
+        "verify-balance.json": "561666188e8ffdd79d4e8d36197ccedaa8aed9bb59da7ebd3c85f31daabbe82f",
+    },
+    ("stationary-fcfm", "5"): {
+        "stationary_fcfm.csv": "e3e4c70cd9660e010637c22cf46c1555bac02476269d85fb5ed2e7ad96dc369b",
+        "stationary-fcfm.json": "22079c1489a2e2ed339a861f5e1bbba788d19612f34dc8eec7c86370c247ebe2",
+    },
+}
+
+
+def test_product_form_artifacts_are_pinned(capsys, tmp_path):
+    model = ["--graph", fx("tripartite_loop.graph.json"), "--mu", fx("tripartite_loop.mu.json")]
+    for (command, max_len), pinned in PINNED_PRODUCT_FORM_ARTIFACTS.items():
+        out = tmp_path / command
+        code, _ = run(capsys, command, *model, "--max-len", max_len, "--out", str(out))
+        assert code == 0
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        assert digests == pinned, command
+
+
 def test_drift_commands_make_one_law_pass_per_graph_and_word(capsys):
     # a pass asks for the decision law of every arrival class on one graph;
     # tripartite_loop has 5 classes, its blow-up 6, its loop-free graph 5

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
@@ -206,6 +207,51 @@ def test_truncated_mass(square_loops, mu_square_uniform, path_loop, mu_path):
     assert all(a < b for a, b in zip(masses, masses[1:]))
     assert masses[0] == dist3.alpha
     assert 1 - masses[-1] < Fraction(1, 2)
+
+
+def test_table_equals_pi_word_by_word(square_loops, mu_square_uniform, diamond_hub,
+                                      mu_diamond, path_loop, mu_path, tripartite_loop,
+                                      mu_tripartite, triangle):
+    # the prefix recursion against the per-word oracle: same words in the same
+    # order, equal values of equal types, under the exact measure and under a
+    # float copy of it, on the fixtures and on seeded stable random models
+    models = [(square_loops, mu_square_uniform, 4), (diamond_hub, mu_diamond, 5),
+              (path_loop, mu_path, 6), (tripartite_loop, mu_tripartite, 5),
+              (triangle, ProbMeasure.uniform(triangle), 6)]
+    rng = random.Random(5)
+    while len(models) < 25:
+        g = random_multigraph(rng)
+        mu = random_measure(rng, g.nodes)
+        if not g.is_bipartite()[0] and ncond_check(g, mu).satisfied:
+            models.append((g, mu, 4))
+    floats = 0
+    for g, mu, max_len in models:
+        mu_float = ProbMeasure({c: float(p) for c, p in mu.weights.items()})
+        for m in (mu, mu_float) if ncond_check(g, mu_float).satisfied else (mu,):
+            dist = product_form(g, m)
+            table = dist.table(max_len)
+            oracle = {w: dist.pi(w) for w in enumerate_states(g, max_len)}
+            assert list(table.items()) == list(oracle.items())
+            assert [type(p) for p in table.values()] == [type(p) for p in oracle.values()]
+            assert dist.truncated_mass(max_len) == sum(table.values())
+            floats += m is mu_float
+    assert floats > 20
+
+
+def test_balance_residual_takes_one_neighborhood_mass_per_letter_set(tripartite_loop,
+                                                                    mu_tripartite):
+    # alpha's masses, then one per distinct nonempty letter set of the words
+    # up to length 9: 14 + 7, where pi word by word took 8,583
+    def count_masses(run):
+        with patch.object(ProbMeasure, "mass", autospec=True,
+                          side_effect=ProbMeasure.mass) as masses:
+            run()
+        return masses.call_count
+
+    normalizer = count_masses(lambda: product_form(tripartite_loop, mu_tripartite))
+    letter_sets = {frozenset(w) for w in enumerate_states(tripartite_loop, 9) if w}
+    calls = count_masses(lambda: balance_residual(tripartite_loop, mu_tripartite, 8))
+    assert calls <= normalizer + len(letter_sets)
 
 
 def test_alpha_vanishes_at_the_region_boundary(path_loop):
