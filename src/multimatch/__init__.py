@@ -31,7 +31,6 @@ from .policies import (
     decide,
     decision_distribution,
     extend_policy,
-    match_candidates,
     match_the_longest,
     match_the_shortest,
     policy_dumps,

@@ -21,6 +21,8 @@ hold, and a draw that may lead to a new word when the table is full.  When
 the policy never draws, only the arrivals draw, so they are drawn in bulk, a
 chunk at a time, and the bulk stream equals the per-step one; a policy that
 can draw takes its arrivals one at a time, interleaved with its own draws.
+Only the simulation code imports numpy, inside the functions that use it, so
+the exact layer runs without loading it.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
 from typing import Iterator, Optional
-
-import numpy as np
 
 from .graphs import Multigraph, Node
 from .measures import ProbMeasure, Weight, cumulative
@@ -197,6 +197,8 @@ def _arrival_chunks(
     ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and ``searchsorted`` on the right
     is ``bisect_right``.  Each chunk is drawn when it is taken.
     """
+    import numpy as np
+
     table = np.asarray(cum)
     while steps > 0:
         n = min(steps, _ARRIVAL_CHUNK)
@@ -344,7 +346,8 @@ class _StepTable:
       - the offset of the next state, when the step does not draw;
       - ``-3 - r`` for draw record ``r`` when it does: ``records[r]`` holds
         the policy's draw spec and, per class of the spec, the offset of the
-        state its draw leads to, -1 until that class is first drawn;
+        state its draw leads to, -1 until that class is first drawn or a
+        draw in a full table finds its word;
       - -1 until the step is first taken, or -2 once it is known to leave
         the table.
     A missing entry is filled from :func:`policies._transition` at the
@@ -354,6 +357,8 @@ class _StepTable:
     """
 
     def __init__(self, g: Multigraph, policy: Policy, nodes: list[Node], rng: random.Random):
+        import numpy as np
+
         self.g = g
         self.policy = policy
         self.nodes = nodes  # per arrival index
@@ -401,13 +406,20 @@ class _StepTable:
 
         The record's spec makes its one call on the run's RNG.  A class drawn
         for the first time takes the oldest item of that class out of the
-        word of ``o``.  When no state is free and some class of the record
-        has no state yet, the draw is -2 and makes no call: the run hands
-        this step to the engine, whose step makes the same call.
+        word of ``o``.  When no state is free, each class of the record with
+        no state yet takes the state of its word if the table holds it; if
+        some class's word is still missing, the draw is -2 and makes no
+        call: the run hands this step to the engine, whose step makes the
+        same call.
         """
         spec, outs = self.records[-3 - t]
         if not self.free and -1 in outs:
-            return -2
+            w, v = self.words[o // self.k], self.nodes[i]
+            for x, j in enumerate(spec[0]):
+                if outs[x] == -1:
+                    outs[x] = self.ids.get(apply_decision(w, v, w.index(j)), -1)
+            if -1 in outs:
+                return -2
         x = _sample(spec, self.rng)
         t = outs[x]
         if t < 0:
@@ -493,6 +505,8 @@ def simulate(
     if word_cap < 0:
         raise ChainError(f"word_cap must be >= 0, got {word_cap}")
     mu.check_support(g)
+    import numpy as np
+
     rng = random.Random(seed)
     nodes, cum = _arrival_table(mu)
 
@@ -638,6 +652,8 @@ def least_squares_slope(lengths) -> float:
     The sums accumulate left to right (``np.cumsum``, not the pairwise order
     of ``np.sum``); fewer than two lengths give 0.0.
     """
+    import numpy as np
+
     y = np.asarray(lengths, dtype=float)
     n = y.size
     if n < 2:

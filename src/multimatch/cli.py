@@ -5,8 +5,14 @@ JSON summary, printed to stdout and optionally written under ``--out``.
 Output files carry no timestamps, so identical configurations produce
 byte-identical artifacts.
 
-Exit codes: 0 success or verified, 1 verification failure, 2 input error,
-3 internal error (an unexpected exception; its traceback goes to stderr).
+Every command is a function from its parsed options, its ``Artifacts`` and
+its loaded inputs (graph, measure, policy) to a JSON summary; :func:`main`
+loads the inputs, writes the artifacts and picks the exit code, the same way
+for every command.  Exit codes: 0 success, 1 exactly when the summary's
+``verified`` is false, 2 input error, 3 internal error (an unexpected
+exception; its traceback goes to stderr).  The exact commands never load
+numpy: only the simulating ones (``simulate``, ``tv-compare``,
+``reversibility``, ``excursions``) do.
 """
 
 from __future__ import annotations
@@ -51,14 +57,9 @@ _PARSE_ERRORS = (
 )
 
 
-def _load_graph(path: str) -> Multigraph:
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return Multigraph.loads(fh.read())
-
-
-def _load_measure(path: str) -> ProbMeasure:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ProbMeasure.loads(fh.read())
+        return fh.read()
 
 
 def _load_policy(spec: Optional[str]) -> Policy:
@@ -66,8 +67,7 @@ def _load_policy(spec: Optional[str]) -> Policy:
     if spec is None:
         return policies.Fcfm()
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return policies.policy_loads(fh.read())
+        return policies.policy_loads(_read(spec))
     stripped = spec.strip()
     if stripped.startswith("{"):
         return policies.policy_loads(stripped)
@@ -127,105 +127,74 @@ class Artifacts:
 # -- commands --------------------------------------------------------------
 
 
-def cmd_info(args) -> int:
-    g = _load_graph(args.graph)
-    art = Artifacts(args.out, "info")
+def cmd_info(args, art: Artifacts, g: Multigraph) -> dict:
     bip, parts = g.is_bipartite()
     decomposition = g.complete_multipartite_decomposition()
     bmap = g.minimal_blowup()
-    art.finish(
-        {
-            "nodes": list(g.nodes),
-            "edge_count": len(g.edges),
-            "ordered_edge_count": g.ordered_edge_count,
-            "self_loops": sorted(g.self_loops),
-            "degrees": {i: g.degree(i) for i in g.nodes},
-            "bipartite": bip,
-            "bipartition": [sorted(s) for s in parts] if parts else None,
-            "multipartite_parts": (
-                [sorted(p) for p in decomposition] if decomposition else None
-            ),
-            "blowup_copies": dict(sorted(bmap.copy_of.items())),
-            "independent_set_count": sum(1 for _ in g.independent_sets()),
-        }
-    )
-    return EXIT_OK
+    return {
+        "nodes": list(g.nodes),
+        "edge_count": len(g.edges),
+        "ordered_edge_count": g.ordered_edge_count,
+        "self_loops": sorted(g.self_loops),
+        "degrees": {i: g.degree(i) for i in g.nodes},
+        "bipartite": bip,
+        "bipartition": [sorted(s) for s in parts] if parts else None,
+        "multipartite_parts": [sorted(p) for p in decomposition] if decomposition else None,
+        "blowup_copies": dict(sorted(bmap.copy_of.items())),
+        "independent_set_count": sum(1 for _ in g.independent_sets()),
+    }
 
 
-def cmd_ncond(args) -> int:
-    g = _load_graph(args.graph)
-    mu = _load_measure(args.mu)
+def cmd_ncond(args, art: Artifacts, g: Multigraph, mu: ProbMeasure) -> dict:
     report = measures.ncond_check(g, mu)
     bip, _ = g.is_bipartite()
-    art = Artifacts(args.out, "ncond")
-    art.finish(
-        {
-            "satisfied": report.satisfied,
-            "margin": _json_safe(report.margin),
-            "witness": sorted(report.witness) if report.witness else None,
-            "region_empty": bip,
-        }
-    )
-    return EXIT_OK
+    return {
+        "satisfied": report.satisfied,
+        "margin": _json_safe(report.margin),
+        "witness": sorted(report.witness) if report.witness else None,
+        "region_empty": bip,
+    }
 
 
-def cmd_mudeg(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_mudeg(args, art: Artifacts, g: Multigraph) -> dict:
     mu = measures.mu_deg(g)
     report = measures.ncond_check(g, mu)
-    art = Artifacts(args.out, "mudeg")
     art.files["mudeg_measure.json"] = mu.dumps()
-    art.finish(
-        {
-            "measure": mu.to_json_dict(),
-            "satisfied": report.satisfied,
-            "margin": _json_safe(report.margin),
-        }
-    )
-    return EXIT_OK
+    return {
+        "measure": mu.to_json_dict(),
+        "satisfied": report.satisfied,
+        "margin": _json_safe(report.margin),
+    }
 
 
-def cmd_stationary_fcfm(args) -> int:
-    g = _load_graph(args.graph)
-    mu = _load_measure(args.mu)
+def cmd_stationary_fcfm(args, art: Artifacts, g: Multigraph, mu: ProbMeasure) -> dict:
     dist = stationary.product_form(g, mu)
     pi = dist.table(args.max_len)
     rows = [(_fmt_word(w), p) for w, p in pi.items()]
     inside = sum(pi.values(), Fraction(0))
-    art = Artifacts(args.out, "stationary-fcfm")
     art.add_csv("stationary_fcfm", ["word", "probability"], rows)
-    art.finish(
-        {
-            "alpha": dist.alpha,
-            "max_len": args.max_len,
-            "states": len(pi),
-            "truncated_mass": inside,
-            "tail_mass": 1 - inside,
-        }
-    )
-    return EXIT_OK
+    return {
+        "alpha": dist.alpha,
+        "max_len": args.max_len,
+        "states": len(pi),
+        "truncated_mass": inside,
+        "tail_mass": 1 - inside,
+    }
 
 
-def cmd_verify_balance(args) -> int:
-    g = _load_graph(args.graph)
-    mu = _load_measure(args.mu)
+def cmd_verify_balance(args, art: Artifacts, g: Multigraph, mu: ProbMeasure) -> dict:
     rows: list = []
     residual, worst = stationary.balance_residual(
         g, mu, args.max_len, report=lambda w, r: rows.append((_fmt_word(w), r))
     )
-    ok = residual <= args.tol
-    art = Artifacts(args.out, "verify-balance")
     art.add_csv("balance_residuals", ["word", "residual"], rows)
-    art.finish(
-        {
-            "max_residual": residual,
-            "argmax_word": _fmt_word(worst) if worst is not None else None,
-            "max_len": args.max_len,
-            "tol": args.tol,
-            "verified": ok,
-        }
-    )
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return {
+        "max_residual": residual,
+        "argmax_word": _fmt_word(worst) if worst is not None else None,
+        "max_len": args.max_len,
+        "tol": args.tol,
+        "verified": residual <= args.tol,
+    }
 
 
 def _replica_runs(g, mu, policy, args, word_cap: int) -> list:
@@ -246,11 +215,7 @@ def _replica_runs(g, mu, policy, args, word_cap: int) -> list:
     ]
 
 
-def cmd_simulate(args) -> int:
-    g = _load_graph(args.graph)
-    mu = _load_measure(args.mu)
-    policy = _load_policy(args.policy)
-    policies.validate_policy(policy, g)
+def cmd_simulate(args, art: Artifacts, g: Multigraph, mu: ProbMeasure, policy: Policy) -> dict:
     results = _replica_runs(g, mu, policy, args, args.word_cap)
     counts: dict[Word, int] = {}
     for res in results:
@@ -261,30 +226,22 @@ def cmd_simulate(args) -> int:
         (_fmt_word(w), c, c / recorded)
         for w, c in sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
     ]
-    art = Artifacts(args.out, "simulate")
     art.add_csv("simulate", ["word", "visit_count", "frequency"], rows)
-    art.finish(
-        {
-            "seed": args.seed,
-            "replicas": args.replicas,
-            "steps": args.steps,
-            "burn_in": results[0].burn_in,
-            "recorded_steps": recorded,
-            "mean_queue_len": sum(r.mean_queue_len for r in results) / len(results),
-            "max_queue_len": max(r.max_queue_len for r in results),
-            "tail_slope": sum(r.tail_slope for r in results) / len(results),
-            "overflow_steps": sum(r.overflow_steps for r in results),
-            "word_cap": args.word_cap,
-        }
-    )
-    return EXIT_OK
+    return {
+        "seed": args.seed,
+        "replicas": args.replicas,
+        "steps": args.steps,
+        "burn_in": results[0].burn_in,
+        "recorded_steps": recorded,
+        "mean_queue_len": sum(r.mean_queue_len for r in results) / len(results),
+        "max_queue_len": max(r.max_queue_len for r in results),
+        "tail_slope": sum(r.tail_slope for r in results) / len(results),
+        "overflow_steps": sum(r.overflow_steps for r in results),
+        "word_cap": args.word_cap,
+    }
 
 
-def cmd_tv_compare(args) -> int:
-    g = _load_graph(args.graph)
-    mu = _load_measure(args.mu)
-    policy = _load_policy(args.policy)
-    policies.validate_policy(policy, g)
+def cmd_tv_compare(args, art: Artifacts, g: Multigraph, mu: ProbMeasure, policy: Policy) -> dict:
     dist = stationary.product_form(g, mu)
     pi = dist.table(args.max_len)
     exact_tail = 1 - float(sum(pi.values(), Fraction(0)))
@@ -303,29 +260,22 @@ def cmd_tv_compare(args) -> int:
         tuple([_fmt_word(w), pi[w]] + [col[w] for col in freq_cols])
         for w in pi
     ]
-    ok = all(tv <= args.tol for tv in tvs)
-    art = Artifacts(args.out, "tv-compare")
     art.add_csv(
         "tv_compare",
         ["word", "probability"] + [f"frequency_seed{args.seed + k}" for k in range(args.replicas)],
         rows,
     )
-    art.finish(
-        {
-            "alpha": dist.alpha,
-            "max_len": args.max_len,
-            "exact_tail_mass": exact_tail,
-            "tv_per_replica": tvs,
-            "tol": args.tol,
-            "verified": ok,
-        }
-    )
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return {
+        "alpha": dist.alpha,
+        "max_len": args.max_len,
+        "exact_tail_mass": exact_tail,
+        "tv_per_replica": tvs,
+        "tol": args.tol,
+        "verified": all(tv <= args.tol for tv in tvs),
+    }
 
 
-def cmd_reversibility(args) -> int:
-    g = _load_graph(args.graph)
-    mu = _load_measure(args.mu)
+def cmd_reversibility(args, art: Artifacts, g: Multigraph, mu: ProbMeasure) -> dict:
     report = detailed.verify_local_balance_empirical(
         g, mu, steps=args.steps, seed=args.seed, min_visits=args.min_visits
     )
@@ -334,29 +284,21 @@ def cmd_reversibility(args) -> int:
             f"no transition was visited --min-visits {args.min_visits} times on both "
             f"sides in --steps {args.steps}; raise --steps or lower --min-visits"
         )
-    ok = report.max_z <= 3.0
-    art = Artifacts(args.out, "reversibility")
-    art.finish(
-        {
-            "steps": report.steps,
-            "seed": report.seed,
-            "min_visits": report.min_visits,
-            "pairs_tested": report.pairs_tested,
-            "max_normalized_discrepancy": report.max_z,
-            "fraction_within_2se": report.fraction_within(2.0),
-            "fraction_within_3se": report.fraction_within(3.0),
-            "undetermined_forward_count": report.undetermined_forward,
-            "verified": ok,
-        }
-    )
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return {
+        "steps": report.steps,
+        "seed": report.seed,
+        "min_visits": report.min_visits,
+        "pairs_tested": report.pairs_tested,
+        "max_normalized_discrepancy": report.max_z,
+        "fraction_within_2se": report.fraction_within(2.0),
+        "fraction_within_3se": report.fraction_within(3.0),
+        "undetermined_forward_count": report.undetermined_forward,
+        "verified": report.max_z <= 3.0,
+    }
 
 
-def cmd_excursions(args) -> int:
-    g = _load_graph(args.graph)
-    mu = _load_measure(args.mu)
+def cmd_excursions(args, art: Artifacts, g: Multigraph, mu: ProbMeasure) -> dict:
     report = detailed.analyze_excursions(g, mu, steps=args.steps, seed=args.seed)
-    art = Artifacts(args.out, "excursions")
     art.add_csv(
         "excursion_lengths",
         ["length", "count"],
@@ -375,19 +317,15 @@ def cmd_excursions(args) -> int:
         ["class", "count", "frequency", "arrival_probability", "deviation_sigmas"],
         rows,
     )
-    ok = report.all_permutation_valid and report.all_roundtrip_valid
-    art.finish(
-        {
-            "steps": args.steps,
-            "seed": args.seed,
-            "excursions": report.n_excursions,
-            "total_letters": report.total_letters,
-            "permutation_valid": report.permutation_valid,
-            "roundtrip_valid": report.roundtrip_valid,
-            "verified": ok,
-        }
-    )
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return {
+        "steps": args.steps,
+        "seed": args.seed,
+        "excursions": report.n_excursions,
+        "total_letters": report.total_letters,
+        "permutation_valid": report.permutation_valid,
+        "roundtrip_valid": report.roundtrip_valid,
+        "verified": report.all_permutation_valid and report.all_roundtrip_valid,
+    }
 
 
 def _lyapunov_from_name(name: str, g, mu, delta):
@@ -406,11 +344,7 @@ def _lyapunov_from_name(name: str, g, mu, delta):
     return drift.ldelta(g, mu, report.margin), report.margin, report
 
 
-def cmd_drift(args) -> int:
-    g = _load_graph(args.graph)
-    mu = _load_measure(args.mu)
-    policy = _load_policy(args.policy)
-    policies.validate_policy(policy, g)
+def cmd_drift(args, art: Artifacts, g: Multigraph, mu: ProbMeasure, policy: Policy) -> dict:
     fn, delta, report = _lyapunov_from_name(args.fn, g, mu, args.delta)
     states = chain.enumerate_states(g, args.max_len)
     rows, drifts = [], {}
@@ -419,8 +353,6 @@ def cmd_drift(args) -> int:
         drifts[w] = drift.exact_drift(g, mu, policy, w, fn).drift
         rows.append((_fmt_word(w), drifts[w], *residuals))
     worst = max(max(row[2:]) for row in rows)
-    ok = worst <= args.tol
-    art = Artifacts(args.out, "drift")
     header = ["word", "drift", "residual_quadratic", "residual_linear_left", "residual_linear_right"]
     art.add_csv("drift", header, rows)
     summary = {
@@ -429,23 +361,20 @@ def cmd_drift(args) -> int:
         "states": len(states),
         "max_identity_residual": worst,
         "tol": args.tol,
-        "verified": ok,
+        "verified": worst <= args.tol,
     }
     if args.fn == "Ldelta" and g.complete_multipartite_decomposition() is not None:
         try:
             rep = drift._ppartite_bound(g, mu, policy, args.max_len, delta, args.tol, report,
                                         drifts)
-            ok = ok and rep.ok
-            summary.update(ldelta_bound_holds=rep.ok, delta=rep.delta, verified=ok)
+            summary.update(ldelta_bound_holds=rep.ok, delta=rep.delta,
+                           verified=summary["verified"] and rep.ok)
         except drift.DriftError:
             pass
-    art.finish(summary)
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return summary
 
 
-def cmd_transform(args) -> int:
-    g = _load_graph(args.graph)
-    art = Artifacts(args.out, "transform")
+def cmd_transform(args, art: Artifacts, g: Multigraph) -> dict:
     summary: dict = {}
     if args.check:
         check = g.maximal_subgraph()
@@ -458,13 +387,10 @@ def cmd_transform(args) -> int:
         summary["copy_map"] = dict(sorted(bmap.copy_of.items()))
     if not args.check and not args.blowup:
         raise InputError("transform needs --check and/or --blowup")
-    art.finish(summary)
-    return EXIT_OK
+    return summary
 
 
-def cmd_extend_measure(args) -> int:
-    g = _load_graph(args.graph)
-    mu = _load_measure(args.mu)
+def cmd_extend_measure(args, art: Artifacts, g: Multigraph, mu: ProbMeasure) -> dict:
     bmap = g.minimal_blowup()
     split = None
     if args.split:
@@ -473,20 +399,14 @@ def cmd_extend_measure(args) -> int:
             raise InputError("--split must be a JSON object {class: share}")
         split = {k: measures._to_weight(v) for k, v in raw.items()}
     extended = measures.extend_measure(mu, bmap, split)
-    art = Artifacts(args.out, "extend-measure")
     art.files["extended_measure.json"] = extended.dumps()
-    art.finish(
-        {
-            "measure": extended.to_json_dict(),
-            "copy_map": dict(sorted(bmap.copy_of.items())),
-        }
-    )
-    return EXIT_OK
+    return {
+        "measure": extended.to_json_dict(),
+        "copy_map": dict(sorted(bmap.copy_of.items())),
+    }
 
 
-def cmd_verify_identities(args) -> int:
-    g = _load_graph(args.graph)
-    mu = _load_measure(args.mu)
+def cmd_verify_identities(args, art: Artifacts, g: Multigraph, mu: ProbMeasure) -> dict:
     battery: dict[str, Policy] = {
         "fcfm": policies.Fcfm(),
         "lcfm": policies.Lcfm(),
@@ -503,19 +423,14 @@ def cmd_verify_identities(args) -> int:
         for name, pol in battery.items()
     }
     worst = max(per_policy.values())
-    ok = worst <= args.tol
-    art = Artifacts(args.out, "verify-identities")
-    art.finish(
-        {
-            "max_len": args.max_len,
-            "states": len(states),
-            "max_residual_per_policy": per_policy,
-            "max_residual": worst,
-            "tol": args.tol,
-            "verified": ok,
-        }
-    )
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return {
+        "max_len": args.max_len,
+        "states": len(states),
+        "max_residual_per_policy": per_policy,
+        "max_residual": worst,
+        "tol": args.tol,
+        "verified": worst <= args.tol,
+    }
 
 
 # -- parser -----------------------------------------------------------------
@@ -624,16 +539,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: load its graph, measure and policy, hand it its
+    ``Artifacts``, write them once, and read the exit code off its summary."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        g = Multigraph.loads(_read(args.graph))
+        inputs = {"g": g}
+        if "mu" in args:
+            inputs["mu"] = ProbMeasure.loads(_read(args.mu))
+        if "policy" in args:
+            inputs["policy"] = _load_policy(args.policy)
+            policies.validate_policy(inputs["policy"], g)
+        art = Artifacts(args.out, args.command)
+        summary = args.func(args, art, **inputs)
+        art.finish(summary)
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL_ERROR
+    return EXIT_OK if summary.get("verified", True) else EXIT_VERIFICATION_FAILED
 
 
 if __name__ == "__main__":

@@ -495,6 +495,7 @@ def analyze_excursions(
     that the inverse map really inverts, and tallies partner classes so their
     frequencies can be compared against the arrival law.
     """
+    mu.check_support(g)
     rng = random.Random(seed)
     arrivals = draw_arrivals(mu, steps, rng)
     excursions = excursion_decompose(g, arrivals)

@@ -203,12 +203,6 @@ def word_counts(w: Word) -> dict[Node, int]:
     return counts
 
 
-def match_candidates(g: Multigraph, counts: Mapping[Node, int], v: Node) -> frozenset[Node]:
-    """Compatible classes with at least one stored item."""
-    g.check_node(v)
-    return frozenset(j for j in g.adjacency[v] if counts.get(j, 0) > 0)
-
-
 # A class rule returns its draw spec ``(classes, draw)``: the classes it may
 # choose, and the one RNG call that picks among them.  ``draw`` is one of
 #   None              no draw; ``classes`` holds the one choice;

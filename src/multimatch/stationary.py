@@ -19,8 +19,6 @@ from fractions import Fraction
 from itertools import takewhile
 from typing import Callable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from .chain import enumerate_states, check_admissible, kernel_row
 from .graphs import Multigraph, Node
 from .measures import ProbMeasure, Weight, _gaps, _ncond_report
@@ -144,6 +142,8 @@ def _linear_solve_stationary(
     normalization replacing one equation; irreducibility makes the solution
     unique.  This is the oracle used to cross-check the product form.
     """
+    import numpy as np  # here only: the product-form layer runs without numpy
+
     index = {w: k for k, w in enumerate(states)}
     n = len(states)
     P = np.zeros((n, n))

@@ -121,3 +121,8 @@ def random_admissible_word(rng: random.Random, g: Multigraph, length: int):
         if len(w) == length:
             return w
     return None
+
+
+def stored_neighbours(g: Multigraph, counts, v) -> frozenset:
+    """The classes adjacent to ``v`` with at least one stored item."""
+    return frozenset(j for j in g.adjacency[v] if counts.get(j, 0) > 0)

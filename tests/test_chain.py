@@ -56,10 +56,10 @@ from multimatch.policies import (
     decision_distribution,
     is_class_admissible,
     is_draw_free,
-    match_candidates,
 )
 
-from conftest import random_admissible_word, random_measure, random_multigraph
+from conftest import (random_admissible_word, random_measure, random_multigraph,
+                      stored_neighbours)
 
 
 def test_admissibility(path_loop, square_loops):
@@ -208,7 +208,7 @@ def test_word_and_class_dynamics_commute(path_loop, mu_path):
                     word_law[key] = word_law.get(key, Fraction(0)) + p
                 class_law = {}
                 counts = {i: word_counts(w).get(i, 0) for i in path_loop.nodes}
-                candidates = match_candidates(path_loop, counts, v)
+                candidates = stored_neighbours(path_loop, counts, v)
                 if not candidates:
                     nc = dict(counts)
                     nc[v] += 1
@@ -381,7 +381,7 @@ def test_sampled_class_choices_follow_the_exact_law(seed):
             continue
         counts = word_counts(w)
         for v in g.nodes:
-            candidates = match_candidates(g, counts, v)
+            candidates = stored_neighbours(g, counts, v)
             if not candidates:
                 continue
             narrowed = {j: counts[j] for j in candidates}
@@ -630,9 +630,10 @@ def test_table_bounds_are_crossed_both_ways(path_loop, mu_path):
 
 def test_a_full_table_hands_draws_to_the_engine(diamond_hub, mu_diamond):
     # with a small table, the table fills up to its bound and no further;
-    # once it is full, a draw record with a class that has no state yet hands
-    # its step to the engine before its draw, and the engine's step makes the
-    # same RNG call, so the run and the RNG's final state are the engine's
+    # once it is full, a draw record with a class whose word the table does
+    # not hold hands its step to the engine before its draw, and the engine's
+    # step makes the same RNG call, so the run and the RNG's final state are
+    # the engine's
     tables, sizes, handed = [], [], []
     real_enter, real_draw = _StepTable.enter, _StepTable.draw
 
@@ -650,16 +651,46 @@ def test_a_full_table_hands_draws_to_the_engine(diamond_hub, mu_diamond):
         return t
 
     pol = match_the_longest()
-    run = engine_run(diamond_hub, mu_diamond, pol, 3000, 2)
+    run = engine_run(diamond_hub, mu_diamond, pol, 3000, 1)
     with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=3, _TABLE_MAX_STATES=12), \
             patch.multiple(_StepTable, enter=enter, draw=draw):
         got, state = recorded_simulate(diamond_hub, mu_diamond, pol, 3000,
-                                       burn_in=30, seed=2, word_cap=16)
+                                       burn_in=30, seed=1, word_cap=16)
     assert max(sizes) == 12
     assert handed and all(h == (0, True) for h in handed)
     # a hand-over is never stored: no record's class leads off the table
     assert all(u >= -1 for _, outs in tables[0].records for u in outs)
-    assert repr(got) == repr(engine_simulation(diamond_hub, run, 30, 2, 16))
+    assert repr(got) == repr(engine_simulation(diamond_hub, run, 30, 1, 16))
+    assert state == run[2]
+
+
+@pytest.mark.parametrize("kind", ["ml", "uniform"])
+def test_a_full_table_hands_over_only_missing_words(diamond_hub, mu_diamond, kind):
+    # a full table hands a draw to the engine exactly when the word of some
+    # class of its record is missing from the table; the classes whose words
+    # it holds take their states, and those draws stay on the table
+    draws = {"handed": 0, "kept": 0}
+    real_draw = _StepTable.draw
+
+    def draw(table, o, i, t):
+        spec, outs = table.records[-3 - t]
+        w, v = table.words[o // table.k], table.nodes[i]
+        missing = any(taken_by_class(w, v, j) not in table.ids for j in spec[0])
+        full, unresolved = not table.free, -1 in outs
+        t = real_draw(table, o, i, t)
+        assert (t < 0) == (full and missing)
+        if full and unresolved:
+            draws["handed" if t < 0 else "kept"] += 1
+        return t
+
+    pol = {"ml": match_the_longest(), "uniform": RandomPolicy()}[kind]
+    run = engine_run(diamond_hub, mu_diamond, pol, 3000, 1)
+    with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=3, _TABLE_MAX_STATES=12), \
+            patch.object(_StepTable, "draw", draw):
+        got, state = recorded_simulate(diamond_hub, mu_diamond, pol, 3000,
+                                       burn_in=30, seed=1, word_cap=16)
+    assert draws["handed"] > 0 and draws["kept"] > 0, draws
+    assert repr(got) == repr(engine_simulation(diamond_hub, run, 30, 1, 16))
     assert state == run[2]
 
 

@@ -180,6 +180,15 @@ def test_excursions(capsys, tmp_path):
     letters = Path(out, "matched_letters.csv").read_text().splitlines()
     assert letters[0].startswith("class,count,frequency")
 
+    # a measure that misses a class of the graph fails before the run
+    half = tmp_path / "half.mu.json"
+    half.write_text('{"1": "1/2", "2": "1/2"}')
+    missing = str(tmp_path / "missing")
+    assert main(["excursions", "--graph", fx("path_loop.graph.json"), "--mu", str(half),
+                 "--out", missing]) == 2
+    assert "missing=['3']" in capsys.readouterr().err
+    assert not os.path.exists(missing)
+
 
 def test_drift_command(capsys, tmp_path):
     out = str(tmp_path / "drift")
@@ -267,6 +276,72 @@ def test_product_form_artifacts_are_pinned(capsys, tmp_path):
         assert code == 0
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
         assert digests == pinned, command
+
+
+PATH_MODEL = ["--graph", fx("path_loop.graph.json"), "--mu", fx("path_loop.mu.json")]
+
+# (argv, exit code, sha256 of stdout and of each --out file) of every command
+# the two pins above leave out, computed before the commands shared one runner
+PINNED_CLI_OUTPUTS = [
+    (["info", "--graph", fx("path_loop.graph.json")], 0, {
+        "stdout": "ecbf341f0a2a67f0936a8ce2104794e7036994d50fe119f5d01ecb588e2e29a7",
+        "info.json": "ecbf341f0a2a67f0936a8ce2104794e7036994d50fe119f5d01ecb588e2e29a7",
+    }),
+    (["ncond", *PATH_MODEL], 0, {
+        "stdout": "851eea8440260a251b0f707c90c545d35c397a0e8ac950c350a403cce7537c94",
+        "ncond.json": "851eea8440260a251b0f707c90c545d35c397a0e8ac950c350a403cce7537c94",
+    }),
+    (["mudeg", "--graph", fx("path_loop.graph.json")], 0, {
+        "stdout": "baede927419b4dd3536729bff08a04222ab4aca724029ab1a6c0e01f175c0a39",
+        "mudeg.json": "baede927419b4dd3536729bff08a04222ab4aca724029ab1a6c0e01f175c0a39",
+        "mudeg_measure.json": "47e36814234700043891649bf8d7cfe4c2fa2cebff0e2f9ad54e3521d037543e",
+    }),
+    (["simulate", *PATH_MODEL, "--policy", fx("path_loop.policy_v2fav.json"),
+      "--steps", "3000", "--seed", "3", "--replicas", "2"], 0, {
+        "stdout": "5aeb10bb03fcc98cf0612f3aad3e7714f80a9c39635aece6bc0d69be9ec1b628",
+        "simulate.csv": "5e0f1debd08d4060065910c4ba357ac76624dba305005504ae81f975ae730744",
+        "simulate.json": "5aeb10bb03fcc98cf0612f3aad3e7714f80a9c39635aece6bc0d69be9ec1b628",
+    }),
+    (["tv-compare", *PATH_MODEL, "--steps", "3000", "--max-len", "3", "--tol", "0"], 1, {
+        "stdout": "5b7e813192716c2b42ac28ac6110a9d16077f70e7dce25e83dbd2560fa49cbbf",
+        "tv-compare.json": "5b7e813192716c2b42ac28ac6110a9d16077f70e7dce25e83dbd2560fa49cbbf",
+        "tv_compare.csv": "7f087ace91336d284c739acfeb0e89ae870bf91f8ad026925be206e3ea2127bb",
+    }),
+    (["reversibility", *PATH_MODEL, "--steps", "20000", "--min-visits", "50"], 0, {
+        "stdout": "40815db89ab9fea7c38410b9b75275bf04772dd8abc9e866fe09133eb0fff6db",
+        "reversibility.json": "40815db89ab9fea7c38410b9b75275bf04772dd8abc9e866fe09133eb0fff6db",
+    }),
+    (["excursions", *PATH_MODEL, "--steps", "3000"], 0, {
+        "stdout": "1a2bdbb733cd8cc223b6d661a5f0ead208505c328b52e4d227181bfed7111091",
+        "excursion_lengths.csv": "acf57de9df45e75ae577b8b2a7beb2a42f7cd30f1663481ae6efc2c567a0ffe7",
+        "excursions.json": "1a2bdbb733cd8cc223b6d661a5f0ead208505c328b52e4d227181bfed7111091",
+        "matched_letters.csv": "f00de1c20aa449d4e3a233767c50687ee690276be626e1d0b398192f4de3bd1e",
+    }),
+    (["transform", "--graph", fx("path_loop.graph.json"), "--check", "--blowup"], 0, {
+        "stdout": "2f289ca56f906bafad5c2b28ab1facdc98f12f3e9956e52a7b492bc3a4c09a7b",
+        "blowup.json": "dbfda131e9a7d968fca6ae54c2dc2751f11198c310ab3a6fd098083f0ed053a0",
+        "maximal_subgraph.json": "35f6c2275f5a401c7b84c72a7ae56a515132a8b51b84a3ff03c321136858036f",
+        "transform.json": "2f289ca56f906bafad5c2b28ab1facdc98f12f3e9956e52a7b492bc3a4c09a7b",
+    }),
+    (["extend-measure", *PATH_MODEL, "--split", '{"3": "3/5"}'], 0, {
+        "stdout": "cde1e2692b9935565171b4bbed579483cada47d63bd4ff1a6de87c7af8d25279",
+        "extend-measure.json": "cde1e2692b9935565171b4bbed579483cada47d63bd4ff1a6de87c7af8d25279",
+        "extended_measure.json": "daec694bb3db60661ffb93d878419dc10982ff9d20c1be94154d9aacb80aa2d1",
+    }),
+]
+
+
+def cli_output_digests(capsys, tmp_path, argv) -> tuple[int, dict[str, str]]:
+    out = tmp_path / argv[0]
+    code = main([*argv, "--out", str(out)])
+    digests = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    digests.update((f.name, hashlib.sha256(f.read_bytes()).hexdigest()) for f in out.iterdir())
+    return code, digests
+
+
+def test_cli_outputs_are_pinned(capsys, tmp_path):
+    for argv, code, pinned in PINNED_CLI_OUTPUTS:
+        assert cli_output_digests(capsys, tmp_path, argv) == (code, pinned), argv[0]
 
 
 def test_drift_commands_make_one_law_pass_per_graph_and_word(capsys):
@@ -582,7 +657,7 @@ def test_malformed_documents_exit_2(case):
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):
-    def crash(args):
+    def crash(args, art, g):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(multimatch.cli, "cmd_info", crash)
@@ -599,6 +674,36 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0
     assert json.loads(done.stdout)["self_loops"] == ["3"]
+
+
+def test_exact_commands_do_not_load_numpy(tmp_path):
+    # numpy is half of the start-up; only the simulating commands need it
+    exact = [
+        ["info", "--graph", fx("path_loop.graph.json")],
+        ["ncond", *PATH_MODEL],
+        ["mudeg", "--graph", fx("path_loop.graph.json")],
+        ["transform", "--graph", fx("path_loop.graph.json"), "--check", "--blowup"],
+        ["extend-measure", *PATH_MODEL],
+        ["stationary-fcfm", *PATH_MODEL],
+        ["verify-balance", *PATH_MODEL],
+        ["drift", *PATH_MODEL, "--policy", fx("path_loop.policy_v2fav.json"), "--fn", "Ldelta",
+         "--max-len", "3"],
+        ["verify-identities", *PATH_MODEL, "--max-len", "2"],
+    ]
+    script = (
+        "import sys\n"
+        "from multimatch.cli import main\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        f"for argv in {exact!r}:\n"
+        "    assert main(argv + ['--out', argv[0]]) == 0, argv[0]\n"
+        "    assert 'numpy' not in sys.modules, argv[0]\n"
+    )
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert sorted(os.listdir(tmp_path)) == sorted(argv[0] for argv in exact)
 
 
 def test_float_artifacts_do_not_depend_on_the_hash_seed(tmp_path):

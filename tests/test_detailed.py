@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from multimatch import (
     DetailedError,
     Fcfm,
+    MeasureError,
     Multigraph,
     ProbMeasure,
     alpha,
@@ -363,3 +364,6 @@ def test_analyze_excursions(path_loop, mu_path):
         m = float(mu_path[c])
         sigma = (m * (1 - m) / rep.total_letters) ** 0.5
         assert abs(freq - m) < 6 * sigma
+    # a measure that misses a class of the graph is rejected before the run
+    with pytest.raises(MeasureError, match="missing=\\['3'\\]"):
+        analyze_excursions(path_loop, ProbMeasure.from_dict({"1": "1/2", "2": "1/2"}), 100)

@@ -15,7 +15,6 @@ from multimatch import (
     decide,
     decision_distribution,
     extend_policy,
-    match_candidates,
     match_the_longest,
     match_the_shortest,
     policy_dumps,
@@ -26,15 +25,7 @@ from multimatch import (
 from multimatch.chain import enumerate_states, word_counts
 from multimatch.graphs import GraphError
 
-from conftest import random_admissible_word
-
-
-def test_match_candidates_square(square_loops):
-    x = {"1": 1, "2": 0, "3": 0, "4": 0}
-    assert match_candidates(square_loops, x, "2") == frozenset({"1"})
-    assert match_candidates(square_loops, x, "3") == frozenset()
-    # self-loop: an arriving 1 can take the stored 1
-    assert match_candidates(square_loops, x, "1") == frozenset({"1"})
+from conftest import random_admissible_word, stored_neighbours
 
 
 def test_fcfm_lcfm_positions(square_loops):
@@ -65,7 +56,7 @@ def test_longest_and_shortest_extremes(path_loop):
                 continue
             counts = word_counts(w)
             for v in path_loop.nodes:
-                cands = match_candidates(path_loop, counts, v)
+                cands = stored_neighbours(path_loop, counts, v)
                 if not cands:
                     continue
                 top = w[decide(path_loop, ml, w, v, rng)]
@@ -102,7 +93,7 @@ def test_v2_favorable_never_picks_looped_when_avoidable(path_loop):
                 continue
             counts = word_counts(w)
             for v in path_loop.nodes:
-                cands = match_candidates(path_loop, counts, v)
+                cands = stored_neighbours(path_loop, counts, v)
                 if not cands:
                     continue
                 chosen = w[decide(path_loop, pol, w, v, rng)]
@@ -188,7 +179,7 @@ def test_extension_matches_on_shared_states(diamond_hub):
         for w in enumerate_states(diamond_hub, 4):
             counts = word_counts(w)
             for v in diamond_hub.nodes:
-                if match_candidates(diamond_hub, counts, v) != match_candidates(
+                if stored_neighbours(diamond_hub, counts, v) != stored_neighbours(
                     bmap.blown, counts, v
                 ):
                     continue  # the self-match case, absent on the blown graph
@@ -217,7 +208,7 @@ def test_reduction_matches_on_shared_states(diamond_hub, mu_diamond):
         for w in enumerate_states(diamond_hub, 4):
             counts = word_counts(w)
             for v in diamond_hub.nodes:
-                if match_candidates(diamond_hub, counts, v) != match_candidates(
+                if stored_neighbours(diamond_hub, counts, v) != stored_neighbours(
                     check, counts, v
                 ):
                     continue  # self-match available only on the multigraph
