@@ -1,24 +1,25 @@
 """Queue-word state space, one-step dynamics, exact kernels, and simulation.
 
 The Markov state is the word of unmatched item classes in arrival order.  A
-word is admissible when no two adjacent classes are both present and each
-self-looped class appears at most once.  A policy's decision is the position
-in the word of the stored item an arrival takes, or None when the arrival is
-stored; :func:`apply_decision` makes the next word from it for the exact
-kernels, the sampled step and the step table alike.  Kernels are computed
-exactly (policy randomness enumerated with its probabilities); Monte-Carlo
-runs use a compact per-class FIFO engine so long trajectories stay cheap.  The
-engine compiles the step of each arrival class once, at construction, into a
-closure over that class's neighbour FIFOs and the policy's choice.
+word is admissible when each letter is adjacent to no class before it; a
+self-looped class is adjacent to itself, so it appears at most once.  A
+policy's decision is the position in the word of the stored item an arrival
+takes, or None when the arrival is stored; :func:`apply_decision` makes the
+next word from it for the exact kernels, the sampled step and the step table
+alike.  Kernels are computed exactly (policy randomness enumerated with its
+probabilities); Monte-Carlo runs use a compact per-class FIFO engine so long
+trajectories stay cheap.  The engine compiles the step of each arrival class
+once, at construction, into a closure over that class's neighbour FIFOs and
+the policy's choice.
 
 Under FCFM, LCFM or a class rule, the next word is a function of the word,
 the arrival and the class the policy draws, and which RNG call the policy
 makes is a function of the word and the arrival.  So a run reads its steps
 from a bounded table filled from the word-level transition of the policy;
-an entry is the next word or a draw record that replays the policy's own RNG
-call.  The engine takes the other steps: from a word the table does not
-hold, and a draw that may lead to a new word when the table is full.  When
-the policy never draws, only the arrivals draw, so they are drawn in bulk, a
+an entry is final once filled: the next word, or a draw record that replays
+the policy's own RNG call and holds every word the call may lead to.  The
+engine takes the steps whose next words the table cannot hold.  When the
+policy never draws, only the arrivals draw, so they are drawn in bulk, a
 chunk at a time, and the bulk stream equals the per-step one; a policy that
 can draw takes its arrivals one at a time, interleaved with its own draws.
 Only the simulation code imports numpy, inside the functions that use it, so
@@ -49,7 +50,6 @@ from .policies import (
     decision_distribution,
     decide,
     is_draw_free,
-    word_counts,
 )
 
 
@@ -58,17 +58,12 @@ class ChainError(ValueError):
 
 
 def is_admissible_word(g: Multigraph, w: Word) -> bool:
-    counts = word_counts(w)
-    for c, n in counts.items():
-        if c not in g.adjacency:
+    seen: set[Node] = set()
+    for c in w:
+        nb = g.adjacency.get(c)
+        if nb is None or not nb.isdisjoint(seen):
             return False
-        if c in g.v1 and n > 1:
-            return False
-    present = list(counts)
-    for idx, a in enumerate(present):
-        for b in present[idx + 1 :]:
-            if b in g.adjacency[a]:
-                return False
+        seen.add(c)
     return True
 
 
@@ -101,11 +96,8 @@ def enumerate_states(g: Multigraph, max_len: int) -> list[Word]:
         nxt: list[Word] = []
         for w in frontier:
             present = set(w)
-            counts = word_counts(w)
             for c in g.nodes:
-                if c in g.v1 and counts.get(c, 0) >= 1:
-                    continue
-                if any(c != a and c in g.adjacency[a] for a in present):
+                if any(c in g.adjacency[a] for a in present):
                     continue
                 nxt.append(w + (c,))
         out.extend(nxt)
@@ -303,11 +295,6 @@ class BufferEngine:
     def length(self) -> int:
         return len(self._items)
 
-    @property
-    def counts(self) -> dict[Node, int]:
-        """Stored items per class, every class listed."""
-        return {c: len(q) for c, q in self._fifo.items()}
-
     def word(self) -> Word:
         return tuple(self._items.values())
 
@@ -327,14 +314,15 @@ class BufferEngine:
             self._fifo[c].append(key)
 
 
-# Bounds of a run's transition table: a longer word, or a word met when no
-# state is free, is stepped on the engine itself.
+# Bounds of a run's transition table: a step from a longer word, or to a new
+# word when the table is full, is taken on the engine itself.
 _TABLE_MAX_LEN = 24
 _TABLE_MAX_STATES = 4096
 
 
 class _StepTable:
-    """Lazily filled transition table of a policy on queue words.
+    """Transition table of a policy on queue words, each entry filled on
+    first use and final once filled.
 
     Under FCFM, LCFM or a class rule, the next word is a function of the word,
     the arrival class and the class the policy draws, and whether and how it
@@ -346,48 +334,33 @@ class _StepTable:
       - the offset of the next state, when the step does not draw;
       - ``-3 - r`` for draw record ``r`` when it does: ``records[r]`` holds
         the policy's draw spec and, per class of the spec, the offset of the
-        state its draw leads to, -1 until that class is first drawn or a
-        draw in a full table finds its word;
-      - -1 until the step is first taken, or -2 once it is known to leave
-        the table.
-    A missing entry is filled from :func:`policies._transition` at the
-    state's word, so filling never draws, and every next word is
-    :func:`apply_decision` of the word, the arrival and the matched
-    position.  States hold words only: ``free`` counts the states left.
+        state its draw leads to;
+      - -1 until the step is first taken, or -2 when the step leaves the
+        table: the word of ``o`` is as long as the table allows, or a next
+        word is new and the table is full.
+    An entry is filled from :func:`policies._transition` at the state's word,
+    so filling never draws, and every next word is :func:`apply_decision` of
+    the word, the arrival and the matched position.
     """
 
-    def __init__(self, g: Multigraph, policy: Policy, nodes: list[Node], rng: random.Random):
+    def __init__(self, g: Multigraph, policy: Policy, nodes: list[Node]):
         import numpy as np
 
         self.g = g
         self.policy = policy
         self.nodes = nodes  # per arrival index
-        self.rng = rng  # the run's: records replay their draws on it, fills never draw
         self.k = len(nodes)
         self.words: list[Word] = []  # per state
         self.lens = np.zeros(_TABLE_MAX_STATES, dtype=np.int64)  # word lengths per state
         self.succ: list[int] = []
         self.records: list[tuple] = []
         self.ids: dict[Word, int] = {}  # word -> offset
-        self.free = _TABLE_MAX_STATES - 1
-        self._intern(())
-
-    def _intern(self, w: Word) -> int:
-        o = len(self.succ)
-        self.ids[w] = o
-        self.lens[len(self.words)] = len(w)
-        self.words.append(w)
-        self.succ += [-1] * self.k
-        return o
+        self.enter(())
 
     def fill(self, o: int, i: int) -> int:
-        """Entry for arrival ``i`` at offset ``o``: the next offset, or a draw
-        record's code when the step draws.
-
-        The entry is -2 instead, and the run takes this step on the engine,
-        when the word of ``o`` is as long as the table allows, or the next
-        word is new and no state is free.
-        """
+        """Entry for arrival ``i`` at offset ``o``: the next offset, a draw
+        record's code when the step draws, or -2 when the run takes this
+        step on the engine."""
         w, v = self.words[o // self.k], self.nodes[i]
         t = -2
         if len(w) < _TABLE_MAX_LEN:
@@ -395,45 +368,23 @@ class _StepTable:
             if x is None or type(x) is int:
                 t = self.enter(apply_decision(w, v, x))
             else:
-                self.records.append((x, [-1] * len(x[0])))
-                t = -2 - len(self.records)
+                outs = [self.enter(apply_decision(w, v, w.index(j))) for j in x[0]]
+                if min(outs) >= 0:
+                    self.records.append((x, outs))
+                    t = -2 - len(self.records)
         self.succ[o + i] = t
         return t
 
-    def draw(self, o: int, i: int, t: int) -> int:
-        """Next offset after the draw of record ``t``, the entry for arrival
-        ``i`` at offset ``o``.
-
-        The record's spec makes its one call on the run's RNG.  A class drawn
-        for the first time takes the oldest item of that class out of the
-        word of ``o``.  When no state is free, each class of the record with
-        no state yet takes the state of its word if the table holds it; if
-        some class's word is still missing, the draw is -2 and makes no
-        call: the run hands this step to the engine, whose step makes the
-        same call.
-        """
-        spec, outs = self.records[-3 - t]
-        if not self.free and -1 in outs:
-            w, v = self.words[o // self.k], self.nodes[i]
-            for x, j in enumerate(spec[0]):
-                if outs[x] == -1:
-                    outs[x] = self.ids.get(apply_decision(w, v, w.index(j)), -1)
-            if -1 in outs:
-                return -2
-        x = _sample(spec, self.rng)
-        t = outs[x]
-        if t < 0:
-            w = self.words[o // self.k]
-            t = outs[x] = self.enter(apply_decision(w, self.nodes[i], w.index(spec[0][x])))
-        return t
-
     def enter(self, w: Word) -> int:
-        """Offset of the word ``w``, interned if it is new and a state is
-        free, else -2.  The word must be no longer than ``_TABLE_MAX_LEN``."""
+        """Offset of the word ``w``, interned if it is new and the table is
+        not full, else -2.  The word must be no longer than
+        ``_TABLE_MAX_LEN``."""
         t = self.ids.get(w, -2)
-        if t < 0 and self.free:
-            self.free -= 1
-            t = self._intern(w)
+        if t < 0 and len(self.words) < _TABLE_MAX_STATES:
+            t = self.ids[w] = len(self.succ)
+            self.lens[len(self.words)] = len(w)
+            self.words.append(w)
+            self.succ += [-1] * self.k
         return t
 
 
@@ -485,16 +436,16 @@ def simulate(
 
     Every policy takes its steps from a transition table over the short
     words met so far (a bounded memo, filled from the word-level transition
-    on first use); longer words, and the words met when the table has no
-    free state, are stepped on the engine, loaded with the table's word.  A
-    step whose policy draws reads a draw record from the table and replays
-    the policy's own RNG call, or, when the table is full and the draw may
-    lead to a new word, hands the step to the engine before the call.  A policy that never draws only draws
-    arrivals, so they are drawn in bulk (the same stream as per-step draws);
-    a policy that can draw takes its arrivals one at a time, interleaved with
-    its own draws.  The table steps of a chunk of arrivals are tallied
-    together after it.  Either way the result, and the
-    RNG's final state, are the engine's, bit for bit.
+    on first use).  A step whose policy draws reads a draw record from the
+    table and replays the policy's own RNG call.  A step the table cannot
+    hold, from a longer word or to a new word when the table is full, is
+    taken on the engine, loaded with the table's word, and the engine steps
+    on until it meets a word the table holds.  A policy that never draws only
+    draws arrivals, so they are drawn in bulk (the same stream as per-step
+    draws); a policy that can draw takes its arrivals one at a time,
+    interleaved with its own draws.  The table steps of a chunk of arrivals
+    are tallied together after it.  Either way the result, and the RNG's
+    final state, are the engine's, bit for bit.
     """
     if steps <= 0:
         raise ChainError("steps must be positive")
@@ -518,9 +469,9 @@ def simulate(
     # in ``visits``) and the other words the engine steps to (counted here)
     counts: dict = {}
     tally = counts.get
-    table = _StepTable(g, policy, nodes, rng)
-    succ, lens, k, fill, draw = table.succ, table.lens, table.k, table.fill, table.draw
-    words, enter = table.words, table.enter
+    table = _StepTable(g, policy, nodes)
+    succ, lens, k, fill, enter = table.succ, table.lens, table.k, table.fill, table.enter
+    words, records = table.words, table.records
     visits = np.zeros(len(lens), dtype=np.int64)  # recorded steps per state
     # o is the current table offset, or negative while the engine steps; the
     # engine hands back to the table at a word no longer than _TABLE_MAX_LEN
@@ -575,8 +526,9 @@ def simulate(
                             if t == -1:
                                 t = fill(o, i)
                             if t < -2:
-                                t = draw(o, i, t)
-                            if t < 0:
+                                spec, outs = records[-3 - t]
+                                t = outs[_sample(spec, rng)]
+                            elif t < 0:
                                 load(words[o // k])
                                 feed, o = chain((i,), rest), -1
                                 break
@@ -615,9 +567,8 @@ def simulate(
     final_len = int(lens[o // k]) if o >= 0 else len(items)
     visits = visits.tolist()
     # an unstable run's buffer need not outlive the loop
-    del engine, offers, load, items, queues, word, table, succ, fill, draw, enter
-    # table states longer than word_cap are overflow steps; a word the engine
-    # tallied may join the table later, as a drawn word, so tallies add up
+    del engine, offers, load, items, queues, word, table, succ, fill, enter, records
+    # table states longer than word_cap are overflow steps
     tallied: dict[Word, int] = {}
     for key, n in counts.items():
         if type(key) is int:
@@ -626,7 +577,7 @@ def simulate(
         for c in key:
             occ_sum[c] += n
         if len(key) <= word_cap:
-            tallied[key] = tallied.get(key, 0) + n
+            tallied[key] = n
         else:
             overflow += n
     recorded = steps - burn_in

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import math
 import random
 import weakref
@@ -45,17 +46,18 @@ from multimatch.chain import (
     check_admissible,
     draw_arrivals,
     least_squares_slope,
-    word_counts,
 )
 import multimatch.chain as chain_module
 from multimatch.detailed import fcfm_match_partners
 from multimatch.policies import (
     _law,
     _sample,
+    _transition,
     class_rule,
     decision_distribution,
     is_class_admissible,
     is_draw_free,
+    word_counts,
 )
 
 from conftest import (random_admissible_word, random_measure, random_multigraph,
@@ -71,6 +73,31 @@ def test_admissibility(path_loop, square_loops):
     assert not is_admissible_word(square_loops, ("1", "1"))
     with pytest.raises(ChainError):
         check_admissible(path_loop, ("1", "2"))
+
+
+def pairwise_admissible(g, w):
+    """The pairwise definition: every letter a class of ``g``, each looped
+    class at most once, and no two present classes adjacent."""
+    counts = word_counts(w)
+    if any(c not in g.adjacency or (c in g.v1 and n > 1) for c, n in counts.items()):
+        return False
+    present = list(counts)
+    return not any(b in g.adjacency[a] for x, a in enumerate(present) for b in present[x + 1:])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_admissibility_equals_the_pairwise_definition(seed):
+    # a letter may follow a prefix iff it is adjacent to no class in it; a
+    # looped class is adjacent to itself, so this is the pairwise definition
+    g = random_multigraph(random.Random(seed))
+    for length in range(5):
+        words = list(itertools.product([*g.nodes, "x"], repeat=length))
+        assert [is_admissible_word(g, w) for w in words] == \
+            [pairwise_admissible(g, w) for w in words], length
+    want = [w for n in range(5) for w in itertools.product(g.nodes, repeat=n)
+            if pairwise_admissible(g, w)]
+    assert enumerate_states(g, 4) == sorted(want, key=lambda w: (len(w), w))
 
 
 def test_step_examples(path_loop):
@@ -514,25 +541,21 @@ def taken_by_class(w, v, j):
 
 def assert_table_follows_step(g, pol, arrivals, name):
     """Every transition a run fills into the step table is the word-level
-    step, and every draw record is the word-level decision law; filling
-    leaves the RNG untouched, a draw that hands its step over does too, and
-    the interned and free states make up the table's state bound."""
+    step, every draw record is the word-level decision law with a state for
+    each of its next words, and the table holds no more states than its
+    bound."""
     nodes = sorted(g.nodes)
     rng = random.Random(10)
-    table = _StepTable(g, pol, nodes, rng)
+    table = _StepTable(g, pol, nodes)
     k, succ, o = table.k, table.succ, 0
     for v in arrivals:
         i = nodes.index(v)
         t = succ[o + i]
-        if -3 < t < 0:
-            before = rng.getstate()
+        if t == -1:
             t = table.fill(o, i)
-            assert rng.getstate() == before, name
         if t < -2:
-            before = rng.getstate()
-            t = table.draw(o, i, t)
-            if t < 0:
-                assert table.free == 0 and rng.getstate() == before, name
+            spec, outs = table.records[-3 - t]
+            t = outs[_sample(spec, rng)]
         o = t
         if o < 0:  # the run would hand this step to the engine
             break
@@ -553,12 +576,13 @@ def assert_table_follows_step(g, pol, arrivals, name):
                     for x, p in decision_distribution(g, pol, w, v).items()}
             assert law == want, name
             assert len(law) > 1 or spec[1][0] in ("shuffle", "random"), name
+            assert len(outs) == len(spec[0]) and all(u >= 0 for u in outs), name
             for j, u in zip(spec[0], outs):
-                assert u < 0 or table.words[u // k] == taken_by_class(w, v, j), name
+                assert table.words[u // k] == taken_by_class(w, v, j), name
     assert filled > 0, name
-    assert len(table.words) + table.free == chain_module._TABLE_MAX_STATES, name
+    assert len(table.words) <= chain_module._TABLE_MAX_STATES, name
     if is_draw_free(pol):
-        assert not table.records and rng.getstate() == random.Random(10).getstate(), name
+        assert not table.records, name
 
 
 def table_kinds(g):
@@ -628,69 +652,39 @@ def test_table_bounds_are_crossed_both_ways(path_loop, mu_path):
             assert repr(got) == want, chunk
 
 
-def test_a_full_table_hands_draws_to_the_engine(diamond_hub, mu_diamond):
-    # with a small table, the table fills up to its bound and no further;
-    # once it is full, a draw record with a class whose word the table does
-    # not hold hands its step to the engine before its draw, and the engine's
-    # step makes the same RNG call, so the run and the RNG's final state are
-    # the engine's
-    tables, sizes, handed = [], [], []
-    real_enter, real_draw = _StepTable.enter, _StepTable.draw
-
-    def enter(table, w):
-        o = real_enter(table, w)
-        sizes.append(len(table.words))
-        return o
-
-    def draw(table, o, i, t):
-        free, before = table.free, table.rng.getstate()
-        t = real_draw(table, o, i, t)
-        if t < 0:
-            handed.append((free, before == table.rng.getstate()))
-            tables.append(table)
-        return t
-
-    pol = match_the_longest()
-    run = engine_run(diamond_hub, mu_diamond, pol, 3000, 1)
-    with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=3, _TABLE_MAX_STATES=12), \
-            patch.multiple(_StepTable, enter=enter, draw=draw):
-        got, state = recorded_simulate(diamond_hub, mu_diamond, pol, 3000,
-                                       burn_in=30, seed=1, word_cap=16)
-    assert max(sizes) == 12
-    assert handed and all(h == (0, True) for h in handed)
-    # a hand-over is never stored: no record's class leads off the table
-    assert all(u >= -1 for _, outs in tables[0].records for u in outs)
-    assert repr(got) == repr(engine_simulation(diamond_hub, run, 30, 1, 16))
-    assert state == run[2]
-
-
 @pytest.mark.parametrize("kind", ["ml", "uniform"])
-def test_a_full_table_hands_over_only_missing_words(diamond_hub, mu_diamond, kind):
-    # a full table hands a draw to the engine exactly when the word of some
-    # class of its record is missing from the table; the classes whose words
-    # it holds take their states, and those draws stay on the table
-    draws = {"handed": 0, "kept": 0}
-    real_draw = _StepTable.draw
+def test_a_drawing_step_leaves_the_table_only_when_its_words_do_not_fit(
+        diamond_hub, mu_diamond, kind):
+    # a drawing step's entry is -2, and the run hands the step to the engine,
+    # exactly when the table lacks more of its next words than it has room
+    # for; otherwise every next word gets a state and the entry is a record
+    outcomes = {"handed": 0, "kept_full": 0}
+    real_fill = _StepTable.fill
 
-    def draw(table, o, i, t):
-        spec, outs = table.records[-3 - t]
+    def fill(table, o, i):
         w, v = table.words[o // table.k], table.nodes[i]
-        missing = any(taken_by_class(w, v, j) not in table.ids for j in spec[0])
-        full, unresolved = not table.free, -1 in outs
-        t = real_draw(table, o, i, t)
-        assert (t < 0) == (full and missing)
-        if full and unresolved:
-            draws["handed" if t < 0 else "kept"] += 1
+        spec = _transition(table.g, table.policy, w, v)
+        drawing = spec is not None and type(spec) is not int
+        room = chain_module._TABLE_MAX_STATES - len(table.words)
+        missing = drawing and sum(taken_by_class(w, v, j) not in table.ids for j in spec[0])
+        t = real_fill(table, o, i)
+        if drawing and len(w) < chain_module._TABLE_MAX_LEN:
+            assert (t == -2) == (missing > room), (w, v)
+            if t == -2:
+                outcomes["handed"] += 1
+            elif room == 0:
+                outcomes["kept_full"] += 1
         return t
 
     pol = {"ml": match_the_longest(), "uniform": RandomPolicy()}[kind]
-    run = engine_run(diamond_hub, mu_diamond, pol, 3000, 1)
-    with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=3, _TABLE_MAX_STATES=12), \
-            patch.object(_StepTable, "draw", draw):
+    run = engine_run(diamond_hub, mu_diamond, pol, 3000, 2)
+    with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=3, _TABLE_MAX_STATES=8), \
+            patch.object(_StepTable, "fill", fill):
         got, state = recorded_simulate(diamond_hub, mu_diamond, pol, 3000,
-                                       burn_in=30, seed=1, word_cap=16)
-    assert draws["handed"] > 0 and draws["kept"] > 0, draws
-    assert repr(got) == repr(engine_simulation(diamond_hub, run, 30, 1, 16))
+                                       burn_in=30, seed=2, word_cap=16)
+    # a full table both hands a draw over and keeps one whose words it holds
+    assert outcomes["handed"] > 0 and outcomes["kept_full"] > 0, outcomes
+    assert repr(got) == repr(engine_simulation(diamond_hub, run, 30, 2, 16))
     assert state == run[2]
 
 
@@ -759,7 +753,8 @@ def test_simulate_word_cap_accounting(path_loop, mu_path):
     trajectory = []
     for v in draw_arrivals(mu_path, steps, random.Random(seed)):
         engine.offer(v, None)
-        trajectory.append(dict(engine.counts))
+        w = engine.word()
+        trajectory.append({c: w.count(c) for c in path_loop.nodes})
     for word_cap in (0, 1, 16):
         for burn_in in (0, None):
             res = simulate(path_loop, mu_path, Fcfm(), steps=steps, burn_in=burn_in,

@@ -33,7 +33,7 @@ from multimatch import (
     verify_ppartite_bound,
     verify_quadratic_identity,
 )
-from multimatch.chain import word_counts
+from multimatch.policies import word_counts
 
 from conftest import random_admissible_word, random_measure, random_multigraph
 

@@ -22,7 +22,8 @@ from multimatch import (
     reduce_policy,
     validate_policy,
 )
-from multimatch.chain import enumerate_states, word_counts
+from multimatch.chain import enumerate_states
+from multimatch.policies import word_counts
 from multimatch.graphs import GraphError
 
 from conftest import random_admissible_word, stored_neighbours
