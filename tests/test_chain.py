@@ -652,12 +652,51 @@ def test_table_bounds_are_crossed_both_ways(path_loop, mu_path):
             assert repr(got) == want, chunk
 
 
+def test_a_full_table_hands_draws_to_the_engine(diamond_hub, mu_diamond):
+    # with a small table, the table fills up to its bound and no further;
+    # once it is full, a drawing step with a next word the table does not
+    # hold is entered as -2 and handed to the engine, whose step makes the
+    # same RNG call, so the run and the RNG's final state are the engine's
+    tables, sizes, handed = [], [], []
+    real_enter, real_fill = _StepTable.enter, _StepTable.fill
+
+    def enter(table, w):
+        o = real_enter(table, w)
+        sizes.append(len(table.words))
+        return o
+
+    def fill(table, o, i):
+        w, v = table.words[o // table.k], table.nodes[i]
+        spec = _transition(table.g, table.policy, w, v)
+        t = real_fill(table, o, i)
+        drawing = spec is not None and type(spec) is not int
+        if t == -2 and drawing and len(w) < chain_module._TABLE_MAX_LEN:
+            handed.append((len(table.words), o + i))
+            tables.append(table)
+        return t
+
+    pol = match_the_longest()
+    run = engine_run(diamond_hub, mu_diamond, pol, 3000, 1)
+    with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=3, _TABLE_MAX_STATES=12), \
+            patch.multiple(_StepTable, enter=enter, fill=fill):
+        got, state = recorded_simulate(diamond_hub, mu_diamond, pol, 3000,
+                                       burn_in=30, seed=1, word_cap=16)
+    assert max(sizes) == 12
+    assert handed and all(n == 12 for n, _ in handed), handed
+    # a hand-over entry stays -2, and it is never a record: every record's
+    # class leads to a state
+    assert all(tables[0].succ[e] == -2 for _, e in handed)
+    assert all(u >= 0 for _, outs in tables[0].records for u in outs)
+    assert repr(got) == repr(engine_simulation(diamond_hub, run, 30, 1, 16))
+    assert state == run[2]
+
+
 @pytest.mark.parametrize("kind", ["ml", "uniform"])
-def test_a_drawing_step_leaves_the_table_only_when_its_words_do_not_fit(
-        diamond_hub, mu_diamond, kind):
+def test_a_full_table_hands_over_only_missing_words(diamond_hub, mu_diamond, kind):
     # a drawing step's entry is -2, and the run hands the step to the engine,
     # exactly when the table lacks more of its next words than it has room
-    # for; otherwise every next word gets a state and the entry is a record
+    # for, so a full table hands over only a step with a missing word;
+    # otherwise every next word gets a state and the entry is a record
     outcomes = {"handed": 0, "kept_full": 0}
     real_fill = _StepTable.fill
 
