@@ -17,13 +17,14 @@ the arrival and the class the policy draws, and which RNG call the policy
 makes is a function of the word and the arrival.  So a run reads its steps
 from a bounded table filled from the word-level transition of the policy;
 an entry is final once filled: the next word, or a draw record that replays
-the policy's own RNG call and holds every word the call may lead to.  The
-engine takes the steps whose next words the table cannot hold.  When the
-policy never draws, only the arrivals draw, so they are drawn in bulk, a
-chunk at a time, and the bulk stream equals the per-step one; a policy that
-can draw takes its arrivals one at a time, interleaved with its own draws.
-Only the simulation code imports numpy, inside the functions that use it, so
-the exact layer runs without loading it.
+the policy's own RNG call and holds every word the call may lead to.  A step
+goes to the engine exactly when the table cannot hold one of its next words:
+a word longer than the table's length bound, or a new word while the table
+is full.  When the policy never draws, only the arrivals draw, so they are
+drawn in bulk, a chunk at a time, and the bulk stream equals the per-step
+one; a policy that can draw takes its arrivals one at a time, interleaved
+with its own draws.  Only the simulation code imports numpy, inside the
+functions that use it, so the exact layer runs without loading it.
 """
 
 from __future__ import annotations
@@ -314,8 +315,9 @@ class BufferEngine:
             self._fifo[c].append(key)
 
 
-# Bounds of a run's transition table: a step from a longer word, or to a new
-# word when the table is full, is taken on the engine itself.
+# Bounds of a run's transition table.  A step goes to the engine exactly when
+# the table cannot hold one of its next words: a word longer than
+# _TABLE_MAX_LEN, or a new word while the table is full.
 _TABLE_MAX_LEN = 24
 _TABLE_MAX_STATES = 4096
 
@@ -324,20 +326,17 @@ class _StepTable:
     """Transition table of a policy on queue words, each entry filled on
     first use and final once filled.
 
-    Under FCFM, LCFM or a class rule, the next word is a function of the word,
-    the arrival class and the class the policy draws, and whether and how it
-    draws is a function of the word and the arrival.  States number the words
-    of length at most ``_TABLE_MAX_LEN`` met so far, at most
-    ``_TABLE_MAX_STATES`` of them; a state ``s`` is addressed by its offset
-    ``s * k``, for ``k`` arrival classes.  The entry ``succ[o + i]`` for
-    arrival index ``i`` at offset ``o`` is
+    States number the words met so far, at most ``_TABLE_MAX_STATES`` of
+    them, each no longer than ``_TABLE_MAX_LEN``; a state ``s`` is addressed
+    by its offset ``s * k``, for ``k`` arrival classes.  The entry
+    ``succ[o + i]`` for arrival index ``i`` at offset ``o`` is
       - the offset of the next state, when the step does not draw;
       - ``-3 - r`` for draw record ``r`` when it does: ``records[r]`` holds
         the policy's draw spec and, per class of the spec, the offset of the
         state its draw leads to;
-      - -1 until the step is first taken, or -2 when the step leaves the
-        table: the word of ``o`` is as long as the table allows, or a next
-        word is new and the table is full.
+      - -1 until the step is first taken; -2 when the table cannot hold one
+        of its next words (a word longer than ``_TABLE_MAX_LEN``, or a new
+        word while the table is full), so the step goes to the engine.
     An entry is filled from :func:`policies._transition` at the state's word,
     so filling never draws, and every next word is :func:`apply_decision` of
     the word, the arrival and the matched position.
@@ -359,28 +358,27 @@ class _StepTable:
 
     def fill(self, o: int, i: int) -> int:
         """Entry for arrival ``i`` at offset ``o``: the next offset, a draw
-        record's code when the step draws, or -2 when the run takes this
-        step on the engine."""
+        record's code when the step draws, or -2 when the table cannot hold
+        one of its next words, so the run takes this step on the engine."""
         w, v = self.words[o // self.k], self.nodes[i]
         t = -2
-        if len(w) < _TABLE_MAX_LEN:
-            x = _transition(self.g, self.policy, w, v)
-            if x is None or type(x) is int:
-                t = self.enter(apply_decision(w, v, x))
-            else:
-                outs = [self.enter(apply_decision(w, v, w.index(j))) for j in x[0]]
-                if min(outs) >= 0:
-                    self.records.append((x, outs))
-                    t = -2 - len(self.records)
+        x = _transition(self.g, self.policy, w, v)
+        if x is None or type(x) is int:
+            t = self.enter(apply_decision(w, v, x))
+        else:
+            outs = [self.enter(apply_decision(w, v, w.index(j))) for j in x[0]]
+            if min(outs) >= 0:
+                self.records.append((x, outs))
+                t = -2 - len(self.records)
         self.succ[o + i] = t
         return t
 
     def enter(self, w: Word) -> int:
-        """Offset of the word ``w``, interned if it is new and the table is
-        not full, else -2.  The word must be no longer than
-        ``_TABLE_MAX_LEN``."""
+        """Offset of the word ``w``, interned if it is new, or -2 when the
+        table cannot hold it: a word longer than ``_TABLE_MAX_LEN``, or a new
+        word while the table is full.  This is the one test of holding."""
         t = self.ids.get(w, -2)
-        if t < 0 and len(self.words) < _TABLE_MAX_STATES:
+        if t < 0 and len(self.words) < _TABLE_MAX_STATES and len(w) <= _TABLE_MAX_LEN:
             t = self.ids[w] = len(self.succ)
             self.lens[len(self.words)] = len(w)
             self.words.append(w)
@@ -435,17 +433,17 @@ def simulate(
     first, then any policy draws).
 
     Every policy takes its steps from a transition table over the short
-    words met so far (a bounded memo, filled from the word-level transition
-    on first use).  A step whose policy draws reads a draw record from the
-    table and replays the policy's own RNG call.  A step the table cannot
-    hold, from a longer word or to a new word when the table is full, is
-    taken on the engine, loaded with the table's word, and the engine steps
-    on until it meets a word the table holds.  A policy that never draws only
-    draws arrivals, so they are drawn in bulk (the same stream as per-step
-    draws); a policy that can draw takes its arrivals one at a time,
-    interleaved with its own draws.  The table steps of a chunk of arrivals
-    are tallied together after it.  Either way the result, and the RNG's
-    final state, are the engine's, bit for bit.
+    words met so far, filled from the word-level transition on first use; a
+    step whose policy draws replays the policy's own RNG call from a draw
+    record.  A step goes to the engine exactly when the table cannot hold
+    one of its next words: a word longer than the table's length bound, or a
+    new word while the table is full.  The engine, loaded with the table's
+    word, steps on until it meets a word the table holds.  A policy that
+    never draws only draws arrivals, so they are drawn in bulk (the same
+    stream as per-step draws); a policy that can draw takes its arrivals one
+    at a time, interleaved with its own draws.  The table steps of a chunk
+    of arrivals are tallied together after it.  Either way the result, and
+    the RNG's final state, are the engine's, bit for bit.
     """
     if steps <= 0:
         raise ChainError("steps must be positive")
@@ -474,7 +472,8 @@ def simulate(
     words, records = table.words, table.records
     visits = np.zeros(len(lens), dtype=np.int64)  # recorded steps per state
     # o is the current table offset, or negative while the engine steps; the
-    # engine hands back to the table at a word no longer than _TABLE_MAX_LEN
+    # engine hands back to the table at a word that ``enter`` holds, and its
+    # ``ln <= top`` pre-check only spares it a tuple of a word too long to hold
     o, top = 0, _TABLE_MAX_LEN
     if is_draw_free(policy):
 

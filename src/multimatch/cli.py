@@ -58,8 +58,20 @@ _PARSE_ERRORS = (
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _parse(loads, text: str, what: str):
+    """``loads(text)`` for one input document; a document nested too deeply to
+    parse is bad input (a RecursionError anywhere else is still a crash)."""
+    try:
+        return loads(text)
+    except RecursionError:
+        raise InputError(f"{what} is nested too deeply to parse") from None
 
 
 def _load_policy(spec: Optional[str]) -> Policy:
@@ -67,14 +79,12 @@ def _load_policy(spec: Optional[str]) -> Policy:
     if spec is None:
         return policies.Fcfm()
     if os.path.exists(spec):
-        return policies.policy_loads(_read(spec))
+        return _parse(policies.policy_loads, _read(spec), spec)
     stripped = spec.strip()
     if stripped.startswith("{"):
-        return policies.policy_loads(stripped)
+        return _parse(policies.policy_loads, stripped, "the inline --policy")
     if stripped in ("fcfm", "lcfm", "ml", "ms", "random"):
-        return policies.policy_from_json_dict(
-            {"kind": "random" if stripped == "random" else stripped}
-        )
+        return policies.policy_from_json_dict({"kind": stripped})
     raise InputError(f"policy {spec!r} is neither a file, inline JSON, nor a known name")
 
 
@@ -341,6 +351,9 @@ def _lyapunov_from_name(name: str, g, mu, delta):
     report = measures.ncond_check(g, mu)
     if not report.satisfied:
         raise InputError("Ldelta needs a stability margin; measure is outside the region")
+    if report.margin == math.inf:
+        raise InputError("the stability margin is infinite, as every independent set meets a "
+                         "looped class; give Ldelta a finite --delta")
     return drift.ldelta(g, mu, report.margin), report.margin, report
 
 
@@ -394,7 +407,7 @@ def cmd_extend_measure(args, art: Artifacts, g: Multigraph, mu: ProbMeasure) -> 
     bmap = g.minimal_blowup()
     split = None
     if args.split:
-        raw = json.loads(args.split)
+        raw = _parse(json.loads, args.split, "--split")
         if not isinstance(raw, dict):
             raise InputError("--split must be a JSON object {class: share}")
         split = {k: measures._to_weight(v) for k, v in raw.items()}
@@ -543,10 +556,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ``Artifacts``, write them once, and read the exit code off its summary."""
     args = build_parser().parse_args(argv)
     try:
-        g = Multigraph.loads(_read(args.graph))
+        g = _parse(Multigraph.loads, _read(args.graph), args.graph)
         inputs = {"g": g}
         if "mu" in args:
-            inputs["mu"] = ProbMeasure.loads(_read(args.mu))
+            inputs["mu"] = _parse(ProbMeasure.loads, _read(args.mu), args.mu)
         if "policy" in args:
             inputs["policy"] = _load_policy(args.policy)
             policies.validate_policy(inputs["policy"], g)

@@ -71,13 +71,14 @@ LyapunovFn = Union[Quadratic, Linear, WeightedLinear]
 def ldelta(g: Multigraph, mu: ProbMeasure, delta: Weight) -> WeightedLinear:
     """Down-weight self-looped classes by delta / (2 mu(V1)); others weigh 1.
 
-    Requires at least one self-looped class and a positive delta (normally
-    the stability margin).
+    Requires at least one self-looped class and a positive, finite delta
+    (normally the stability margin, which is +inf when every independent set
+    meets a looped class).
     """
     if not g.v1:
         raise DriftError("the reweighted linear function needs self-looped classes")
-    if not delta > 0:
-        raise DriftError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise DriftError(f"delta must be a positive finite number, got {delta}")
     w1 = delta / (2 * mu.mass(g.v1))
     return WeightedLinear({i: w1 for i in g.v1})
 
@@ -279,7 +280,7 @@ def _ppartite_bound(
     if delta is None:
         delta = report.margin
     words = [w for w in enumerate_states(g, max_len) if set(w) & g.v2]
-    if drifts is None:
+    if drifts is None and words:
         fn = ldelta(g, mu, delta)
         drifts = {w: exact_drift(g, mu, policy, w, fn).drift for w in words}
     floats = ((w, float(drifts[w])) for w in words)

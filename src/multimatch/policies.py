@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .graphs import BlowupMap, Multigraph, Node
-from .measures import Weight, _to_weight, cumulative
+from .measures import SUM_TOL, Weight, _to_weight, cumulative
 
 Word = tuple[Node, ...]
 
@@ -172,7 +172,7 @@ def validate_policy(policy: Policy, g: Multigraph) -> None:
             if any(p < 0 for _, p in dist):
                 raise PolicyError(f"permutation weights for {v!r} must be nonnegative")
             total = sum((p for _, p in dist), Fraction(0))
-            if not (abs(total - 1) <= 1e-12 if isinstance(total, float) else total == 1):
+            if not (abs(total - 1) <= SUM_TOL if isinstance(total, float) else total == 1):
                 raise PolicyError(f"permutation weights for {v!r} do not sum to 1")
             for perm, _ in dist:
                 if sorted(perm) != sorted(g.adjacency[v]):

@@ -670,7 +670,7 @@ def test_a_full_table_hands_draws_to_the_engine(diamond_hub, mu_diamond):
         spec = _transition(table.g, table.policy, w, v)
         t = real_fill(table, o, i)
         drawing = spec is not None and type(spec) is not int
-        if t == -2 and drawing and len(w) < chain_module._TABLE_MAX_LEN:
+        if t == -2 and drawing:
             handed.append((len(table.words), o + i))
             tables.append(table)
         return t
@@ -707,7 +707,7 @@ def test_a_full_table_hands_over_only_missing_words(diamond_hub, mu_diamond, kin
         room = chain_module._TABLE_MAX_STATES - len(table.words)
         missing = drawing and sum(taken_by_class(w, v, j) not in table.ids for j in spec[0])
         t = real_fill(table, o, i)
-        if drawing and len(w) < chain_module._TABLE_MAX_LEN:
+        if drawing:
             assert (t == -2) == (missing > room), (w, v)
             if t == -2:
                 outcomes["handed"] += 1
@@ -724,6 +724,37 @@ def test_a_full_table_hands_over_only_missing_words(diamond_hub, mu_diamond, kin
     # a full table both hands a draw over and keeps one whose words it holds
     assert outcomes["handed"] > 0 and outcomes["kept_full"] > 0, outcomes
     assert repr(got) == repr(engine_simulation(diamond_hub, run, 30, 2, 16))
+    assert state == run[2]
+
+
+@pytest.mark.parametrize("kind", ["lcfm", "ml"])
+def test_a_step_at_the_length_bound_leaves_the_table_only_to_store(path_loop, mu_path, kind):
+    # with room in the table, a step from a word at the length bound goes to
+    # the engine exactly when its arrival is stored, the one next word too
+    # long to hold; a match there stays on the table, as the next offset or,
+    # when the policy draws, as a draw record
+    outcomes = {"stored": 0, "matched": 0, "drawn": 0}
+    real_fill = _StepTable.fill
+
+    def fill(table, o, i):
+        w, v = table.words[o // table.k], table.nodes[i]
+        x = _transition(table.g, table.policy, w, v)
+        t = real_fill(table, o, i)
+        if len(w) == chain_module._TABLE_MAX_LEN:
+            assert len(table.words) < chain_module._TABLE_MAX_STATES
+            assert (t == -2) == (x is None), (w, v, t)
+            outcomes["stored" if x is None else "matched"] += 1
+            outcomes["drawn"] += t < -2
+        return t
+
+    pol = {"lcfm": Lcfm(), "ml": match_the_longest()}[kind]
+    run = engine_run(path_loop, mu_path, pol, 3000, 4)
+    with patch("multimatch.chain._TABLE_MAX_LEN", 2), patch.object(_StepTable, "fill", fill):
+        got, state = recorded_simulate(path_loop, mu_path, pol, 3000,
+                                       burn_in=30, seed=4, word_cap=16)
+    assert outcomes["stored"] > 0 and outcomes["matched"] > 0, outcomes
+    assert (outcomes["drawn"] > 0) == (kind == "ml"), outcomes
+    assert repr(got) == repr(engine_simulation(path_loop, run, 30, 4, 16))
     assert state == run[2]
 
 

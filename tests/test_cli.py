@@ -4,12 +4,14 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
 
@@ -654,6 +656,60 @@ def test_malformed_documents_exit_2(case):
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(argv)
     assert code == 2, (mutation, err.getvalue())
+
+
+def strict_json(text: str):
+    """``text`` parsed as strict JSON: no Infinity, -Infinity or NaN."""
+    def reject(name):
+        raise ValueError(f"{name} is not strict JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_unreadable_documents_exit_2(capsys, tmp_path):
+    # a document that is not UTF-8, or nested too deeply for the JSON parser,
+    # is bad input: one error line, no traceback
+    graph, mu = fx("path_loop.graph.json"), fx("path_loop.mu.json")
+    binary, deep = tmp_path / "binary.json", tmp_path / "deep.json"
+    binary.write_bytes(b"\xff{}")
+    deep.write_text("[" * 100000 + "]" * 100000)
+    nested = '{"kind": "fcfm"}'
+    for _ in range(3000):
+        nested = '{"kind": "v2favorable", "inner": %s}' % nested
+    nested_file = tmp_path / "nested.json"
+    nested_file.write_text(nested)
+    simulate = ["simulate", "--graph", graph, "--mu", mu, "--steps", "10", "--policy"]
+    for argv in (
+        ["info", "--graph", str(binary)],
+        ["ncond", "--graph", graph, "--mu", str(binary)],
+        [*simulate, str(binary)],
+        ["info", "--graph", str(deep)],
+        ["ncond", "--graph", graph, "--mu", str(deep)],
+        [*simulate, nested],
+        [*simulate, str(nested_file)],
+        ["extend-measure", "--graph", graph, "--mu", mu, "--split", "[" * 3000 + "]" * 3000],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+
+
+def test_drift_ldelta_needs_a_finite_delta(capsys, tmp_path):
+    # every class of square_loops is looped, so the stability margin is +inf
+    # and is no delta for Ldelta: the command asks for --delta, and with one
+    # it runs and writes strict JSON and finite drifts
+    model = ["drift", "--graph", fx("square_loops.graph.json"),
+             "--mu", fx("square_loops.mu_uniform.json"), "--fn", "Ldelta", "--max-len", "2"]
+    out = tmp_path / "out"
+    assert main([*model, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--delta" in captured.err
+    assert len(captured.err.splitlines()) == 1 and not out.exists()
+    assert main([*model, "--delta", "1/2", "--out", str(out)]) == 0
+    summary = strict_json(capsys.readouterr().out)
+    assert summary["delta"] == "1/2" and summary["verified"] is True
+    assert strict_json((out / "drift.json").read_text()) == summary
+    drifts = [row.split(",")[1] for row in (out / "drift.csv").read_text().splitlines()[1:]]
+    assert drifts and all(math.isfinite(Fraction(d)) for d in drifts)
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):

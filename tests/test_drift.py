@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -212,6 +213,19 @@ def test_ppartite_bound_rejects_bad_inputs(path_loop, mu_path):
         verify_ppartite_bound(path_loop, bad, V2Favorable(RandomPolicy()), max_len=3)
     with pytest.raises(DriftError):
         ldelta(Multigraph.build(["1", "2"], [("1", "2")]), mu_path, Fraction(1, 10))
+
+
+def test_ldelta_needs_a_finite_delta(square_loops, mu_square_uniform):
+    # every class of square_loops is looped, so no independent set avoids
+    # the looped classes and the stability margin is +inf: that is no delta
+    # for L_delta, while the bound, with no word storing a non-looped class,
+    # checks nothing and holds
+    assert ncond_check(square_loops, mu_square_uniform).margin == math.inf
+    for delta in (math.inf, math.nan, 0, Fraction(-1, 2)):
+        with pytest.raises(DriftError):
+            ldelta(square_loops, mu_square_uniform, delta)
+    report = verify_ppartite_bound(square_loops, mu_square_uniform, V2Favorable(Fcfm()), 3)
+    assert report.ok and report.states_checked == 0
 
 
 def test_negative_quadratic_drift_beyond_threshold(path_loop, diamond_hub, mu_path):
