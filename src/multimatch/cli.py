@@ -13,6 +13,10 @@ for every command.  Exit codes: 0 success, 1 exactly when the summary's
 exception; its traceback goes to stderr).  The exact commands never load
 numpy: only the simulating ones (``simulate``, ``tv-compare``,
 ``reversibility``, ``excursions``) do.
+
+Each command is declared once, in the table :func:`build_parser` reads: its
+function, its help, the shared options it takes, its own options and its
+parser defaults.
 """
 
 from __future__ import annotations
@@ -362,7 +366,9 @@ def cmd_drift(args, art: Artifacts, g: Multigraph, mu: ProbMeasure, policy: Poli
     states = chain.enumerate_states(g, args.max_len)
     rows, drifts = [], {}
     for w in states:
-        residuals = drift._residuals(g, mu, policy, w, None)  # first: exact_drift reuses its pass
+        # the identity checks first: exact_drift reuses their law pass
+        residuals = (drift.verify_quadratic_identity(g, mu, policy, w),
+                     *drift.verify_linear_chain(g, mu, policy, w))
         drifts[w] = drift.exact_drift(g, mu, policy, w, fn).drift
         rows.append((_fmt_word(w), drifts[w], *residuals))
     worst = max(max(row[2:]) for row in rows)
@@ -432,7 +438,8 @@ def cmd_verify_identities(args, art: Artifacts, g: Multigraph, mu: ProbMeasure) 
     }
     states = chain.enumerate_states(g, args.max_len)
     per_policy = {
-        name: max(max(drift._residuals(g, mu, pol, w, None)) for w in states)
+        name: max(max(drift.verify_quadratic_identity(g, mu, pol, w),
+                      *drift.verify_linear_chain(g, mu, pol, w)) for w in states)
         for name, pol in battery.items()
     }
     worst = max(per_policy.values())
@@ -460,94 +467,61 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    if "graph" in names:
-        p.add_argument("--graph", required=True, help="graph JSON file")
-    if "mu" in names:
-        p.add_argument("--mu", required=True, help="measure JSON file")
-    if "policy" in names:
-        p.add_argument("--policy", help="policy JSON file, inline JSON, or name (default fcfm)")
-    if "steps" in names:
-        p.add_argument("--steps", type=int, default=100000)
-    if "burn_in" in names:
-        p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    if "seed" in names:
-        p.add_argument("--seed", type=int, default=0)
-    if "max_len" in names:
-        p.add_argument("--max-len", dest="max_len", type=int, default=4)
-    if "tol" in names:
-        p.add_argument("--tol", type=_tolerance, default=1e-12)
-    if "replicas" in names:
-        p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--out", help="directory for artifact files")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per declaration in ``commands``.  Built per call, so it
+    takes the command functions the module holds at that moment."""
+    shared = {  # in the order every command lists them, followed by --out
+        "graph": dict(required=True, help="graph JSON file"),
+        "mu": dict(required=True, help="measure JSON file"),
+        "policy": dict(help="policy JSON file, inline JSON, or name (default fcfm)"),
+        "steps": dict(type=int, default=100000),
+        "burn_in": dict(type=int, default=None),
+        "seed": dict(type=int, default=0),
+        "max_len": dict(type=int, default=4),
+        "tol": dict(type=_tolerance, default=1e-12),
+        "replicas": dict(type=int, default=1),
+    }
+    # name, function, help, shared options, own options[, parser defaults]
+    commands = [
+        ("info", cmd_info, "graph structure report", "graph", {}),
+        ("ncond", cmd_ncond, "stability-condition check", "graph mu", {}),
+        ("mudeg", cmd_mudeg, "degree-proportional measure", "graph", {}),
+        ("stationary-fcfm", cmd_stationary_fcfm, "exact product-form table",
+         "graph mu max_len", {}),
+        ("verify-balance", cmd_verify_balance, "exact global-balance residual",
+         "graph mu max_len tol", {}),
+        ("simulate", cmd_simulate, "Monte-Carlo run with visit counts",
+         "graph mu policy steps burn_in seed replicas", {"word_cap": dict(type=int, default=16)}),
+        ("tv-compare", cmd_tv_compare, "simulation vs product form in total variation",
+         "graph mu policy steps burn_in seed max_len tol replicas", {}, {"tol": 0.02}),
+        ("reversibility", cmd_reversibility, "empirical local-balance check",
+         "graph mu steps seed", {"min_visits": dict(type=int, default=500)}),
+        ("excursions", cmd_excursions, "buffer-emptying segments and matched letters",
+         "graph mu steps seed", {}),
+        ("drift", cmd_drift, "exact Lyapunov drifts and identity residuals",
+         "graph mu policy max_len tol",
+         {"fn": dict(choices=["Q", "L", "Ldelta"], default="Q"),
+          "delta": dict(help="margin for Ldelta (default: computed)")}),
+        ("transform", cmd_transform, "emit derived graphs", "graph",
+         {"check": dict(action="store_true", help="maximal (loop-free) subgraph"),
+          "blowup": dict(action="store_true", help="minimal blow-up graph")}),
+        ("extend-measure", cmd_extend_measure, "measure on the blow-up graph", "graph mu",
+         {"split": dict(help='JSON share kept by each looped class, e.g. {"3":"0.6"}')}),
+        ("verify-identities", cmd_verify_identities, "all drift identities over a policy battery",
+         "graph mu max_len tol", {}),
+    ]
     parser = argparse.ArgumentParser(
         prog="multimatch",
         description="Stochastic matching models on multigraphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("info", help="graph structure report")
-    _add_common(p, "graph")
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser("ncond", help="stability-condition check")
-    _add_common(p, "graph", "mu")
-    p.set_defaults(func=cmd_ncond)
-
-    p = sub.add_parser("mudeg", help="degree-proportional measure")
-    _add_common(p, "graph")
-    p.set_defaults(func=cmd_mudeg)
-
-    p = sub.add_parser("stationary-fcfm", help="exact product-form table")
-    _add_common(p, "graph", "mu", "max_len")
-    p.set_defaults(func=cmd_stationary_fcfm)
-
-    p = sub.add_parser("verify-balance", help="exact global-balance residual")
-    _add_common(p, "graph", "mu", "max_len", "tol")
-    p.set_defaults(func=cmd_verify_balance)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo run with visit counts")
-    _add_common(p, "graph", "mu", "policy", "steps", "burn_in", "seed", "replicas")
-    p.add_argument("--word-cap", dest="word_cap", type=int, default=16)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("tv-compare", help="simulation vs product form in total variation")
-    _add_common(p, "graph", "mu", "policy", "steps", "burn_in", "seed", "max_len", "tol", "replicas")
-    p.set_defaults(func=cmd_tv_compare, tol=0.02)
-
-    p = sub.add_parser("reversibility", help="empirical local-balance check")
-    _add_common(p, "graph", "mu", "steps", "seed")
-    p.add_argument("--min-visits", dest="min_visits", type=int, default=500)
-    p.set_defaults(func=cmd_reversibility)
-
-    p = sub.add_parser("excursions", help="buffer-emptying segments and matched letters")
-    _add_common(p, "graph", "mu", "steps", "seed")
-    p.set_defaults(func=cmd_excursions)
-
-    p = sub.add_parser("drift", help="exact Lyapunov drifts and identity residuals")
-    _add_common(p, "graph", "mu", "policy", "max_len", "tol")
-    p.add_argument("--fn", choices=["Q", "L", "Ldelta"], default="Q")
-    p.add_argument("--delta", help="margin for Ldelta (default: computed)")
-    p.set_defaults(func=cmd_drift)
-
-    p = sub.add_parser("transform", help="emit derived graphs")
-    _add_common(p, "graph")
-    p.add_argument("--check", action="store_true", help="maximal (loop-free) subgraph")
-    p.add_argument("--blowup", action="store_true", help="minimal blow-up graph")
-    p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser("extend-measure", help="measure on the blow-up graph")
-    _add_common(p, "graph", "mu")
-    p.add_argument("--split", help='JSON share kept by each looped class, e.g. {"3":"0.6"}')
-    p.set_defaults(func=cmd_extend_measure)
-
-    p = sub.add_parser("verify-identities", help="all drift identities over a policy battery")
-    _add_common(p, "graph", "mu", "max_len", "tol")
-    p.set_defaults(func=cmd_verify_identities)
-
+    for name, func, help_text, takes, own, *defaults in commands:
+        p = sub.add_parser(name, help=help_text)
+        options = [(o, kwargs) for o, kwargs in shared.items() if o in takes.split()]
+        options += [("out", dict(help="directory for artifact files")), *own.items()]
+        for dest, kwargs in options:
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **kwargs)
+        p.set_defaults(func=func, **dict(*defaults))
     return parser
 
 

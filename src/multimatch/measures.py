@@ -107,7 +107,7 @@ class ProbMeasure:
         return sum((self[i] for i in sorted(nodes)), Fraction(0))
 
     def check_support(self, g: Multigraph) -> None:
-        if self.support != frozenset(g.nodes):
+        if self.weights.keys() != g.adjacency.keys():  # key views compare as sets
             missing = frozenset(g.nodes) - self.support
             extra = self.support - frozenset(g.nodes)
             raise MeasureError(

@@ -823,3 +823,163 @@ def test_readme_command_lines_parse():
     for argv in lines:
         parser.parse_args(argv[1:])
     assert {argv[1] for argv in lines} == set(commands)
+
+
+def cli_surface(parser: argparse.ArgumentParser) -> dict:
+    """Per subcommand: its help, its parser defaults (``func`` by name) and,
+    per action, its option strings, dest, default, type name, ``required``,
+    choices, action class and help."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return {
+        name: (helps[name],
+               {k: getattr(v, "__name__", v) for k, v in p._defaults.items()},
+               [(" ".join(a.option_strings), a.dest, a.default, getattr(a.type, "__name__", None),
+                 a.required, a.choices, type(a).__name__, a.help) for a in p._actions])
+        for name, p in sub.choices.items()
+    }
+
+
+# recorded from the parser of 13 hand-written subcommand blocks, before the
+# parser was built from a command table
+PINNED_CLI_SURFACE = {
+    "info": ("graph structure report", {"func": "cmd_info"}, [
+        ("-h --help", "help", "==SUPPRESS==", None, False, None, "_HelpAction",
+         "show this help message and exit"),
+        ("--graph", "graph", None, None, True, None, "_StoreAction", "graph JSON file"),
+        ("--out", "out", None, None, False, None, "_StoreAction", "directory for artifact files"),
+    ]),
+    "ncond": ("stability-condition check", {"func": "cmd_ncond"}, [
+        ("-h --help", "help", "==SUPPRESS==", None, False, None, "_HelpAction",
+         "show this help message and exit"),
+        ("--graph", "graph", None, None, True, None, "_StoreAction", "graph JSON file"),
+        ("--mu", "mu", None, None, True, None, "_StoreAction", "measure JSON file"),
+        ("--out", "out", None, None, False, None, "_StoreAction", "directory for artifact files"),
+    ]),
+    "mudeg": ("degree-proportional measure", {"func": "cmd_mudeg"}, [
+        ("-h --help", "help", "==SUPPRESS==", None, False, None, "_HelpAction",
+         "show this help message and exit"),
+        ("--graph", "graph", None, None, True, None, "_StoreAction", "graph JSON file"),
+        ("--out", "out", None, None, False, None, "_StoreAction", "directory for artifact files"),
+    ]),
+    "stationary-fcfm": ("exact product-form table", {"func": "cmd_stationary_fcfm"}, [
+        ("-h --help", "help", "==SUPPRESS==", None, False, None, "_HelpAction",
+         "show this help message and exit"),
+        ("--graph", "graph", None, None, True, None, "_StoreAction", "graph JSON file"),
+        ("--mu", "mu", None, None, True, None, "_StoreAction", "measure JSON file"),
+        ("--max-len", "max_len", 4, "int", False, None, "_StoreAction", None),
+        ("--out", "out", None, None, False, None, "_StoreAction", "directory for artifact files"),
+    ]),
+    "verify-balance": ("exact global-balance residual", {"func": "cmd_verify_balance"}, [
+        ("-h --help", "help", "==SUPPRESS==", None, False, None, "_HelpAction",
+         "show this help message and exit"),
+        ("--graph", "graph", None, None, True, None, "_StoreAction", "graph JSON file"),
+        ("--mu", "mu", None, None, True, None, "_StoreAction", "measure JSON file"),
+        ("--max-len", "max_len", 4, "int", False, None, "_StoreAction", None),
+        ("--tol", "tol", 1e-12, "_tolerance", False, None, "_StoreAction", None),
+        ("--out", "out", None, None, False, None, "_StoreAction", "directory for artifact files"),
+    ]),
+    "simulate": ("Monte-Carlo run with visit counts", {"func": "cmd_simulate"}, [
+        ("-h --help", "help", "==SUPPRESS==", None, False, None, "_HelpAction",
+         "show this help message and exit"),
+        ("--graph", "graph", None, None, True, None, "_StoreAction", "graph JSON file"),
+        ("--mu", "mu", None, None, True, None, "_StoreAction", "measure JSON file"),
+        ("--policy", "policy", None, None, False, None, "_StoreAction",
+         "policy JSON file, inline JSON, or name (default fcfm)"),
+        ("--steps", "steps", 100000, "int", False, None, "_StoreAction", None),
+        ("--burn-in", "burn_in", None, "int", False, None, "_StoreAction", None),
+        ("--seed", "seed", 0, "int", False, None, "_StoreAction", None),
+        ("--replicas", "replicas", 1, "int", False, None, "_StoreAction", None),
+        ("--out", "out", None, None, False, None, "_StoreAction", "directory for artifact files"),
+        ("--word-cap", "word_cap", 16, "int", False, None, "_StoreAction", None),
+    ]),
+    "tv-compare": ("simulation vs product form in total variation",
+                   {"func": "cmd_tv_compare", "tol": 0.02}, [
+        ("-h --help", "help", "==SUPPRESS==", None, False, None, "_HelpAction",
+         "show this help message and exit"),
+        ("--graph", "graph", None, None, True, None, "_StoreAction", "graph JSON file"),
+        ("--mu", "mu", None, None, True, None, "_StoreAction", "measure JSON file"),
+        ("--policy", "policy", None, None, False, None, "_StoreAction",
+         "policy JSON file, inline JSON, or name (default fcfm)"),
+        ("--steps", "steps", 100000, "int", False, None, "_StoreAction", None),
+        ("--burn-in", "burn_in", None, "int", False, None, "_StoreAction", None),
+        ("--seed", "seed", 0, "int", False, None, "_StoreAction", None),
+        ("--max-len", "max_len", 4, "int", False, None, "_StoreAction", None),
+        ("--tol", "tol", 0.02, "_tolerance", False, None, "_StoreAction", None),
+        ("--replicas", "replicas", 1, "int", False, None, "_StoreAction", None),
+        ("--out", "out", None, None, False, None, "_StoreAction", "directory for artifact files"),
+    ]),
+    "reversibility": ("empirical local-balance check", {"func": "cmd_reversibility"}, [
+        ("-h --help", "help", "==SUPPRESS==", None, False, None, "_HelpAction",
+         "show this help message and exit"),
+        ("--graph", "graph", None, None, True, None, "_StoreAction", "graph JSON file"),
+        ("--mu", "mu", None, None, True, None, "_StoreAction", "measure JSON file"),
+        ("--steps", "steps", 100000, "int", False, None, "_StoreAction", None),
+        ("--seed", "seed", 0, "int", False, None, "_StoreAction", None),
+        ("--out", "out", None, None, False, None, "_StoreAction", "directory for artifact files"),
+        ("--min-visits", "min_visits", 500, "int", False, None, "_StoreAction", None),
+    ]),
+    "excursions": ("buffer-emptying segments and matched letters", {"func": "cmd_excursions"}, [
+        ("-h --help", "help", "==SUPPRESS==", None, False, None, "_HelpAction",
+         "show this help message and exit"),
+        ("--graph", "graph", None, None, True, None, "_StoreAction", "graph JSON file"),
+        ("--mu", "mu", None, None, True, None, "_StoreAction", "measure JSON file"),
+        ("--steps", "steps", 100000, "int", False, None, "_StoreAction", None),
+        ("--seed", "seed", 0, "int", False, None, "_StoreAction", None),
+        ("--out", "out", None, None, False, None, "_StoreAction", "directory for artifact files"),
+    ]),
+    "drift": ("exact Lyapunov drifts and identity residuals", {"func": "cmd_drift"}, [
+        ("-h --help", "help", "==SUPPRESS==", None, False, None, "_HelpAction",
+         "show this help message and exit"),
+        ("--graph", "graph", None, None, True, None, "_StoreAction", "graph JSON file"),
+        ("--mu", "mu", None, None, True, None, "_StoreAction", "measure JSON file"),
+        ("--policy", "policy", None, None, False, None, "_StoreAction",
+         "policy JSON file, inline JSON, or name (default fcfm)"),
+        ("--max-len", "max_len", 4, "int", False, None, "_StoreAction", None),
+        ("--tol", "tol", 1e-12, "_tolerance", False, None, "_StoreAction", None),
+        ("--out", "out", None, None, False, None, "_StoreAction", "directory for artifact files"),
+        ("--fn", "fn", "Q", None, False, ["Q", "L", "Ldelta"], "_StoreAction", None),
+        ("--delta", "delta", None, None, False, None, "_StoreAction",
+         "margin for Ldelta (default: computed)"),
+    ]),
+    "transform": ("emit derived graphs", {"func": "cmd_transform"}, [
+        ("-h --help", "help", "==SUPPRESS==", None, False, None, "_HelpAction",
+         "show this help message and exit"),
+        ("--graph", "graph", None, None, True, None, "_StoreAction", "graph JSON file"),
+        ("--out", "out", None, None, False, None, "_StoreAction", "directory for artifact files"),
+        ("--check", "check", False, None, False, None, "_StoreTrueAction",
+         "maximal (loop-free) subgraph"),
+        ("--blowup", "blowup", False, None, False, None, "_StoreTrueAction",
+         "minimal blow-up graph"),
+    ]),
+    "extend-measure": ("measure on the blow-up graph", {"func": "cmd_extend_measure"}, [
+        ("-h --help", "help", "==SUPPRESS==", None, False, None, "_HelpAction",
+         "show this help message and exit"),
+        ("--graph", "graph", None, None, True, None, "_StoreAction", "graph JSON file"),
+        ("--mu", "mu", None, None, True, None, "_StoreAction", "measure JSON file"),
+        ("--out", "out", None, None, False, None, "_StoreAction", "directory for artifact files"),
+        ("--split", "split", None, None, False, None, "_StoreAction",
+         'JSON share kept by each looped class, e.g. {"3":"0.6"}'),
+    ]),
+    "verify-identities": ("all drift identities over a policy battery",
+                          {"func": "cmd_verify_identities"}, [
+        ("-h --help", "help", "==SUPPRESS==", None, False, None, "_HelpAction",
+         "show this help message and exit"),
+        ("--graph", "graph", None, None, True, None, "_StoreAction", "graph JSON file"),
+        ("--mu", "mu", None, None, True, None, "_StoreAction", "measure JSON file"),
+        ("--max-len", "max_len", 4, "int", False, None, "_StoreAction", None),
+        ("--tol", "tol", 1e-12, "_tolerance", False, None, "_StoreAction", None),
+        ("--out", "out", None, None, False, None, "_StoreAction", "directory for artifact files"),
+    ]),
+}
+
+
+def test_cli_surface_is_pinned(capsys):
+    surface = cli_surface(multimatch.cli.build_parser())
+    assert list(surface) == list(PINNED_CLI_SURFACE)
+    for name, pinned in PINNED_CLI_SURFACE.items():
+        assert surface[name] == pinned, name
+        with pytest.raises(SystemExit) as done:
+            main([name, "--help"])
+        assert done.value.code == 0, name
+        assert capsys.readouterr().out.startswith(f"usage: multimatch {name} ")

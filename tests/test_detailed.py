@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,10 +26,11 @@ from multimatch import (
     partner_inverse,
     partner_map,
     project_to_queue,
+    ncond_check,
     reverse_copy,
     simulate,
 )
-from multimatch.chain import BufferEngine, draw_arrivals
+from multimatch.chain import BufferEngine, draw_arrivals, step
 from multimatch.detailed import (
     analyze_excursions,
     barred,
@@ -351,6 +353,34 @@ def test_partner_map_and_inverse(k2, path_loop):
     with pytest.raises(DetailedError):
         partner_map(k2, ("1", "1"))  # never empties
     assert partner_map(path_loop, ("3", "3")) == ("3", "3")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=150))
+def test_partner_map_is_a_bijection_on_random_models(seed, steps):
+    rng = random.Random(seed)
+    while True:  # a model inside the stability region
+        g = random_multigraph(rng)
+        mu = random_measure(rng, g.nodes)
+        if ncond_check(g, mu).satisfied:
+            break
+    arrivals = draw_arrivals(mu, steps, rng)
+    # the completed prefix ends at the last arrival that leaves the FCFM buffer empty
+    w, end = (), 0
+    for n, v in enumerate(arrivals, 1):
+        w = step(g, Fcfm(), w, v)
+        if not w:
+            end = n
+    if not end:
+        with pytest.raises(DetailedError):
+            excursion_decompose(g, arrivals)
+        return
+    excursions = excursion_decompose(g, arrivals)
+    assert list(itertools.chain.from_iterable(e.word for e in excursions)) == arrivals[:end]
+    for e in excursions:
+        assert sorted(e.partner_word) == sorted(e.word)
+        assert partner_map(g, e.word) == e.partner_word
+        assert partner_inverse(g, partner_map(g, e.word)) == e.word
 
 
 def test_analyze_excursions(path_loop, mu_path):

@@ -1,6 +1,8 @@
 import math
 import random
+import re
 import tracemalloc
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,35 @@ def test_support_mismatch_raises(path_loop):
     mu = ProbMeasure.from_dict({"1": "0.5", "2": "0.5"})
     with pytest.raises(MeasureError):
         ncond_check(path_loop, mu)
+
+
+class ReadOnlyWeights(Mapping):
+    """A mapping of weights that is not a dict."""
+
+    def __init__(self, raw):
+        self._raw = dict(raw)
+
+    def __getitem__(self, key):
+        return self._raw[key]
+
+    def __iter__(self):
+        return iter(self._raw)
+
+    def __len__(self):
+        return len(self._raw)
+
+
+def test_support_check_takes_any_mapping(path_loop):
+    weights = {"1": Fraction(1, 5), "2": Fraction(3, 10), "3": Fraction(1, 2)}
+    mu = ProbMeasure(ReadOnlyWeights(weights))
+    mu.check_support(path_loop)
+    assert ncond_check(path_loop, mu).satisfied
+    for raw, missing, extra in (({"1": Fraction(1, 2), "2": Fraction(1, 2)}, "['3']", "[]"),
+                                ({**weights, "4": Fraction(0)}, "[]", "['4']")):
+        message = f"measure support mismatch (missing={missing}, extra={extra})"
+        for mu in (ProbMeasure(ReadOnlyWeights(raw)), ProbMeasure(raw)):
+            with pytest.raises(MeasureError, match=re.escape(message)):
+                mu.check_support(path_loop)
 
 
 def test_float_measures_fall_back_to_tolerances(path_loop):
