@@ -348,10 +348,14 @@ def test_excursions_by_hand(k2):
 def test_partner_map_and_inverse(k2, path_loop):
     assert partner_map(k2, ("1", "1", "2", "2")) == ("2", "2", "1", "1")
     assert partner_inverse(k2, partner_map(k2, ("1", "1", "2", "2"))) == ("1", "1", "2", "2")
-    with pytest.raises(DetailedError):
+    with pytest.raises(DetailedError, match="empties the buffer before its end"):
         partner_map(k2, ("1", "2", "2", "1"))  # empties in the middle
-    with pytest.raises(DetailedError):
+    with pytest.raises(DetailedError, match="does not empty the buffer"):
         partner_map(k2, ("1", "1"))  # never empties
+    # a word that empties in the middle and is open at its end reports the open end
+    with pytest.raises(DetailedError, match="does not empty the buffer"):
+        partner_map(k2, ("1", "2", "1"))
+    assert partner_map(k2, ()) == ()
     assert partner_map(path_loop, ("3", "3")) == ("3", "3")
 
 
@@ -381,6 +385,32 @@ def test_partner_map_is_a_bijection_on_random_models(seed, steps):
         assert sorted(e.partner_word) == sorted(e.word)
         assert partner_map(g, e.word) == e.partner_word
         assert partner_inverse(g, partner_map(g, e.word)) == e.word
+
+
+# sha256 of the repr of seeded excursion reports, computed with one inverse
+# map per excursion before the round trip became one split of a stream
+PINNED_EXCURSION_DIGESTS = {
+    "path_loop": "79cee25fab58a43056ca56a47b3623b2996ed168650f4af4599d30127b6ef6cb",
+    "tripartite_loop": "f072284ce139fff97dfbd4f80ee7b334caaa9b3271bbbacaac14362936545f7c",
+    "diamond_hub_loop": "4865222fc785fd31d857d99a5be86b7eb1a40412ff33255817e7c5ccce782bb2",
+    "square_loops": "245d45d73caefbb7358c7a763b16211c8b8486d2d3d0a496dab47b219d00a093",
+}
+
+
+def test_excursion_reports_are_pinned(path_loop, mu_path, tripartite_loop, mu_tripartite,
+                                      diamond_hub, mu_diamond, square_loops,
+                                      mu_square_uniform):
+    runs = {
+        "path_loop": (path_loop, mu_path, 40000, 4),
+        "tripartite_loop": (tripartite_loop, mu_tripartite, 20000, 5),
+        "diamond_hub_loop": (diamond_hub, mu_diamond, 20000, 6),
+        "square_loops": (square_loops, mu_square_uniform, 20000, 7),
+    }
+    got = {
+        name: hashlib.sha256(repr(analyze_excursions(g, mu, steps, seed)).encode()).hexdigest()
+        for name, (g, mu, steps, seed) in runs.items()
+    }
+    assert got == PINNED_EXCURSION_DIGESTS
 
 
 def test_analyze_excursions(path_loop, mu_path):
