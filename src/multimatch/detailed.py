@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, permutations
+from itertools import accumulate, chain, permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .chain import BufferEngine, draw_arrivals
@@ -119,18 +119,12 @@ def fcfm_match_partners(g: Multigraph, arrivals: Sequence[Node]) -> list[Optiona
     ``partners[k]`` is the 0-based index of the arrival matched with arrival
     ``k``, or ``None`` while unmatched.  Symmetric by construction.
     """
-    return _fcfm_partners(g, BufferEngine(g, Fcfm()).offer, arrivals, 0)
-
-
-def _fcfm_partners(g, offer, arrivals, base):
-    """Partner table of ``arrivals`` fed to ``offer``, the step of an FCFM
-    engine that holds no item and has already taken ``base`` arrivals."""
+    offer = BufferEngine(g, Fcfm()).offer
     partners: list[Optional[int]] = [None] * len(arrivals)
     try:
         for m, v in enumerate(arrivals):
             k = offer(v, None)
             if k is not None:
-                k -= base
                 partners[m] = k
                 partners[k] = m
     except KeyError:
@@ -196,11 +190,6 @@ def nu(mu: ProbMeasure, w: DWord) -> Weight:
     return value
 
 
-def letterset_nu(mu: ProbMeasure, letters: Iterable[DLetter]) -> Weight:
-    """nu-mass of a one-letter alphabet: the summed weight of its classes."""
-    return sum((mu[c] for c, _ in letters), Fraction(0))
-
-
 def blocks(g: Multigraph) -> Iterator[tuple[Node, ...]]:
     """Ordered independent sequences of the loop-free subgraph, one per block."""
     check = g.maximal_subgraph()
@@ -220,13 +209,13 @@ def nu_block_mass(g: Multigraph, mu: ProbMeasure, sigma: Sequence[Node]) -> Weig
     """
     mass: Weight = Fraction(1)
     prefix: list[Node] = []
-    all_nodes = frozenset(g.nodes)
     for e in sigma:
         prefix.append(e)
-        outside = all_nodes - g.neighborhood(prefix)
-        pad = [barred(c) for c in outside]
-        pad.extend(plain(c) for c in set(prefix) & g.v2)
-        nu_pad = letterset_nu(mu, pad)
+        nbhd = g.neighborhood(prefix)
+        # summed in a fixed order, so a float mass does not depend on the hash seed
+        pad = chain((c for c in g.nodes if c not in nbhd),
+                    (c for c in prefix if c not in g.self_loops))
+        nu_pad = sum(map(mu.__getitem__, pad), Fraction(0))
         if not nu_pad < 1:
             raise DetailedError(
                 f"block {sigma} has padding mass {nu_pad} >= 1; "
@@ -404,7 +393,7 @@ def verify_local_balance_empirical(
 
 # -- excursions and matched letters --------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Excursion:
     """One buffer-emptying arrival segment and its matched-partner word.
 
@@ -434,7 +423,7 @@ def excursion_decompose(g: Multigraph, arrivals: Sequence[Node]) -> list[Excursi
             size += 1
         if size == 0:
             segment = tuple(arrivals[start : m + 1])
-            partner_word = tuple(arrivals[partners[k]] for k in range(start, m + 1))
+            partner_word = tuple(map(arrivals.__getitem__, partners[start : m + 1]))
             out.append(Excursion(segment, partner_word))
             start = m + 1
     if not out:
@@ -448,19 +437,13 @@ def partner_map(g: Multigraph, word: Word) -> Word:
     The input must empty its own buffer exactly at its last letter; this is
     what makes the map a bijection on excursion words.
     """
-    return _partner_word(word, fcfm_match_partners(g, word))
-
-
-def _partner_word(word: Word, partners: Sequence[Optional[int]]) -> Word:
-    """:func:`partner_map` given the word's FCFM partner table."""
-    if any(p is None for p in partners):
+    partners = fcfm_match_partners(g, word)
+    if None in partners:
         raise DetailedError(f"{word!r} does not empty the buffer")
-    size = 0
-    for m in range(len(word) - 1):
-        size += -1 if (partners[m] is not None and partners[m] < m) else 1
-        if size == 0:
-            raise DetailedError(f"{word!r} empties the buffer before its end")
-    return tuple(word[p] for p in partners)
+    # arrivals 0..m match among themselves exactly when m is their largest partner
+    if any(top == m for m, top in enumerate(accumulate(partners[:-1], max))):
+        raise DetailedError(f"{word!r} empties the buffer before its end")
+    return tuple(map(word.__getitem__, partners))
 
 
 def partner_inverse(g: Multigraph, word: Word) -> Word:
@@ -492,20 +475,17 @@ def analyze_excursions(
     """Decompose a simulated trajectory and audit the partner map.
 
     Validates per excursion that the partner word permutes the letters and
-    that the inverse map really inverts, and tallies partner classes so their
-    frequencies can be compared against the arrival law.
+    that :func:`partner_inverse` inverts: the reversed partner words, laid
+    back to back, are split once, and excursion ``i`` inverts when the
+    stream's excursion ``i``, reversed, gives back its partner word and its
+    word.  Tallies partner classes so their frequencies can be compared
+    against the arrival law.
     """
     mu.check_support(g)
-    rng = random.Random(seed)
-    arrivals = draw_arrivals(mu, steps, rng)
-    excursions = excursion_decompose(g, arrivals)
+    excursions = excursion_decompose(g, draw_arrivals(mu, steps, random.Random(seed)))
     hist: dict[int, int] = {}
     matched: dict[Node, int] = {c: 0 for c in g.nodes}
     perm_ok = 0
-    round_ok = 0
-    # One engine runs every inverse (partner_inverse, inlined): a word the
-    # map accepts leaves it empty, and any other raises before the next.
-    offer, base = BufferEngine(g, Fcfm()).offer, 0
     for exc in excursions:
         n = len(exc.word)
         hist[n] = hist.get(n, 0) + 1
@@ -513,13 +493,18 @@ def analyze_excursions(
             matched[c] += 1
         if exc.permutation_valid():
             perm_ok += 1
-        back = exc.partner_word[::-1]
-        if _partner_word(back, _fcfm_partners(g, offer, back, base))[::-1] == exc.word:
-            round_ok += 1
-        base += n
+    stream = [c for exc in excursions for c in reversed(exc.partner_word)]
+    try:
+        back = excursion_decompose(g, stream)
+    except DetailedError:  # no complete excursion: nothing inverts
+        back = []
+    round_ok = sum(
+        inv.word[::-1] == exc.partner_word and inv.partner_word[::-1] == exc.word
+        for exc, inv in zip(excursions, back)
+    )
     return ExcursionReport(
         n_excursions=len(excursions),
-        total_letters=sum(len(e.word) for e in excursions),
+        total_letters=len(stream),
         permutation_valid=perm_ok,
         roundtrip_valid=round_ok,
         length_histogram=dict(sorted(hist.items())),

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multimatch.cli
-from multimatch import drift, measures, policies
+from multimatch import detailed, drift, measures, policies
+from multimatch.chain import BufferEngine
 from multimatch.graphs import Multigraph
 from multimatch.cli import main
 
@@ -190,6 +191,31 @@ def test_excursions(capsys, tmp_path):
                  "--out", missing]) == 2
     assert "missing=['3']" in capsys.readouterr().err
     assert not os.path.exists(missing)
+
+
+def test_a_failed_round_trip_is_counted_and_exits_1(capsys, tmp_path, monkeypatch,
+                                                    path_loop, mu_path):
+    # every engine after the first, the one that splits the trajectory, is
+    # LCFM, so the inverse maps run the wrong rule: a failed verification
+    def break_the_inverse():
+        made = []
+
+        def engine(g, policy):
+            made.append(policy)
+            return BufferEngine(g, policy if len(made) == 1 else policies.Lcfm())
+
+        monkeypatch.setattr(detailed, "BufferEngine", engine)
+
+    break_the_inverse()
+    rep = detailed.analyze_excursions(path_loop, mu_path, steps=3000, seed=0)
+    assert rep.all_permutation_valid
+    assert rep.roundtrip_valid < rep.n_excursions
+    break_the_inverse()
+    code, data = run(capsys, "excursions", *PATH_MODEL, "--steps", "3000",
+                     "--out", str(tmp_path / "exc"))
+    assert code == 1
+    assert data["verified"] is False
+    assert data["roundtrip_valid"] < data["excursions"]
 
 
 def test_drift_command(capsys, tmp_path):

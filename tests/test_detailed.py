@@ -1,6 +1,10 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,6 +36,7 @@ from multimatch import (
 )
 from multimatch.chain import BufferEngine, draw_arrivals, step
 from multimatch.detailed import (
+    ExcursionReport,
     analyze_excursions,
     barred,
     blocks,
@@ -176,6 +181,29 @@ def test_block_masses(triangle, path_loop, mu_path):
     assert nu_block_mass(path_loop, mu_path, ("1", "3")) == (
         Fraction(1, 5) / Fraction(1, 10) * (Fraction(1, 2) / Fraction(3, 5))
     )
+
+
+def test_block_masses_do_not_depend_on_the_hash_seed():
+    # a float measure on C9 with one loop: its padding masses are float sums
+    script = (
+        "from multimatch import Multigraph, ProbMeasure, alpha_inverse_from_blocks\n"
+        "nodes = [str(k) for k in range(1, 10)]\n"
+        "g = Multigraph.build(nodes, [(a, b) for a, b in zip(nodes, nodes[1:] + nodes[:1])],"
+        " ['1'])\n"
+        "raw = [1 + 0.037 * k for k in range(9)]\n"
+        "mu = ProbMeasure.from_dict({c: x / sum(raw) for c, x in zip(nodes, raw)})\n"
+        "print(repr(alpha_inverse_from_blocks(g, mu)))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert float(outputs[0]) > 1
 
 
 def test_block_mass_needs_stability(path_loop):
@@ -368,6 +396,24 @@ def test_partner_map_is_a_bijection_on_random_models(seed, steps):
         mu = random_measure(rng, g.nodes)
         if ncond_check(g, mu).satisfied:
             break
+    # the audit's report, recounted with the public maps over its own trajectory
+    audited = draw_arrivals(mu, steps, random.Random(seed))
+    try:
+        oracle = excursion_decompose(g, audited)
+    except DetailedError:
+        with pytest.raises(DetailedError):
+            analyze_excursions(g, mu, steps, seed)
+    else:
+        hist = Counter(len(e.word) for e in oracle)
+        matched = Counter(c for e in oracle for c in e.partner_word)
+        assert analyze_excursions(g, mu, steps, seed) == ExcursionReport(
+            n_excursions=len(oracle),
+            total_letters=sum(len(e.word) for e in oracle),
+            permutation_valid=sum(sorted(e.word) == sorted(e.partner_word) for e in oracle),
+            roundtrip_valid=sum(partner_inverse(g, e.partner_word) == e.word for e in oracle),
+            length_histogram=dict(sorted(hist.items())),
+            matched_class_counts={c: matched[c] for c in g.nodes},
+        )
     arrivals = draw_arrivals(mu, steps, rng)
     # the completed prefix ends at the last arrival that leaves the FCFM buffer empty
     w, end = (), 0
