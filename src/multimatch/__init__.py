@@ -82,13 +82,11 @@ from .drift import (
     DriftError,
     DriftReport,
     Linear,
-    NegativeDriftScan,
     PpartiteReport,
     Quadratic,
     WeightedLinear,
     exact_drift,
     ldelta,
-    negative_drift_scan,
     special_sets,
     verify_linear_chain,
     verify_ppartite_bound,

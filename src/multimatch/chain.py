@@ -45,12 +45,12 @@ from .policies import (
     Lcfm,
     Policy,
     Word,
-    _sample,
-    _transition,
     class_rule,
     decision_distribution,
     decide,
     is_draw_free,
+    sample,
+    transition,
 )
 
 
@@ -227,7 +227,7 @@ def _compile_offer(g, policy, v, fifo, items, clock):
     engine is freed as soon as it is dropped.
     """
     own = fifo[v]
-    nbrs = g._sorted_adjacency[v]
+    nbrs = g.sorted_adjacency[v]
     if isinstance(policy, (Fcfm, Lcfm)):
         # the neighbour whose oldest (newest) stored item arrived first (last);
         # heads are distinct arrival indices, so ``(a > b) is newest`` reads
@@ -265,7 +265,7 @@ def _compile_offer(g, policy, v, fifo, items, clock):
             own.append(key)
             return None
         spec = rule(g, policy, counts, v)
-        key = fifo[spec[0][0 if spec[1] is None else _sample(spec, rng)]].popleft()
+        key = fifo[spec[0][0 if spec[1] is None else sample(spec, rng)]].popleft()
         del items[key]
         return key
 
@@ -337,9 +337,10 @@ class _StepTable:
       - -1 until the step is first taken; -2 when the table cannot hold one
         of its next words (a word longer than ``_TABLE_MAX_LEN``, or a new
         word while the table is full), so the step goes to the engine.
-    An entry is filled from :func:`policies._transition` at the state's word,
+    An entry is filled from :func:`policies.transition` at the state's word,
     so filling never draws, and every next word is :func:`apply_decision` of
-    the word, the arrival and the matched position.
+    the word, the arrival and the matched position.  A run draws from a
+    record with :func:`policies.sample`.
     """
 
     def __init__(self, g: Multigraph, policy: Policy, nodes: list[Node]):
@@ -362,7 +363,7 @@ class _StepTable:
         one of its next words, so the run takes this step on the engine."""
         w, v = self.words[o // self.k], self.nodes[i]
         t = -2
-        x = _transition(self.g, self.policy, w, v)
+        x = transition(self.g, self.policy, w, v)
         if x is None or type(x) is int:
             t = self.enter(apply_decision(w, v, x))
         else:
@@ -526,7 +527,7 @@ def simulate(
                                 t = fill(o, i)
                             if t < -2:
                                 spec, outs = records[-3 - t]
-                                t = outs[_sample(spec, rng)]
+                                t = outs[sample(spec, rng)]
                             elif t < 0:
                                 load(words[o // k])
                                 feed, o = chain((i,), rest), -1

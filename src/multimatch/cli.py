@@ -256,6 +256,9 @@ def cmd_simulate(args, art: Artifacts, g: Multigraph, mu: ProbMeasure, policy: P
 
 
 def cmd_tv_compare(args, art: Artifacts, g: Multigraph, mu: ProbMeasure, policy: Policy) -> dict:
+    if not isinstance(policy, policies.Fcfm):
+        raise InputError("tv-compare compares with the FCFM product form, the stationary law "
+                         "of --policy fcfm only")
     dist = stationary.product_form(g, mu)
     pi = dist.table(args.max_len)
     exact_tail = 1 - float(sum(pi.values(), Fraction(0)))
@@ -350,7 +353,7 @@ def _lyapunov_from_name(name: str, g, mu, delta):
             raise InputError(f"--delta sets the margin of Ldelta; --fn {name} takes none")
         return {"Q": drift.Quadratic, "L": drift.Linear}[name](), None, None
     if delta is not None:
-        delta = measures._to_weight(delta)
+        delta = measures.to_weight(delta)
         return drift.ldelta(g, mu, delta), delta, None
     report = measures.ncond_check(g, mu)
     if not report.satisfied:
@@ -384,8 +387,8 @@ def cmd_drift(args, art: Artifacts, g: Multigraph, mu: ProbMeasure, policy: Poli
     }
     if args.fn == "Ldelta" and g.complete_multipartite_decomposition() is not None:
         try:
-            rep = drift._ppartite_bound(g, mu, policy, args.max_len, delta, args.tol, report,
-                                        drifts)
+            rep = drift.verify_ppartite_bound(g, mu, policy, args.max_len, delta, args.tol,
+                                              report=report, drifts=drifts)
             summary.update(ldelta_bound_holds=rep.ok, delta=rep.delta,
                            verified=summary["verified"] and rep.ok)
         except drift.DriftError:
@@ -416,7 +419,7 @@ def cmd_extend_measure(args, art: Artifacts, g: Multigraph, mu: ProbMeasure) -> 
         raw = _parse(json.loads, args.split, "--split")
         if not isinstance(raw, dict):
             raise InputError("--split must be a JSON object {class: share}")
-        split = {k: measures._to_weight(v) for k, v in raw.items()}
+        split = {k: measures.to_weight(v) for k, v in raw.items()}
     extended = measures.extend_measure(mu, bmap, split)
     art.files["extended_measure.json"] = extended.dumps()
     return {

@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Union
 
 from .chain import check_admissible, enumerate_states
 from .graphs import Multigraph, Node
-from .measures import ProbMeasure, Weight, extend_measure, ncond_check
+from .measures import NcondReport, ProbMeasure, Weight, extend_measure, ncond_check
 from .policies import (
     Policy,
     Word,
@@ -252,6 +252,9 @@ def verify_ppartite_bound(
     max_len: int,
     delta: Optional[Weight] = None,
     tol: float = 1e-12,
+    *,
+    report: Optional[NcondReport] = None,
+    drifts: Optional[Mapping[Word, Weight]] = None,
 ) -> PpartiteReport:
     """Check drift(L_delta) <= -delta/2 on every word storing a non-looped class.
 
@@ -259,16 +262,10 @@ def verify_ppartite_bound(
     self-loop present) under a policy favoring non-looped classes, with the
     measure inside the stability region.  ``delta`` defaults to the stability
     margin.  Words whose support avoids the non-looped classes form the
-    finite exceptional set and are skipped.
+    finite exceptional set and are skipped.  A caller that has the NCOND
+    ``report`` or the Ldelta ``drifts`` {word: drift} at this delta passes
+    them, and they are not computed again.
     """
-    return _ppartite_bound(g, mu, policy, max_len, delta, tol)
-
-
-def _ppartite_bound(
-    g, mu, policy, max_len, delta, tol, report=None, drifts=None
-) -> PpartiteReport:
-    """:func:`verify_ppartite_bound`, reusing the caller's NCOND ``report`` and
-    its Ldelta ``drifts`` {word: drift} at this delta, if it has them."""
     parts = g.complete_multipartite_decomposition()
     if parts is None:
         raise DriftError("graph is not complete multipartite")
@@ -292,35 +289,3 @@ def _ppartite_bound(
         states_checked=len(words),
         violations=violations,
     )
-
-
-@dataclass(frozen=True)
-class NegativeDriftScan:
-    """Smallest length beyond which all tested drifts are negative.
-
-    ``threshold`` is the cut length (states strictly longer all drift down,
-    up to ``max_len``); ``eta`` is the worst (largest) drift beyond it.  Both
-    are empirical for the scanned window, not derived constants.
-    """
-
-    threshold: Optional[int]
-    eta: Optional[float]
-    max_len: int
-
-
-def negative_drift_scan(
-    g: Multigraph,
-    mu: ProbMeasure,
-    policy: Policy,
-    fn: LyapunovFn,
-    max_len: int,
-) -> NegativeDriftScan:
-    worst: dict[int, float] = {}
-    for w in enumerate_states(g, max_len):
-        d = float(exact_drift(g, mu, policy, w, fn).drift)
-        worst[len(w)] = max(worst.get(len(w), -math.inf), d)
-    for cut in range(max_len + 1):
-        tail = [d for ln, d in worst.items() if ln > cut]
-        if tail and max(tail) < 0:
-            return NegativeDriftScan(cut, max(tail), max_len)
-    return NegativeDriftScan(None, None, max_len)

@@ -103,7 +103,7 @@ class Multigraph:
         return {i: frozenset(v) for i, v in nb.items()}
 
     @cached_property
-    def _sorted_adjacency(self) -> dict[Node, tuple[Node, ...]]:
+    def sorted_adjacency(self) -> dict[Node, tuple[Node, ...]]:
         """Each neighborhood as one sorted tuple, shared by every reader."""
         return {i: tuple(sorted(nb)) for i, nb in self.adjacency.items()}
 

@@ -28,7 +28,9 @@ class MeasureError(ValueError):
     """Invalid probability data or support mismatch."""
 
 
-def _to_weight(v) -> Weight:
+def to_weight(v) -> Weight:
+    """One weight read from outside input: a finite float stays a float; an
+    int, a Fraction or a numeric string becomes an exact Fraction."""
     if isinstance(v, bool):
         raise MeasureError(f"weight {v!r} is not a number")
     if isinstance(v, float):
@@ -66,7 +68,7 @@ class ProbMeasure:
     def from_dict(raw: Mapping[Node, object]) -> "ProbMeasure":
         if not isinstance(raw, Mapping):
             raise MeasureError("a measure must map class names to weights")
-        mu = ProbMeasure({k: _to_weight(v) for k, v in raw.items()})
+        mu = ProbMeasure({k: to_weight(v) for k, v in raw.items()})
         mu.validate()
         return mu
 

@@ -12,11 +12,12 @@ class-level kind has one rule that returns a draw spec: the classes it may
 choose and the one RNG call that picks among them.  The same spec gives the
 sampled class and, given no RNG, its exact law, and the simulation engine
 replays it call for call.  What an arrival does at a queue word is defined
-once, by :func:`_transition`: the position it matches, None, or the rule's
+once, by :func:`transition`: the position it matches, None, or the rule's
 draw spec.  :func:`decide` samples one decision from it and
 :func:`decision_distribution` enumerates every decision with its exact
 probability (used by transition kernels and drift computations); the
-simulation's step table fills its entries from it too.
+simulation's step table fills its entries from it too.  :func:`sample` makes
+a spec's one RNG call, for :func:`decide` and for the simulation's replay.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .graphs import BlowupMap, Multigraph, Node
-from .measures import SUM_TOL, Weight, _to_weight, cumulative
+from .measures import SUM_TOL, Weight, cumulative, to_weight
 
 Word = tuple[Node, ...]
 
@@ -220,7 +221,7 @@ def word_counts(w: Word) -> dict[Node, int]:
 #                     permutations).
 # Uniform random and explicit permutations draw even with one candidate, as
 # the per-arrival permutation they stand for is drawn whatever it meets; a tie
-# draws only among two or more classes.  The sample (:func:`_sample`), the
+# draws only among two or more classes.  The sample (:func:`sample`), the
 # exact law (:func:`_law`), the engine's step and the simulation's step table
 # all read the same spec.  It is a function of the arrival and the stored
 # items per class, so under a class rule the next queue word is a function of
@@ -229,7 +230,7 @@ _RANDRANGE, _SHUFFLE, _RANDOM = "randrange", "shuffle", "random"
 _TIE = (_RANDRANGE,)
 
 
-def _sample(spec, rng: random.Random) -> int:
+def sample(spec, rng: random.Random) -> int:
     """Index in ``classes`` of the class a draw spec picks, making its one
     call on ``rng``."""
     classes, draw = spec
@@ -270,7 +271,7 @@ def _uniform(choices: Sequence[Node]):
 def _random_rule(g, policy, counts, v):
     dist = (policy.perms or {}).get(v)
     if dist is None:
-        return sorted(counts), (_SHUFFLE, g._sorted_adjacency[v])
+        return sorted(counts), (_SHUFFLE, g.sorted_adjacency[v])
     firsts = [next(j for j in perm if j in counts) for perm, _ in dist]
     classes = list(dict.fromkeys(firsts))
     weights = [p for _, p in dist]
@@ -319,7 +320,7 @@ def class_rule(policy: Policy):
 
 # -- word-level decisions ----------------------------------------------------
 
-def _transition(g: Multigraph, policy: Policy, w: Word, v: Node):
+def transition(g: Multigraph, policy: Policy, w: Word, v: Node):
     """What arrival ``v`` does at word ``w``: the 0-based position it matches,
     None when it is stored, or the class rule's draw spec when the rule draws.
 
@@ -353,7 +354,7 @@ def decision_distribution(
 
     Class-level choices land on the oldest stored item of the chosen class.
     """
-    t = _transition(g, policy, w, v)
+    t = transition(g, policy, w, v)
     if t is None or type(t) is int:
         return {t: Fraction(1)}
     return {w.index(j): p for j, p in _law(t).items()}
@@ -368,10 +369,10 @@ def decide(
     Random policies draw their preference permutation first; any tie-break
     draw comes after, so a seeded stream replays identically.
     """
-    t = _transition(g, policy, w, v)
+    t = transition(g, policy, w, v)
     if t is None or type(t) is int:
         return t
-    return w.index(t[0][_sample(t, rng)])
+    return w.index(t[0][sample(t, rng)])
 
 
 # -- transforms between a multigraph and its blow-up / loop-free versions ----
@@ -530,7 +531,7 @@ def policy_from_json_dict(data: dict) -> Policy:
                         f"pair, got {entry!r}"
                     )
                 perm = tuple(_names(entry[0], f"a permutation of {v!r}"))
-                entries.append((perm, _to_weight(entry[1])))
+                entries.append((perm, to_weight(entry[1])))
             parsed[v] = tuple(entries)
         return RandomPolicy(parsed)
     if kind == "priority":
@@ -546,8 +547,8 @@ def policy_from_json_dict(data: dict) -> Policy:
             pair = key.split(",")
             if len(pair) != 2:
                 raise PolicyError(f'a reward key must name a pair "a,b", got {key!r}')
-            rewards[tuple(pair)] = _to_weight(r)
-        return MaxWeight(beta=_to_weight(data.get("beta", 1)), rewards=rewards)
+            rewards[tuple(pair)] = to_weight(r)
+        return MaxWeight(beta=to_weight(data.get("beta", 1)), rewards=rewards)
     if kind == "ml":
         return match_the_longest()
     if kind == "ms":

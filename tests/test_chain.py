@@ -51,12 +51,12 @@ import multimatch.chain as chain_module
 from multimatch.detailed import fcfm_match_partners
 from multimatch.policies import (
     _law,
-    _sample,
-    _transition,
     class_rule,
     decision_distribution,
     is_class_admissible,
     is_draw_free,
+    sample,
+    transition,
     word_counts,
 )
 
@@ -418,7 +418,7 @@ def test_sampled_class_choices_follow_the_exact_law(seed):
                 assert sum(law.values()) == 1, name
                 hits = dict.fromkeys(candidates, 0)
                 for _ in range(n):
-                    hits[spec[0][_sample(spec, sampler)]] += 1
+                    hits[spec[0][sample(spec, sampler)]] += 1
                 for j, k in hits.items():
                     p = float(law.get(j, 0))
                     assert abs(k / n - p) <= 5 * math.sqrt(p * (1 - p) / n), (name, w, v, j)
@@ -555,7 +555,7 @@ def assert_table_follows_step(g, pol, arrivals, name):
             t = table.fill(o, i)
         if t < -2:
             spec, outs = table.records[-3 - t]
-            t = outs[_sample(spec, rng)]
+            t = outs[sample(spec, rng)]
         o = t
         if o < 0:  # the run would hand this step to the engine
             break
@@ -667,7 +667,7 @@ def test_a_full_table_hands_draws_to_the_engine(diamond_hub, mu_diamond):
 
     def fill(table, o, i):
         w, v = table.words[o // table.k], table.nodes[i]
-        spec = _transition(table.g, table.policy, w, v)
+        spec = transition(table.g, table.policy, w, v)
         t = real_fill(table, o, i)
         drawing = spec is not None and type(spec) is not int
         if t == -2 and drawing:
@@ -702,7 +702,7 @@ def test_a_full_table_hands_over_only_missing_words(diamond_hub, mu_diamond, kin
 
     def fill(table, o, i):
         w, v = table.words[o // table.k], table.nodes[i]
-        spec = _transition(table.g, table.policy, w, v)
+        spec = transition(table.g, table.policy, w, v)
         drawing = spec is not None and type(spec) is not int
         room = chain_module._TABLE_MAX_STATES - len(table.words)
         missing = drawing and sum(taken_by_class(w, v, j) not in table.ids for j in spec[0])
@@ -738,7 +738,7 @@ def test_a_step_at_the_length_bound_leaves_the_table_only_to_store(path_loop, mu
 
     def fill(table, o, i):
         w, v = table.words[o // table.k], table.nodes[i]
-        x = _transition(table.g, table.policy, w, v)
+        x = transition(table.g, table.policy, w, v)
         t = real_fill(table, o, i)
         if len(w) == chain_module._TABLE_MAX_LEN:
             assert len(table.words) < chain_module._TABLE_MAX_STATES

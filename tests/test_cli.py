@@ -144,10 +144,19 @@ def test_tv_compare_exit_codes(capsys):
     assert code == 0 and data["verified"] is True
     assert all(tv < 0.02 for tv in data["tv_per_replica"])
 
-    # a policy with a different stationary law fails decisively
-    code, data = run(capsys, *base, "--policy", "lcfm")
-    assert code == 1 and data["verified"] is False
-    assert all(tv > 0.3 for tv in data["tv_per_replica"])
+
+@pytest.mark.parametrize("model", [("square_loops.graph.json", "square_loops.mu_skewed.json"),
+                                   ("path_loop.graph.json", "path_loop.mu.json")])
+@pytest.mark.parametrize("policy", ["lcfm", "ml", "ms", "random"])
+def test_tv_compare_refuses_a_policy_other_than_fcfm(capsys, tmp_path, model, policy):
+    # the product form is FCFM's law only: no verdict, and no artifact, for another policy
+    out = tmp_path / "out"
+    code = main(["tv-compare", "--graph", fx(model[0]), "--mu", fx(model[1]),
+                 "--policy", policy, "--steps", "2000", "--max-len", "4", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "FCFM product form" in captured.err
+    assert not out.exists()
 
 
 def test_reversibility(capsys):
@@ -518,7 +527,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
         '{"kind": "priority"}',
         '{"kind": "priority", "order": [1]}',
         '{"kind": "random", "perms": [1]}',
-        '{"kind": "v2favorable"}',
+        '{"kind": "v2favorable", "inner": {"kind": "fcfm"}}',
         '{"kind": "maxweight", "rewards": {"12": "1"}}',
         '{"kind": "priority", "order": {"1": ["2"], "2": [1], "3": ["2", "3"]}}',
         '{"kind": "random", "perms": {"1": [["2"]]}}',

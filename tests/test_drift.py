@@ -28,7 +28,6 @@ from multimatch import (
     match_the_longest,
     match_the_shortest,
     ncond_check,
-    negative_drift_scan,
     special_sets,
     verify_linear_chain,
     verify_ppartite_bound,
@@ -237,9 +236,13 @@ def test_negative_quadratic_drift_beyond_threshold(path_loop, diamond_hub, mu_pa
 
     cases = [(path_loop, mu_path), (diamond_hub, mu_deg(diamond_hub))]
     for g, mu in cases:
-        scan = negative_drift_scan(g, mu, match_the_longest(), Quadratic(), max_len=7)
-        assert scan.threshold is not None
-        assert scan.eta is not None and scan.eta < 0
+        worst = {}  # the largest drift per state length, over the window up to 7
+        for w in enumerate_states(g, 7):
+            d = exact_drift(g, mu, match_the_longest(), w, Quadratic()).drift
+            worst[len(w)] = max(d, worst.get(len(w), d))
+        assert max(worst) == 7
+        cut = min(n for n in range(8) if all(d < 0 for k, d in worst.items() if k > n))
+        assert cut < 7  # every state longer than the cut drifts strictly down
 
 
 def test_longer_random_states_keep_identities(path_loop, mu_path):

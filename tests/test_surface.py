@@ -6,7 +6,9 @@ methods and properties, as ``Class.member``.  The pin records each name with
 its ``inspect.signature`` string, or None for a name that is neither a
 function nor a class, or that has no signature.  Renaming, deleting or
 re-signing a public name is therefore a visible edit to the pin, and so is a
-change to what ``multimatch`` itself exports.
+change to what ``multimatch`` itself exports.  The modules also keep their
+underscore names to themselves: the last test scans the package's source for
+one module's use of another's private names.
 """
 
 import ast
@@ -14,6 +16,7 @@ import importlib
 import inspect
 import types
 from functools import cached_property
+from pathlib import Path
 
 import multimatch
 
@@ -42,10 +45,10 @@ def public_surface(module) -> dict:
         for name in names:
             if name.startswith("_"):
                 continue
-            obj = getattr(module, name)
             if isinstance(node, ast.Assign | ast.AnnAssign):  # a constant or a type alias
                 surface[name] = None
                 continue
+            obj = getattr(module, name)
             surface[name] = signature(obj)
             if isinstance(node, ast.ClassDef):
                 for attr, member in vars(obj).items():
@@ -64,7 +67,7 @@ def exported_names() -> list[str]:
                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
 
 
-# recorded from the package before any public name changed
+# an edit here is a change to the package's contract
 PINNED_SURFACE = {
     "graphs": {
         "Node": None,
@@ -79,6 +82,7 @@ PINNED_SURFACE = {
             'self_loops: \'Iterable[Node]\' = ()) -> "\'Multigraph\'"'
         ),
         "Multigraph.adjacency": 'property',
+        "Multigraph.sorted_adjacency": 'property',
         "Multigraph.v1": 'property',
         "Multigraph.v2": 'property',
         "Multigraph.check_node": "(self, i: 'Node') -> 'None'",
@@ -109,6 +113,7 @@ PINNED_SURFACE = {
         "Weight": None,
         "SUM_TOL": None,
         "MeasureError": None,
+        "to_weight": "(v) -> 'Weight'",
         "cumulative": "(weights: 'Iterable[Weight]') -> 'list[float]'",
         "ProbMeasure": "(weights: 'Mapping[Node, Weight]') -> None",
         "ProbMeasure.from_dict": '(raw: \'Mapping[Node, object]\') -> "\'ProbMeasure\'"',
@@ -162,7 +167,9 @@ PINNED_SURFACE = {
         "match_the_shortest": "(beta: 'Weight' = -1) -> 'MaxWeight'",
         "validate_policy": "(policy: 'Policy', g: 'Multigraph') -> 'None'",
         "word_counts": "(w: 'Word') -> 'dict[Node, int]'",
+        "sample": "(spec, rng: 'random.Random') -> 'int'",
         "class_rule": "(policy: 'Policy')",
+        "transition": "(g: 'Multigraph', policy: 'Policy', w: 'Word', v: 'Node')",
         "decision_distribution": (
             "(g: 'Multigraph', policy: 'Policy', w: 'Word', v: 'Node') -> 'dict[Optional[int], "
             "Weight]'"
@@ -335,14 +342,9 @@ PINNED_SURFACE = {
         ),
         "verify_ppartite_bound": (
             "(g: 'Multigraph', mu: 'ProbMeasure', policy: 'Policy', max_len: 'int', "
-            "delta: 'Optional[Weight]' = None, tol: 'float' = 1e-12) -> 'PpartiteReport'"
-        ),
-        "NegativeDriftScan": (
-            "(threshold: 'Optional[int]', eta: 'Optional[float]', max_len: 'int') -> None"
-        ),
-        "negative_drift_scan": (
-            "(g: 'Multigraph', mu: 'ProbMeasure', policy: 'Policy', fn: 'LyapunovFn', "
-            "max_len: 'int') -> 'NegativeDriftScan'"
+            "delta: 'Optional[Weight]' = None, tol: 'float' = 1e-12, *, "
+            "report: 'Optional[NcondReport]' = None, "
+            "drifts: 'Optional[Mapping[Word, Weight]]' = None) -> 'PpartiteReport'"
         ),
     },
     "cli": {
@@ -396,19 +398,18 @@ PINNED_SURFACE = {
 PINNED_EXPORTS = (
     "BlowupMap", "ChainError", "DetailedError", "DriftError", "DriftReport", "Excursion",
     "ExcursionReport", "Fcfm", "GraphError", "Lcfm", "Linear", "LocalBalanceReport", "MaxWeight",
-    "MeasureError", "Multigraph", "NcondReport", "NegativeDriftScan", "Policy", "PolicyError",
-    "PpartiteReport", "Priority", "ProbMeasure", "ProductFormDistribution", "Quadratic",
-    "RandomPolicy", "SimulationResult", "StationaryError", "V2Favorable", "WeightedLinear", "alpha",
+    "MeasureError", "Multigraph", "NcondReport", "Policy", "PolicyError", "PpartiteReport",
+    "Priority", "ProbMeasure", "ProductFormDistribution", "Quadratic", "RandomPolicy",
+    "SimulationResult", "StationaryError", "V2Favorable", "WeightedLinear", "alpha",
     "alpha_inverse_from_blocks", "analyze_excursions", "backward_step", "backward_word_at",
     "balance_residual", "decide", "decision_distribution", "enumerate_states", "exact_drift",
     "excursion_decompose", "extend_measure", "extend_policy", "finite_stationary", "forward_word",
     "is_admissible_backward", "is_admissible_forward", "is_admissible_word", "kernel_row", "ldelta",
     "match_the_longest", "match_the_shortest", "mu_deg", "ncond_check", "ncond_equivalence_check",
-    "negative_drift_scan", "nu", "nu_block_mass", "partner_inverse", "partner_map", "policy_dumps",
-    "policy_loads", "predecessors", "product_form", "project_to_queue", "reduce_measure",
-    "reduce_policy", "reverse_copy", "simulate", "solve_finite_chain", "special_sets",
-    "stability_slope", "step", "validate_policy", "verify_linear_chain", "verify_ppartite_bound",
-    "verify_quadratic_identity",
+    "nu", "nu_block_mass", "partner_inverse", "partner_map", "policy_dumps", "policy_loads",
+    "predecessors", "product_form", "project_to_queue", "reduce_measure", "reduce_policy",
+    "reverse_copy", "simulate", "solve_finite_chain", "special_sets", "stability_slope", "step",
+    "validate_policy", "verify_linear_chain", "verify_ppartite_bound", "verify_quadratic_identity",
 )
 
 
@@ -420,3 +421,48 @@ def test_public_surface_is_pinned():
 
 def test_package_exports_are_pinned():
     assert exported_names() == list(PINNED_EXPORTS)
+
+
+# stationary.alpha reads the NCOND walk's per-set gaps and builds the report
+# from them, so the stability check and the normalizer share one walk over
+# the independent sets; calling the public ncond_check would walk them twice.
+# The planned bitmask subset table replaces both names.
+CROSS_MODULE_ALLOWED = {
+    ("stationary", "measures", "_gaps"),
+    ("stationary", "measures", "_ncond_report"),
+}
+
+
+def private_bindings(tree) -> set[str]:
+    """Underscore names a module binds: defs, classes, assigned names and
+    assigned attributes (``self._x = ...``), dunders apart."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name | ast.Attribute) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return {n for n in bound if n.startswith("_") and not n.endswith("__")}
+
+
+def cross_module_private_uses() -> set[tuple[str, str, str]]:
+    """(user, owner, name) for each ``from .owner import _name``, and each
+    ``x._name`` read in one module of a name that only another binds."""
+    package = Path(multimatch.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in package.glob("*.py")}
+    bound = {m: private_bindings(tree) for m, tree in trees.items()}
+    uses = set()
+    for user, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module in trees:
+                uses |= {(user, node.module, a.name) for a in node.names
+                         if a.name.startswith("_") and node.module != user}
+            elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and node.attr not in bound[user]):
+                uses |= {(user, owner, node.attr) for owner in bound
+                         if owner != user and node.attr in bound[owner]}
+    return uses
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    assert cross_module_private_uses() == CROSS_MODULE_ALLOWED
