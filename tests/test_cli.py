@@ -527,6 +527,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
         '{"kind": "priority"}',
         '{"kind": "priority", "order": [1]}',
         '{"kind": "random", "perms": [1]}',
+        '{"kind": "v2favorable"}',
         '{"kind": "v2favorable", "inner": {"kind": "fcfm"}}',
         '{"kind": "maxweight", "rewards": {"12": "1"}}',
         '{"kind": "priority", "order": {"1": ["2"], "2": [1], "3": ["2", "3"]}}',
