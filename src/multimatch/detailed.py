@@ -198,31 +198,33 @@ def blocks(g: Multigraph) -> Iterator[tuple[Node, ...]]:
             yield sigma
 
 
-def nu_block_mass(g: Multigraph, mu: ProbMeasure, sigma: Sequence[Node]) -> Weight:
-    """Total nu-mass of the backward states whose unbarred skeleton is ``sigma``.
+def _block_factor(g: Multigraph, mu: ProbMeasure, sigma: Sequence[Node]) -> Weight:
+    """The factor the last letter of block ``sigma`` adds to the block's mass.
 
-    Each skeleton letter contributes its own weight times the geometric mass
-    of the padding alphabet that may follow it: copies of classes outside the
-    prefix's neighborhood plus repeats of non-looped prefix members.  The
+    The letter contributes its own weight times the geometric mass of the
+    padding alphabet that may follow it: copies of classes outside the
+    block's neighborhood plus repeats of its non-looped letters.  The
     geometric sum 1/(1 - nu(alphabet)) converges precisely because the
     stability condition keeps every alphabet's nu below one.
     """
-    mass: Weight = Fraction(1)
-    prefix: list[Node] = []
-    for e in sigma:
-        prefix.append(e)
-        nbhd = g.neighborhood(prefix)
-        # summed in a fixed order, so a float mass does not depend on the hash seed
-        pad = chain((c for c in g.nodes if c not in nbhd),
-                    (c for c in prefix if c not in g.self_loops))
-        nu_pad = sum(map(mu.__getitem__, pad), Fraction(0))
-        if not nu_pad < 1:
-            raise DetailedError(
-                f"block {sigma} has padding mass {nu_pad} >= 1; "
-                "the measure violates the stability condition"
-            )
-        mass *= mu[e] / (1 - nu_pad)
-    return mass
+    nbhd = g.neighborhood(sigma)
+    # summed in a fixed order, so a float mass does not depend on the hash seed
+    pad = chain((c for c in g.nodes if c not in nbhd),
+                (c for c in sigma if c not in g.self_loops))
+    nu_pad = sum(map(mu.__getitem__, pad), Fraction(0))
+    if not nu_pad < 1:
+        raise DetailedError(
+            f"block {tuple(sigma)} has padding mass {nu_pad} >= 1; "
+            "the measure violates the stability condition"
+        )
+    return mu[sigma[-1]] / (1 - nu_pad)
+
+
+def nu_block_mass(g: Multigraph, mu: ProbMeasure, sigma: Sequence[Node]) -> Weight:
+    """Total nu-mass of the backward states whose unbarred skeleton is
+    ``sigma``: the factors of its prefixes, multiplied left to right."""
+    factors = (_block_factor(g, mu, sigma[:k]) for k in range(1, len(sigma) + 1))
+    return math.prod(factors, start=Fraction(1))
 
 
 def alpha_inverse_from_blocks(g: Multigraph, mu: ProbMeasure) -> Weight:
@@ -230,9 +232,17 @@ def alpha_inverse_from_blocks(g: Multigraph, mu: ProbMeasure) -> Weight:
 
     Equals the reciprocal of the product-form normalizing constant; the two
     are computed along different routes, so their agreement is a strong
-    cross-check.
+    cross-check.  Every prefix of a block is a block, and each mass is kept,
+    so a block costs one factor on top of its prefix's mass.
     """
-    return sum((nu_block_mass(g, mu, s) for s in blocks(g)), Fraction(1))
+    masses: dict[tuple[Node, ...], Weight] = {(): Fraction(1)}
+
+    def mass(sigma: tuple[Node, ...]) -> Weight:
+        if sigma not in masses:
+            masses[sigma] = mass(sigma[:-1]) * _block_factor(g, mu, sigma)
+        return masses[sigma]
+
+    return sum(map(mass, blocks(g)), Fraction(1))
 
 
 def enumerate_backward_states(g: Multigraph, max_len: int) -> list[DWord]:

@@ -162,26 +162,32 @@ class Multigraph:
         side_a = frozenset(i for i in self.nodes if color[i] == 0)
         return True, (side_a, frozenset(self.nodes) - side_a)
 
-    def independent_sets(self) -> Iterator[frozenset[Node]]:
-        """Yield every nonempty independent set, smallest-lexicographic first.
+    def independent_masks(self, loop_free: bool = False) -> Iterator[tuple[int, int]]:
+        """Yield every nonempty independent set as ``(mask, neighborhood mask)``.
 
-        Members are never self-looped (a looped node is adjacent to itself).
-        Enumeration is exhaustive backtracking, intended for small graphs.
+        Bit k stands for ``nodes[k]``, and the neighborhood is this graph's,
+        self-loops included.  With ``loop_free`` the sets are the maximal
+        subgraph's.  Each set is extended depth first by members of higher
+        index, so the sets come smallest-lexicographic first, each before its
+        extensions.  The walk is exhaustive, intended for small graphs.
         """
-        eligible = sorted(self.v2)
-        adj = self.adjacency
+        near = [sum(1 << k for k, j in enumerate(self.nodes) if j in self.adjacency[c])
+                for c in self.nodes]
+        free = sum(1 << k for k, c in enumerate(self.nodes) if loop_free or c not in self.self_loops)
+        stack = [(0, 0, free)]  # a set, its neighborhood, the members it may still take
+        while stack:
+            mask, nbhd, free = stack.pop()
+            if free:
+                low = free & -free
+                k = low.bit_length() - 1
+                stack.append((mask, nbhd, free ^ low))
+                yield mask | low, nbhd | near[k]
+                stack.append((mask | low, nbhd | near[k], free & ~low & ~near[k]))
 
-        def extend(current: list[Node], start: int) -> Iterator[frozenset[Node]]:
-            for k in range(start, len(eligible)):
-                cand = eligible[k]
-                if any(cand in adj[m] for m in current):
-                    continue
-                current.append(cand)
-                yield frozenset(current)
-                yield from extend(current, k + 1)
-                current.pop()
-
-        yield from extend([], 0)
+    def independent_sets(self) -> Iterator[frozenset[Node]]:
+        """Every nonempty independent set, in :meth:`independent_masks`'s order."""
+        for mask, _ in self.independent_masks():
+            yield frozenset(c for k, c in enumerate(self.nodes) if mask >> k & 1)
 
     def maximal_subgraph(self) -> "Multigraph":
         """The same graph with every self-loop deleted."""

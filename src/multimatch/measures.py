@@ -146,30 +146,64 @@ class NcondReport:
     witness: Optional[frozenset[Node]]
 
 
-def _gaps(g: Multigraph, mu: ProbMeasure, sets: Iterable[frozenset[Node]]):
-    """Each set with its gap mu(E(S)) - mu(S & V2), one at a time."""
-    return ((s, mu.mass(g.neighborhood(s)) - mu.mass(s & g.v2)) for s in sets)
+def _scan(g: Multigraph, mu: ProbMeasure, table: Optional[dict[int, Weight]] = None):
+    """NCOND's report and the weights in node order, from one walk over the
+    independent sets as bitmasks; with ``table``, over the loop-free subgraph's
+    sets, keeping each gap mu(E(S)) - mu(S & V2) by mask.  An exact measure's
+    weights and gaps are ints, in units of the weights' common denominator.  A
+    mass adds its bits in increasing index, one lookup per chunk of bits; a
+    chunk is one bit for floats, so a float gap is ``mu.mass``'s, bit for bit.
+    """
+    exact = mu.is_exact
+    scale = math.lcm(*(mu[c].denominator for c in g.nodes)) if exact else 1
+    weights = [int(mu[c] * scale) if exact else mu[c] for c in g.nodes]
+    width, tables = (8 if exact else 1), []
+    for shift in range(0, len(weights), width):
+        tables.append([0])
+        for w in weights[shift:shift + width]:
+            tables[-1] += [x + w for x in tables[-1]]
 
+    def mass(s: int) -> Weight:
+        total = 0
+        for table in tables:
+            total += table[s & (1 << width) - 1]
+            s >>= width
+        return total
 
-def _ncond_report(g: Multigraph, gaps: Iterable[tuple[frozenset[Node], Weight]]) -> NcondReport:
-    """NCOND over the sets inside V2 among ``(set, gap)`` pairs, the first
-    smallest gap as witness."""
+    v1 = sum(1 << k for k, c in enumerate(g.nodes) if c in g.v1)
+    v2 = sum(1 << k for k, c in enumerate(g.nodes) if c in g.v2)
     witness, best = None, math.inf
-    for s, gap in gaps:
-        if gap < best and s <= g.v2:
+    for s, nbhd in g.independent_masks(table is not None):
+        gap = mass(nbhd) - mass(s & v2)
+        if table is not None:
+            table[s] = gap
+        if gap < best and not s & v1:
             witness, best = s, gap
+    if isinstance(best, int):
+        best = Fraction(best, scale)
     ok = best > 0 if isinstance(best, Fraction) else best > SUM_TOL  # float ties fail
-    return NcondReport(satisfied=ok, margin=best, witness=witness)
+    if witness is not None:
+        witness = frozenset(c for k, c in enumerate(g.nodes) if witness >> k & 1)
+    return NcondReport(satisfied=ok, margin=best, witness=witness), weights
 
 
 def ncond_check(g: Multigraph, mu: ProbMeasure) -> NcondReport:
-    """Exhaustive check of mu(I) < mu(E(I)) over all independent sets.
-
-    The same gaps and the same fold as ``stationary.alpha``'s, over the sets
-    of ``g``, taken one at a time, so memory does not grow with their number.
-    """
+    """Exhaustive check of mu(I) < mu(E(I)) over all independent sets: one
+    walk over the sets of ``g``, each gap folded as it comes, so memory does
+    not grow with their number."""
     mu.check_support(g)
-    return _ncond_report(g, _gaps(g, mu, g.independent_sets()))
+    return _scan(g, mu)[0]
+
+
+def subset_table(g: Multigraph, mu: ProbMeasure) -> tuple[NcondReport, list[Weight], dict[int, Weight]]:
+    """``ncond_check``'s report, the weights in node order, and the gap of
+    every independent set of the loop-free subgraph, keyed by bitmask in
+    ``Multigraph.independent_masks``'s order; ints in the unit of the weights'
+    common denominator when the measure is exact."""
+    mu.check_support(g)
+    table: dict[int, Weight] = {}
+    report, weights = _scan(g, mu, table)
+    return report, weights, table
 
 
 def mu_deg(g: Multigraph) -> ProbMeasure:

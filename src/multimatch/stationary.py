@@ -7,13 +7,13 @@ arriving class's mass divided by the prefix's neighborhood mass.  The
 normalizing constant alpha comes from one recursion over the independent sets
 of the loop-free subgraph.
 
-Everything here is evaluated exactly when the measure is rational, which is
-what lets balance residuals be checked against a 1e-12 target rather than a
-loose statistical tolerance.
+Everything here is evaluated exactly when the measure is rational, so the
+balance residuals of the product form are exactly zero rather than small.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .chain import enumerate_states, check_admissible, kernel_row
 from .graphs import Multigraph, Node
-from .measures import ProbMeasure, Weight, _gaps, _ncond_report
+from .measures import ProbMeasure, Weight, subset_table
 from .policies import Fcfm, Word
 
 
@@ -36,28 +36,45 @@ def alpha(g: Multigraph, mu: ProbMeasure) -> Weight:
     subgraph: F(empty) = 1 and F(S) = sum over e in S of mu(e) F(S - {e}) /
     (mu(E(S)) - mu(S & V2)), with E(S) the neighborhood of S.  F(S) totals the
     product-form terms of every ordering of S, whose last factor depends on S
-    alone, at a cost of one term per (independent set, member) pair.
+    alone.  The sets come as bitmasks from ``subset_table``, taken by size.  For
+    an exact measure its weights and gaps are ints, in one unit that cancels,
+    and F(S) is an (int numerator, int denominator) pair reduced once per set:
+    one integer term per (set, member) pair.  A float measure runs the same
+    loop on its floats, each sum taken over members in increasing index.
 
-    The same denominators, folded as in ``ncond_check``, give the stability
-    verdict: alpha raises unless the graph is stabilizable (not bipartite)
-    and the measure satisfies it, which is exactly what keeps every
-    denominator strictly positive.
+    The table's NCOND report gives the stability verdict: alpha raises unless
+    the graph is stabilizable (not bipartite) and the measure satisfies it,
+    which is exactly what keeps every denominator strictly positive.
     """
     mu.check_support(g)
     bip, _ = g.is_bipartite()
     if bip:
         raise StationaryError("a bipartite graph has an empty stability region")
-    denoms = dict(_gaps(g, mu, g.maximal_subgraph().independent_sets()))
-    report = _ncond_report(g, denoms.items())
+    report, weights, gaps = subset_table(g, mu)
     if not report.satisfied:
         raise StationaryError(
             f"measure violates the stability condition (margin {report.margin}, "
             f"witness {sorted(report.witness) if report.witness else None})"
         )
-    terms: dict[frozenset[Node], Weight] = {frozenset(): Fraction(1)}
-    for s in sorted(denoms, key=len):
-        terms[s] = sum((mu[e] * terms[s - {e}] for e in sorted(s)), Fraction(0)) / denoms[s]
-    return 1 / sum(terms.values(), Fraction(0))
+    exact = mu.is_exact
+    terms = {0: (1, 1)}  # F(S) as (numerator, denominator), a float F over 1
+    total_num, total_den = 1, 1
+    for s in sorted(gaps, key=int.bit_count):
+        num, den, bits = 0, 1, s
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            a, b = terms[s ^ low]
+            num, den = num * b + weights[low.bit_length() - 1] * a * den, den * b
+        den *= gaps[s]
+        if exact:
+            k = math.gcd(num, den)
+            terms[s] = a, b = num // k, den // k
+        else:
+            terms[s] = a, b = num / den, 1
+        k = math.gcd(total_den, b)
+        total_num, total_den = total_num * (b // k) + a * (total_den // k), total_den // k * b
+    return Fraction(total_den, total_num) if exact else total_den / total_num
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,39 @@ def test_independent_sets_square(square_loops, triangle):
     assert list(square_loops.independent_sets()) == []
 
 
+def backtracking_independent_sets(g):
+    """The enumeration the bitmask walk replaced, kept as its reference."""
+    eligible, adj = sorted(g.v2), g.adjacency
+
+    def extend(current, start):
+        for k in range(start, len(eligible)):
+            if not any(eligible[k] in adj[m] for m in current):
+                current.append(eligible[k])
+                yield frozenset(current)
+                yield from extend(current, k + 1)
+                current.pop()
+
+    return list(extend([], 0))
+
+
+def test_independent_masks_follow_the_backtracking_order():
+    # the same sets in the same order, for a graph and for its loop-free
+    # subgraph, and each neighborhood mask is the graph's own neighborhood
+    rng = random.Random(11)
+    for _ in range(300):
+        g = random_multigraph(rng, 8)
+
+        def members(mask):
+            return frozenset(c for k, c in enumerate(g.nodes) if mask >> k & 1)
+
+        for h in (g, g.maximal_subgraph()):
+            assert list(h.independent_sets()) == backtracking_independent_sets(h)
+        loop_free = [(members(m), members(e)) for m, e in g.independent_masks(loop_free=True)]
+        assert [s for s, _ in loop_free] == backtracking_independent_sets(g.maximal_subgraph())
+        assert all(e == g.neighborhood(s) for s, e in loop_free)
+        assert [members(m) for m, _ in g.independent_masks()] == backtracking_independent_sets(g)
+
+
 def test_maximal_subgraph(diamond_hub, path_loop, triangle):
     check = diamond_hub.maximal_subgraph()
     assert check.self_loops == frozenset()

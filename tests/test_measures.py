@@ -18,6 +18,7 @@ from multimatch import (
     ncond_equivalence_check,
     reduce_measure,
 )
+from multimatch.measures import subset_table
 
 from conftest import random_measure, random_multigraph
 
@@ -262,3 +263,33 @@ def test_ncond_check_streams_the_independent_sets():
         margin = min(gaps.values())
         witness = next(s for s, gap in gaps.items() if gap == margin)
         assert report == NcondReport(satisfied=margin > 0, margin=margin, witness=witness)
+
+
+def test_subset_table_gaps_meet_their_definition():
+    # each gap of the bitmask table against mu(E(S)) - mu(S & V2) from the
+    # measure's own masses: exactly, in the table's integer unit, for a
+    # Fraction measure, and bit for bit for its float copy; the report is the
+    # first smallest gap among the sets inside V2, as ncond_check gives it
+    rng = random.Random(17)
+    for _ in range(150):
+        g = random_multigraph(rng, 7)
+        mu = random_measure(rng, g.nodes)
+        mu_float = ProbMeasure({c: float(p) for c, p in mu.weights.items()})
+        for m in (mu, mu_float):
+            report, weights, gaps = subset_table(g, m)
+            unit = sum(weights) if m is mu else 1
+            sets = [frozenset(c for k, c in enumerate(g.nodes) if s >> k & 1) for s in gaps]
+            assert sets == list(g.maximal_subgraph().independent_sets())
+            for s, gap in zip(sets, gaps.values()):
+                expected = m.mass(g.neighborhood(s)) - m.mass(s & g.v2)
+                if m is mu:
+                    assert isinstance(gap, int) and Fraction(gap, unit) == expected
+                else:
+                    assert repr(gap) == repr(expected)
+            assert report == ncond_check(g, m)
+            inside = [(gap if m is mu_float else Fraction(gap, unit), s)
+                      for s, gap in zip(sets, gaps.values()) if s <= g.v2]
+            if inside:
+                margin = min(gap for gap, _ in inside)
+                assert report.margin == margin
+                assert report.witness == next(s for gap, s in inside if gap == margin)

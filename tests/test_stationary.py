@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -108,6 +109,40 @@ def test_alpha_matches_block_oracle_on_random_models():
             finite += 1
         done += 1
     assert finite > 0 and unstable > 0
+
+
+FLOAT_PINS = {
+    # model: (alpha, ncond margin, ncond witness, alpha_inverse_from_blocks),
+    # each as the repr of the float result
+    "path_loop": ("0.16", "0.09999999999999998", ["1"], "6.2499999999999964"),
+    "tripartite_loop": ("0.23561859732072493", "0.19999999999999996", ["2", "4"],
+                        "4.2441471571906355"),
+    "diamond_hub_loop": ("0.11741682974559693", "0.10000000000000009", ["1", "3"],
+                         "8.516666666666664"),
+    "c9": ("0.004260540460792094", "0.08246225319396044", ["3", "5", "7", "9"],
+           "234.7120064232623"),
+}
+
+
+def test_float_results_are_pinned():
+    # float copies of the fixture measures, and the C9 float measure of
+    # test_block_masses_do_not_depend_on_the_hash_seed: alpha, the NCOND report
+    # and the block oracle, bit for bit
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    models = {}
+    for name in ("path_loop", "tripartite_loop", "diamond_hub_loop"):
+        g = Multigraph.loads((fixtures / f"{name}.graph.json").read_text(encoding="utf-8"))
+        mu = ProbMeasure.loads((fixtures / f"{name}.mu.json").read_text(encoding="utf-8"))
+        models[name] = g, ProbMeasure({c: float(p) for c, p in mu.weights.items()})
+    nodes = [str(k) for k in range(1, 10)]
+    raw = [1 + 0.037 * k for k in range(9)]
+    models["c9"] = (Multigraph.build(nodes, list(zip(nodes, nodes[1:] + nodes[:1])), ["1"]),
+                    ProbMeasure.from_dict({c: x / sum(raw) for c, x in zip(nodes, raw)}))
+    for name, (g, mu) in models.items():
+        report = ncond_check(g, mu)
+        got = (repr(alpha(g, mu)), repr(report.margin), sorted(report.witness),
+               repr(alpha_inverse_from_blocks(g, mu)))
+        assert got == FLOAT_PINS[name], name
 
 
 def test_pi_values_square(square_loops, mu_square_uniform):

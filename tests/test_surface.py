@@ -92,6 +92,9 @@ PINNED_SURFACE = {
         "Multigraph.is_bipartite": (
             "(self) -> 'tuple[bool, Optional[tuple[frozenset[Node], frozenset[Node]]]]'"
         ),
+        "Multigraph.independent_masks": (
+            "(self, loop_free: 'bool' = False) -> 'Iterator[tuple[int, int]]'"
+        ),
         "Multigraph.independent_sets": "(self) -> 'Iterator[frozenset[Node]]'",
         "Multigraph.maximal_subgraph": '(self) -> "\'Multigraph\'"',
         "Multigraph.minimal_blowup": '(self) -> "\'BlowupMap\'"',
@@ -131,6 +134,10 @@ PINNED_SURFACE = {
             "witness: 'Optional[frozenset[Node]]') -> None"
         ),
         "ncond_check": "(g: 'Multigraph', mu: 'ProbMeasure') -> 'NcondReport'",
+        "subset_table": (
+            "(g: 'Multigraph', mu: 'ProbMeasure') -> 'tuple[NcondReport, list[Weight], "
+            "dict[int, Weight]]'"
+        ),
         "mu_deg": "(g: 'Multigraph') -> 'ProbMeasure'",
         "extend_measure": (
             "(mu: 'ProbMeasure', bmap: 'BlowupMap', split: 'Optional[Mapping[Node, "
@@ -423,14 +430,7 @@ def test_package_exports_are_pinned():
     assert exported_names() == list(PINNED_EXPORTS)
 
 
-# stationary.alpha reads the NCOND walk's per-set gaps and builds the report
-# from them, so the stability check and the normalizer share one walk over
-# the independent sets; calling the public ncond_check would walk them twice.
-# The planned bitmask subset table replaces both names.
-CROSS_MODULE_ALLOWED = {
-    ("stationary", "measures", "_gaps"),
-    ("stationary", "measures", "_ncond_report"),
-}
+CROSS_MODULE_ALLOWED = set()
 
 
 def private_bindings(tree) -> set[str]:
