@@ -204,16 +204,25 @@ def test_excursions(capsys, tmp_path):
 
 def test_a_failed_round_trip_is_counted_and_exits_1(capsys, tmp_path, monkeypatch,
                                                     path_loop, mu_path):
-    # every engine after the first, the one that splits the trajectory, is
-    # LCFM, so the inverse maps run the wrong rule: a failed verification
+    # every partner table after the first, the one that splits the trajectory,
+    # is LCFM's, so the inverse maps run the wrong rule: a failed verification
     def break_the_inverse():
         made = []
+        fcfm_match_partners = detailed.fcfm_match_partners
 
-        def engine(g, policy):
-            made.append(policy)
-            return BufferEngine(g, policy if len(made) == 1 else policies.Lcfm())
+        def partners(g, arrivals):
+            made.append(arrivals)
+            if len(made) == 1:
+                return fcfm_match_partners(g, arrivals)
+            offer = BufferEngine(g, policies.Lcfm()).offer
+            table = [None] * len(arrivals)
+            for m, v in enumerate(arrivals):
+                k = offer(v, None)
+                if k is not None:
+                    table[m], table[k] = k, m
+            return table
 
-        monkeypatch.setattr(detailed, "BufferEngine", engine)
+        monkeypatch.setattr(detailed, "fcfm_match_partners", partners)
 
     break_the_inverse()
     rep = detailed.analyze_excursions(path_loop, mu_path, steps=3000, seed=0)

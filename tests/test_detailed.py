@@ -21,6 +21,7 @@ from multimatch import (
     alpha_inverse_from_blocks,
     backward_step,
     backward_word_at,
+    decide,
     excursion_decompose,
     forward_word,
     is_admissible_backward,
@@ -34,9 +35,10 @@ from multimatch import (
     reverse_copy,
     simulate,
 )
-from multimatch.chain import BufferEngine, draw_arrivals, step
+from multimatch.chain import BufferEngine, apply_decision, draw_arrivals, step
 from multimatch.detailed import (
     ExcursionReport,
+    _walk,
     analyze_excursions,
     barred,
     blocks,
@@ -360,6 +362,28 @@ def test_reversed_forward_words_follow_backward_step(seed, steps):
     assert rep.undetermined_forward == oracle.count(None)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=150))
+def test_numbered_walk_equals_a_plain_fold(seed, steps):
+    rng = random.Random(seed)
+    g = random_multigraph(rng)
+    mu = random_measure(rng, g.nodes)
+    # a non-empty start word: the last non-empty word of a short fold from ()
+    start = w = ()
+    for v in draw_arrivals(mu, 20, rng):
+        w = backward_step(g, w, v)
+        start = w or start
+    drive = draw_arrivals(mu, steps, rng)
+    for w0 in ((), start):
+        visits, counts, w = Counter(), Counter(), w0
+        for v in drive:
+            w2 = backward_step(g, w, v)
+            visits[w] += 1
+            counts[w, w2] += 1
+            w = w2
+        assert _walk(g, w0, drive) == (dict(visits), dict(counts), w)
+
+
 def test_excursions_by_hand(k2):
     excs = excursion_decompose(k2, ["1", "2", "2", "1", "1", "1", "2", "2"])
     assert [e.word for e in excs] == [("1", "2"), ("2", "1"), ("1", "1", "2", "2")]
@@ -431,6 +455,32 @@ def test_partner_map_is_a_bijection_on_random_models(seed, steps):
         assert sorted(e.partner_word) == sorted(e.word)
         assert partner_map(g, e.word) == e.partner_word
         assert partner_inverse(g, partner_map(g, e.word)) == e.word
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=300),
+       st.booleans())
+def test_partner_pass_follows_the_word_level_fcfm_rule(seed, steps, stable):
+    rng = random.Random(seed)
+    while True:  # a model on the chosen side of the stability condition
+        g = random_multigraph(rng)
+        mu = random_measure(rng, g.nodes)
+        if ncond_check(g, mu).satisfied == stable:
+            break
+    arrivals = draw_arrivals(mu, steps, rng)
+    # the oracle: FCFM decisions on the queue word, each matched position read
+    # as the index of the arrival stored there
+    w, held, oracle = (), [], [None] * steps
+    for m, v in enumerate(arrivals):
+        x = decide(g, Fcfm(), w, v, rng)
+        if x is None:
+            held.append(m)
+        else:
+            k = held.pop(x)
+            oracle[m], oracle[k] = k, m
+        w = apply_decision(w, v, x)
+    assert tuple(arrivals[k] for k in held) == w
+    assert fcfm_match_partners(g, arrivals) == oracle
 
 
 # sha256 of the repr of seeded excursion reports, computed with one inverse

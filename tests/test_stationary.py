@@ -275,8 +275,9 @@ def test_table_equals_pi_word_by_word(square_loops, mu_square_uniform, diamond_h
 
 def test_balance_residual_takes_one_neighborhood_mass_per_letter_set(tripartite_loop,
                                                                     mu_tripartite):
-    # alpha's masses, then one per distinct nonempty letter set of the words
-    # up to length 9: 14 + 7, where pi word by word took 8,583
+    # alpha's masses (none: it reads the subset table's integer gaps), then
+    # one per distinct nonempty letter set of the words up to length 9:
+    # 0 + 7, where pi word by word took 8,583
     def count_masses(run):
         with patch.object(ProbMeasure, "mass", autospec=True,
                           side_effect=ProbMeasure.mass) as masses:
