@@ -19,7 +19,9 @@ The long-run audits work on integers.  The partner table comes from one FIFO
 of arrival indices per class.  The backward and reversed forward walks number
 each word when it is first met, so a step is an entry (word number, class)
 and each distinct step folds and hashes its word once; the tallies are counts
-of entries.  The excursion split is one running sum over the partner table.
+of entries.  The excursion split is one running sum over the partner table,
+and the excursion audit reads the split as arrays: its words are arrays of
+class indices, and each check is a count per excursion.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -482,24 +484,34 @@ class Excursion:
         return sorted(self.word) == sorted(self.partner_word)
 
 
-def excursion_decompose(g: Multigraph, arrivals: Sequence[Node]) -> list[Excursion]:
-    """Split a trajectory at the buffer-empty instants; drop the unfinished tail.
+def _excursion_split(g: Multigraph, arrivals: Sequence[Node]):
+    """The completed prefix's partner table and its excursion ends, as int64 arrays.
 
     Each arrival adds one to the buffer when it is stored (its partner comes
     later, or never) and takes one away when it matches an earlier arrival;
     an excursion ends where the running sum is 0.  None ends at or after the
     first arrival never matched, so only the arrivals before it are summed.
+    The partner table is cut at the last end.
     """
     import numpy as np
 
     partners = fcfm_match_partners(g, arrivals)
     u = partners.index(None) if None in partners else len(partners)
-    stored = np.fromiter(partners, dtype=np.int64, count=u) > np.arange(u)
-    ends = (np.flatnonzero(np.cumsum(2 * stored - 1) == 0) + 1).tolist()
-    if not ends:
+    table = np.fromiter(partners, dtype=np.int64, count=u)
+    del partners
+    stored = table > np.arange(u)
+    ends = np.flatnonzero(np.cumsum(2 * stored - 1) == 0) + 1
+    if not len(ends):
         raise DetailedError("no complete excursion in the trajectory")
+    return table[: ends[-1]], ends
+
+
+def excursion_decompose(g: Multigraph, arrivals: Sequence[Node]) -> list[Excursion]:
+    """Split a trajectory at the buffer-empty instants; drop the unfinished tail."""
+    partners, ends = _excursion_split(g, arrivals)
+    ends = ends.tolist()
     word = tuple(arrivals[: ends[-1]])
-    partner_word = tuple(map(arrivals.__getitem__, partners[: ends[-1]]))
+    partner_word = tuple(map(arrivals.__getitem__, partners.tolist()))
     return [Excursion(word[a:b], partner_word[a:b]) for a, b in zip([0, *ends], ends)]
 
 
@@ -551,24 +563,54 @@ def analyze_excursions(
     back to back, are split once, and excursion ``i`` inverts when the
     stream's excursion ``i``, reversed, gives back its partner word and its
     word.  Tallies partner classes so their frequencies can be compared
-    against the arrival law.
+    against the arrival law.  The audit runs on class indices: the word, the
+    partner word and the stream are int arrays, and each check is a count
+    per excursion.
     """
+    import numpy as np
+
     mu.check_support(g)
-    excursions = excursion_decompose(g, draw_arrivals(mu, steps, random.Random(seed)))
-    stream = list(chain.from_iterable(exc.partner_word[::-1] for exc in excursions))
+    arrivals = draw_arrivals(mu, steps, random.Random(seed))
+    partners, ends = _excursion_split(g, arrivals)
+    k, n, total = len(g.nodes), len(ends), int(ends[-1])
+    index = {c: i for i, c in enumerate(g.nodes)}
+    word = np.fromiter(map(index.__getitem__, arrivals), dtype=np.int64, count=total)
+    del arrivals  # freed before the stream's partner pass
+    partner_word = word[partners]
+    starts = np.concatenate(([0], ends[:-1]))
+    lengths = ends - starts
+    excursion = np.repeat(np.arange(n), lengths)  # of each position
+    # the partner word permutes an excursion's letters when both have the
+    # same count of each class in it
+    cell = excursion * k
+    permuted = (
+        np.bincount(cell + word, minlength=n * k)
+        == np.bincount(cell + partner_word, minlength=n * k)
+    ).reshape(n, k).all(axis=1)
+    # position p of excursion [a, b) goes to a + b - 1 - p in the stream
+    stream = partner_word[np.repeat(starts + ends - 1, lengths) - np.arange(total)]
     try:
-        back = excursion_decompose(g, stream)
+        back, back_ends = _excursion_split(g, list(map(g.nodes.__getitem__, stream.tolist())))
     except DetailedError:  # no complete excursion: nothing inverts
-        back = []
-    round_ok = sum(
-        inv.word[::-1] == exc.partner_word and inv.partner_word[::-1] == exc.word
-        for exc, inv in zip(excursions, back)
-    )
+        back = back_ends = ends[:0]
+    # excursion i inverts when the stream's excursion i has its length and,
+    # reversed, gives back its partner word and its word: position p of
+    # excursion [a, b) is compared with stream position c + b - 1 - p, c the
+    # stream excursion's start
+    m = min(n, len(back_ends))
+    back_starts = np.concatenate(([0], back_ends[:-1]))[:m]
+    same = lengths[:m] == back_ends[:m] - back_starts
+    p = np.flatnonzero(np.repeat(same, lengths[:m]))
+    q = np.repeat(back_starts + ends[:m] - 1, lengths[:m])[p] - p
+    wrong = (stream[q] != partner_word[p]) | (stream[back[q]] != word[p])
+    inverts = same & (np.bincount(excursion[p], weights=wrong, minlength=m) == 0)
+    hist = np.bincount(lengths)
+    seen = np.flatnonzero(hist)
     return ExcursionReport(
-        n_excursions=len(excursions),
-        total_letters=len(stream),
-        permutation_valid=sum(map(Excursion.permutation_valid, excursions)),
-        roundtrip_valid=round_ok,
-        length_histogram=dict(sorted(Counter(len(exc.word) for exc in excursions).items())),
-        matched_class_counts=dict(zip(g.nodes, map(Counter(stream).__getitem__, g.nodes))),
+        n_excursions=n,
+        total_letters=total,
+        permutation_valid=int(permuted.sum()),
+        roundtrip_valid=int(inverts.sum()),
+        length_histogram=dict(zip(seen.tolist(), hist[seen].tolist())),
+        matched_class_counts=dict(zip(g.nodes, np.bincount(partner_word, minlength=k).tolist())),
     )

@@ -35,6 +35,7 @@ from multimatch import (
     reverse_copy,
     simulate,
 )
+from multimatch import detailed
 from multimatch.chain import BufferEngine, apply_decision, draw_arrivals, step
 from multimatch.detailed import (
     ExcursionReport,
@@ -411,6 +412,23 @@ def test_partner_map_and_inverse(k2, path_loop):
     assert partner_map(path_loop, ("3", "3")) == ("3", "3")
 
 
+def recount(g, mu, steps, seed):
+    """The excursion audit's report, recounted with the public maps: one
+    ``excursion_decompose`` of its trajectory and one ``partner_inverse`` per
+    excursion."""
+    oracle = excursion_decompose(g, draw_arrivals(mu, steps, random.Random(seed)))
+    hist = Counter(len(e.word) for e in oracle)
+    matched = Counter(c for e in oracle for c in e.partner_word)
+    return ExcursionReport(
+        n_excursions=len(oracle),
+        total_letters=sum(len(e.word) for e in oracle),
+        permutation_valid=sum(sorted(e.word) == sorted(e.partner_word) for e in oracle),
+        roundtrip_valid=sum(partner_inverse(g, e.partner_word) == e.word for e in oracle),
+        length_histogram=dict(sorted(hist.items())),
+        matched_class_counts={c: matched[c] for c in g.nodes},
+    )
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=150))
 def test_partner_map_is_a_bijection_on_random_models(seed, steps):
@@ -420,24 +438,13 @@ def test_partner_map_is_a_bijection_on_random_models(seed, steps):
         mu = random_measure(rng, g.nodes)
         if ncond_check(g, mu).satisfied:
             break
-    # the audit's report, recounted with the public maps over its own trajectory
-    audited = draw_arrivals(mu, steps, random.Random(seed))
     try:
-        oracle = excursion_decompose(g, audited)
+        expected = recount(g, mu, steps, seed)
     except DetailedError:
         with pytest.raises(DetailedError):
             analyze_excursions(g, mu, steps, seed)
     else:
-        hist = Counter(len(e.word) for e in oracle)
-        matched = Counter(c for e in oracle for c in e.partner_word)
-        assert analyze_excursions(g, mu, steps, seed) == ExcursionReport(
-            n_excursions=len(oracle),
-            total_letters=sum(len(e.word) for e in oracle),
-            permutation_valid=sum(sorted(e.word) == sorted(e.partner_word) for e in oracle),
-            roundtrip_valid=sum(partner_inverse(g, e.partner_word) == e.word for e in oracle),
-            length_histogram=dict(sorted(hist.items())),
-            matched_class_counts={c: matched[c] for c in g.nodes},
-        )
+        assert analyze_excursions(g, mu, steps, seed) == expected
     arrivals = draw_arrivals(mu, steps, rng)
     # the completed prefix ends at the last arrival that leaves the FCFM buffer empty
     w, end = (), 0
@@ -481,6 +488,103 @@ def test_partner_pass_follows_the_word_level_fcfm_rule(seed, steps, stable):
         w = apply_decision(w, v, x)
     assert tuple(arrivals[k] for k in held) == w
     assert fcfm_match_partners(g, arrivals) == oracle
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_excursion_audit_equals_the_recount_on_the_fixtures(seed, path_loop, mu_path,
+                                                           tripartite_loop, mu_tripartite,
+                                                           diamond_hub, mu_diamond,
+                                                           square_loops, mu_square_uniform):
+    for g, mu in [(path_loop, mu_path), (tripartite_loop, mu_tripartite),
+                  (diamond_hub, mu_diamond), (square_loops, mu_square_uniform)]:
+        rep = analyze_excursions(g, mu, 4000, seed)
+        assert rep == recount(g, mu, 4000, seed)
+        assert rep.all_roundtrip_valid
+        # plain ints, as `excursions` writes them to JSON: a numpy scalar
+        # compares equal above but fails json.dumps and has another repr
+        counts = [rep.n_excursions, rep.total_letters, rep.permutation_valid,
+                  rep.roundtrip_valid, *rep.length_histogram, *rep.length_histogram.values(),
+                  *rep.matched_class_counts.values()]
+        assert {type(x) for x in counts} == {int}
+        assert list(rep.matched_class_counts) == list(g.nodes)
+        for e in excursion_decompose(g, draw_arrivals(mu, 4000, random.Random(seed))):
+            assert type(e.word) is tuple and type(e.partner_word) is tuple
+            assert all(type(c) is str and c in g.nodes for c in e.word + e.partner_word)
+
+
+def test_a_stream_that_splits_elsewhere_counts_as_failed_round_trips(monkeypatch, path_loop,
+                                                                    mu_path):
+    def merged(g, arrivals):
+        """FCFM's partner table with the first two excursions rewired into one.
+
+        The first excursion ends at ``a`` (matched with ``k0``) and the second
+        starts at ``a + 1`` (matched with ``k1``); pairing ``k0`` with
+        ``a + 1`` and ``a`` with ``k1`` keeps the buffer non-empty at ``a``.
+        """
+        table = fcfm_match_partners(g, arrivals)
+        a = next(m for m, top in enumerate(itertools.accumulate(table, max)) if top == m)
+        k0, k1 = table[a], table[a + 1]
+        table[k0], table[a], table[a + 1], table[k1] = a + 1, k1, k0, a
+        return table
+
+    def turned(g, arrivals):
+        """FCFM's partner table of the word turned by three letters: it pairs
+        letters that the stream does not pair, and splits it elsewhere."""
+        return fcfm_match_partners(g, arrivals[3:] + arrivals[:3])
+
+    def zipped(g, mu, steps, seed, table):
+        """The round trips as the audit counted them before it ran on arrays:
+        the trajectory split with FCFM's table, the stream split with
+        ``table``, and the two excursion lists zipped."""
+        monkeypatch.setattr(detailed, "fcfm_match_partners", fcfm_match_partners)
+        excursions = excursion_decompose(g, draw_arrivals(mu, steps, random.Random(seed)))
+        stream = [c for e in excursions for c in reversed(e.partner_word)]
+        monkeypatch.setattr(detailed, "fcfm_match_partners", table)
+        try:
+            back = excursion_decompose(g, stream)
+        except DetailedError:
+            back = []
+        count = sum(
+            inv.word[::-1] == e.partner_word and inv.partner_word[::-1] == e.word
+            for e, inv in zip(excursions, back)
+        )
+        return len(excursions), len(back), count
+
+    def audit(g, mu, steps, seed, table):
+        """The audit with FCFM's partner table for its trajectory and
+        ``table`` for its stream."""
+        calls = []
+
+        def partners(g, arrivals):
+            calls.append(arrivals)
+            return (fcfm_match_partners if len(calls) == 1 else table)(g, arrivals)
+
+        monkeypatch.setattr(detailed, "fcfm_match_partners", partners)
+        rep = analyze_excursions(g, mu, steps, seed)
+        assert len(calls) == 2
+        assert rep.all_permutation_valid
+        return rep.roundtrip_valid
+
+    n, n_back, count = zipped(path_loop, mu_path, 3000, 0, merged)
+    assert n_back == n - 1
+    assert 0 < count < n
+    assert audit(path_loop, mu_path, 3000, 0, merged) == count
+    # a stream that never empties the buffer inverts nothing
+    assert audit(path_loop, mu_path, 3000, 0, lambda g, arrivals: [None] * len(arrivals)) == 0
+    # tables that do not follow the stream's letters, on random models
+    for seed in range(60):
+        rng = random.Random(seed)
+        while True:  # a model inside the stability region
+            g = random_multigraph(rng)
+            mu = random_measure(rng, g.nodes)
+            if ncond_check(g, mu).satisfied:
+                break
+        steps = rng.randrange(1, 3000)
+        try:
+            count = zipped(g, mu, steps, seed, turned)[2]
+        except DetailedError:  # no complete excursion in the trajectory
+            continue
+        assert audit(g, mu, steps, seed, turned) == count
 
 
 # sha256 of the repr of seeded excursion reports, computed with one inverse
