@@ -7,10 +7,11 @@ policy's decision is the position in the word of the stored item an arrival
 takes, or None when the arrival is stored; :func:`apply_decision` makes the
 next word from it for the exact kernels, the sampled step and the step table
 alike.  Kernels are computed exactly (policy randomness enumerated with its
-probabilities); Monte-Carlo runs use a compact per-class FIFO engine so long
-trajectories stay cheap.  The engine compiles the step of each arrival class
-once, at construction, into a closure over that class's neighbour FIFOs and
-the policy's choice.
+probabilities); Monte-Carlo runs use a compact engine so long trajectories
+stay cheap: one FIFO of integer keys per class and nothing else, a key
+growing with arrival order and naming its class.  The engine compiles the
+step of each arrival class once, at construction, into a closure over that
+class's neighbour FIFOs and the policy's choice.
 
 Under FCFM, LCFM or a class rule, the next word is a function of the word,
 the arrival and the class the policy draws, and which RNG call the policy
@@ -20,22 +21,25 @@ an entry is final once filled: the next word, or a draw record that replays
 the policy's own RNG call and holds every word the call may lead to.  A step
 goes to the engine exactly when the table cannot hold one of its next words:
 a word longer than the table's length bound, or a new word while the table
-is full.  When the policy never draws, only the arrivals draw, so they are
-drawn in bulk, a chunk at a time, and the bulk stream equals the per-step
-one; a policy that can draw takes its arrivals one at a time, interleaved
-with its own draws.  Only the simulation code imports numpy, inside the
-functions that use it, so the exact layer runs without loading it.
+is full.  Each step of a run appends one int to a record, its table state
+or the class the engine stored or matched, and the record is tallied with
+numpy, up to 16384 steps at a time.  When the policy never draws, only the
+arrivals draw, so they are drawn in bulk, a chunk at a time, and the bulk
+stream equals the per-step one; a policy that can draw takes its arrivals
+one at a time, interleaved with its own draws.  Only the simulation code
+imports numpy, inside the functions that use it, so the exact layer runs
+without loading it.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice, repeat
 from typing import Iterator, Optional
 
 from .graphs import Multigraph, Node
@@ -219,55 +223,84 @@ def draw_arrivals(mu: ProbMeasure, steps: int, rng: random.Random) -> list[Node]
     return [pick(i) for chunk in _arrival_chunks(cum, rng, steps) for i in chunk]
 
 
-def _compile_offer(g, policy, v, fifo, items, clock):
-    """The step for one arrival class: ``offer(rng)`` stores or matches it.
+def _compile_offer(g, policy, v, fifo):
+    """The step for one arrival class: ``offer(key, rng)`` stores the
+    arrival under ``key`` or matches it, and returns the key of the item it
+    matched, or None.
 
-    The closure holds the class's own FIFO, its neighbours' FIFOs in sorted
-    order and the policy's choice, and no reference to the engine, so an
-    engine is freed as soon as it is dropped.
+    Keys are ints that grow with arrival order, so a FIFO's head is its
+    oldest item.  The closure holds the class's own FIFO, its neighbours'
+    FIFOs in sorted order and the policy's choice, and no reference to the
+    engine, so an engine is freed as soon as it is dropped.
     """
-    own = fifo[v]
+    store = fifo[v].append
     nbrs = g.sorted_adjacency[v]
-    if isinstance(policy, (Fcfm, Lcfm)):
-        # the neighbour whose oldest (newest) stored item arrived first (last);
-        # heads are distinct arrival indices, so ``(a > b) is newest`` reads
-        # a < b under FCFM and a > b under LCFM
-        newest = isinstance(policy, Lcfm)
-        end = -1 if newest else 0
-        pop = deque.pop if newest else deque.popleft
-        queues = tuple(fifo[j] for j in nbrs)
+    queues = tuple(fifo[j] for j in nbrs)
+    if isinstance(policy, (Fcfm, Lcfm)) and len(queues) <= 2:
+        # one or two neighbours, compared without a loop; an empty FIFO of
+        # no class stands in for a missing second one
+        q1, q2 = (*queues, deque())[:2]
+        if isinstance(policy, Fcfm):
 
-        def offer(rng):
-            best = None
-            for q in queues:
-                if q and (best is None or (q[end] > best[end]) is newest):
-                    best = q
-            key = next(clock)
-            if best is None:
-                items[key] = v
-                own.append(key)
+            def offer(key, rng):
+                if q1:
+                    return (q2 if q2 and q2[0] < q1[0] else q1).popleft()
+                if q2:
+                    return q2.popleft()
+                store(key)
                 return None
-            key = pop(best)
-            del items[key]
-            return key
+
+        else:
+
+            def offer(key, rng):
+                if q1:
+                    return (q2 if q2 and q2[-1] > q1[-1] else q1).pop()
+                if q2:
+                    return q2.pop()
+                store(key)
+                return None
+
+        return offer
+    if isinstance(policy, Fcfm):
+        # the neighbour whose oldest stored item arrived first
+
+        def offer(key, rng):
+            best, k = None, key  # every stored key is older than the arrival's
+            for q in queues:
+                if q and q[0] < k:
+                    best, k = q, q[0]
+            if best is None:
+                store(key)
+                return None
+            return best.popleft()
+
+        return offer
+    if isinstance(policy, Lcfm):
+        # the neighbour whose newest stored item arrived last
+
+        def offer(key, rng):
+            best, k = None, -1  # keys are nonnegative
+            for q in queues:
+                if q and q[-1] > k:
+                    best, k = q, q[-1]
+            if best is None:
+                store(key)
+                return None
+            return best.pop()
 
         return offer
 
     rule = class_rule(policy)
-    named = tuple((j, fifo[j]) for j in nbrs)
+    named = tuple(zip(nbrs, queues))
 
-    def offer(rng):
+    def offer(key, rng):
         # stored items of each candidate class: all a class rule reads
         counts = {j: len(q) for j, q in named if q}
-        key = next(clock)
         if not counts:
-            items[key] = v
-            own.append(key)
+            store(key)
             return None
         spec = rule(g, policy, counts, v)
-        key = fifo[spec[0][0 if spec[1] is None else sample(spec, rng)]].popleft()
-        del items[key]
-        return key
+        return fifo[spec[0][0 if spec[1] is None else sample(spec, rng)]].popleft()
 
     return offer
 
@@ -275,44 +308,52 @@ def _compile_offer(g, policy, v, fifo, items, clock):
 class BufferEngine:
     """Mutable queue state with O(degree) matching steps.
 
-    Items live in an insertion-ordered dict (arrival index -> class) plus
-    one FIFO of arrival indices per class, which is enough to resolve any
-    supported policy without materializing the word.  The step of each
-    arrival class is compiled once, at construction: its neighbours' FIFOs,
-    its own FIFO and the policy's choice among the candidate classes.
+    Items live in one FIFO of keys per class and nowhere else, which is
+    enough to resolve any supported policy without materializing the word.
+    An item's key is ``(n + 1) * k + c`` for its 0-based arrival index ``n``
+    and its class's index ``c`` in ``g.nodes`` (``k`` classes), so keys grow
+    with arrival order and name their class; :meth:`word` merges the FIFOs
+    by key.  The step of each arrival class is compiled once, at
+    construction: its neighbours' FIFOs, its own FIFO and the policy's
+    choice among the candidate classes.
     """
 
     def __init__(self, g: Multigraph, policy: Policy):
         self.g = g
         self.policy = policy
-        self._items: dict[int, Node] = {}
         self._fifo = {c: deque() for c in g.nodes}
-        self._clock = clock = count()
-        self._offers = {
-            v: _compile_offer(g, policy, v, self._fifo, self._items, clock) for v in g.nodes
-        }
+        self._index = {c: i for i, c in enumerate(g.nodes)}
+        self._k = len(g.nodes)
+        self._next = self._k  # the key of the next arrival of class index 0
+        self._offers = {v: _compile_offer(g, policy, v, self._fifo) for v in g.nodes}
 
     @property
     def length(self) -> int:
-        return len(self._items)
+        return sum(map(len, self._fifo.values()))
 
     def word(self) -> Word:
-        return tuple(self._items.values())
+        """The stored classes in arrival order: the FIFOs merged by key."""
+        nodes, k = self.g.nodes, self._k
+        return tuple([nodes[key % k] for key in sorted(chain.from_iterable(self._fifo.values()))])
 
     def offer(self, v: Node, rng: Optional[random.Random]) -> Optional[int]:
         """Process one arrival; returns the 0-based arrival index (over this
         engine's offers) of the item it matched, or None if it is stored."""
-        return self._offers[v](rng)
+        key = self._next + self._index[v]
+        self._next += self._k
+        m = self._offers[v](key, rng)
+        return None if m is None else m // self._k - 1
 
     def load(self, w: Word) -> None:
         """Hold exactly the admissible word ``w``: its letters are stored in
         order, each under the next arrival index."""
-        self._items.clear()
         for q in self._fifo.values():
             q.clear()
-        for c, key in zip(w, self._clock):
-            self._items[key] = c
-            self._fifo[c].append(key)
+        k, index, key = self._k, self._index, self._next
+        for c in w:
+            self._fifo[c].append(key + index[c])
+            key += k
+        self._next = key
 
 
 # Bounds of a run's transition table.  A step goes to the engine exactly when
@@ -442,8 +483,10 @@ def simulate(
     word, steps on until it meets a word the table holds.  A policy that
     never draws only draws arrivals, so they are drawn in bulk (the same
     stream as per-step draws); a policy that can draw takes its arrivals one
-    at a time, interleaved with its own draws.  The table steps of a chunk
-    of arrivals are tallied together after it.  Either way the result, and
+    at a time, interleaved with its own draws.  Each step appends one int to
+    a record (its table state, or the class the engine stored or matched),
+    tallied once per 16384 steps and at the end: integer running sums give
+    the engine's queue lengths and class counts.  Either way the result, and
     the RNG's final state, are the engine's, bit for bit.
     """
     if steps <= 0:
@@ -458,24 +501,28 @@ def simulate(
     import numpy as np
 
     rng = random.Random(seed)
-    nodes, cum = _arrival_table(mu)
+    nodes, cum = _arrival_table(mu)  # g.nodes: an arrival index is a class index
 
     engine = BufferEngine(g, policy)
-    offers, load = [engine._offers[c] for c in nodes], engine.load
-    items, queues = engine._items, engine._fifo.items()
-    word = items.values()  # a live view: tuple(word) is the current word
-    # visit counts, keyed in first-recorded-visit order: table states (counted
-    # in ``visits``) and the other words the engine steps to (counted here)
-    counts: dict = {}
-    tally = counts.get
+    offers, load, word = [engine._offers[c] for c in nodes], engine.load, engine.word
+    queues = list(engine._fifo.values())
     table = _StepTable(g, policy, nodes)
     succ, lens, k, fill, enter = table.succ, table.lens, table.k, table.fill, table.enter
     words, records = table.words, table.records
     visits = np.zeros(len(lens), dtype=np.int64)  # recorded steps per state
-    # o is the current table offset, or negative while the engine steps; the
-    # engine hands back to the table at a word that ``enter`` holds, and its
-    # ``ln <= top`` pre-check only spares it a tuple of a word too long to hold
+    first = np.full(len(lens), steps, dtype=np.int64)  # first recorded step per state
+    # the other words the engine steps to, no longer than word_cap: their
+    # first recorded step and their recorded steps
+    met: dict[Word, list[int]] = {}
+    # o is the current table offset, or negative while the engine steps.  The
+    # engine's queue holds ``ln`` items, and ``key + k + i`` is the key of its
+    # next arrival, of class index i.  While the table may hold the queue's
+    # word or the word is tallied (``ln <= near``), the engine keeps it in
+    # ``w`` and its keys in ``ks``, and hands back to the table at a word
+    # that ``enter`` holds; otherwise ``ks`` is None.
     o, top = 0, _TABLE_MAX_LEN
+    key = ln = 0
+    ks = None
     if is_draw_free(policy):
 
         def feeds(n):
@@ -489,37 +536,105 @@ def simulate(
                 n -= m
                 yield islice(arrivals, m)
 
-    overflow = 0
-    max_len = 0  # these two over the overflow steps; counts adds the rest
-    occ_sum = dict.fromkeys(g.nodes, 0)
+    # over the engine's overflow steps; visits and met add the rest
+    overflow = max_len = 0
+    occ_sum = np.zeros(k, dtype=np.int64)  # stored items per class, summed
     half = steps // 2
     tail = array("q")  # queue lengths over the last half, for the slope
-    keep_len = tail.append
+    done = 0  # steps before the current record
 
-    def flush(walk, keep, record):
-        """Tally the offsets of one walk over the table, in step order."""
-        states = np.array(walk, dtype=np.int64) // k
-        if keep:
-            tail.frombytes(lens[states].tobytes())
-        if record:
-            fresh = visits[states] == 0
-            if fresh.any():  # states recorded for the first time, in the order met
-                counts.update(dict.fromkeys(states[fresh].tolist()))
+    def flush(walk, occ0):
+        """Tally a record of steps, in step order.  A table step holds its
+        offset; an engine step holds ``~i`` when it stores an item of class
+        index ``i`` (below ``k``), or ``~m`` when it matches the item of key
+        ``m`` (at least ``k``, and ``m % k`` its class).  ``occ0`` holds the
+        stored items per class before the record.  Steps from ``half`` on go
+        to the slope's tail, and steps from ``burn_in`` on are recorded."""
+        nonlocal overflow, max_len, occ_sum, done
+        base, done = done, done + len(walk)
+        if done <= min(half, burn_in):
+            return
+        keep_at, rec_at = max(half - base, 0), max(burn_in - base, 0)
+        r = np.frombuffer(array("q", walk), dtype=np.int64)
+        at = np.flatnonzero(r >= 0)
+        states = r[at] // k
+        if at.size == r.size:
+            lengths = lens[states]
+        else:
+            # an engine step's queue length and stored items per class are
+            # running sums of the items stored (+1) and matched (-1) since
+            # the state its stretch starts from: the table step before the
+            # stretch, or the record's start
+            eng = np.flatnonzero(r < 0)
+            e = ~r[eng]
+            d = 1 - 2 * (e >= k)
+            head = np.empty(eng.size, dtype=bool)
+            head[0] = True
+            np.greater(eng[1:] - eng[:-1], 1, out=head[1:])
+            stretch = np.cumsum(head) - 1
+            before = np.where(eng[head] > 0, r[eng[head] - 1] // k, 0)
+            start_len = lens[before]
+            if eng[0] == 0:
+                start_len[0] = sum(occ0)
+            run = np.cumsum(d)
+            lengths = np.empty(r.size, dtype=np.int64)
+            lengths[at] = lens[states]
+            lengths[eng] = eng_len = run + (start_len - run[head] + d[head])[stretch]
+            over = (eng_len > word_cap) & (eng >= rec_at)
+            if over.any():
+                moves = np.zeros((eng.size, k), dtype=np.int64)
+                moves[np.arange(eng.size), e % k] = d
+                by_class = np.cumsum(moves, axis=0)
+                start_occ = [[words[s].count(c) for c in nodes] for s in before.tolist()]
+                if eng[0] == 0:
+                    start_occ[0] = occ0
+                by_class += (start_occ - by_class[head] + moves[head])[stretch]
+                occ_sum += by_class[over].sum(axis=0)
+                overflow += int(np.count_nonzero(over))
+                max_len = max(max_len, int(eng_len[over].max()))
+        if keep_at < r.size:
+            tail.frombytes(lengths[keep_at:].tobytes())
+        if rec_at < r.size:
+            if rec_at:
+                at = at[at >= rec_at]
+                states = r[at] // k
+            np.minimum.at(first, states, base + at)
             np.add.at(visits, states, 1)
+
+    def settle(w, ln, at):
+        """The table offset of the engine's word ``w`` of ``ln`` letters, or
+        -2 when the table does not hold it; such a word, recorded at step
+        ``at`` of the record, is tallied when it is no longer than word_cap."""
+        if ln <= top:
+            o = enter(w)
+            if o >= 0:
+                return o
+        if record and ln <= word_cap:
+            seen = met.get(w)
+            if seen is None:
+                met[w] = [done + at, 1]
+            else:
+                seen[1] += 1
+        return -2
 
     # the run cut where recording (burn_in) or the slope's tail (half) starts
     cuts = sorted({0, burn_in, half, steps})
+    walk: list[int] = []  # the record, tallied with numpy
     for start, stop in zip(cuts, cuts[1:]):
-        keep, record = start >= half, start >= burn_in
+        record = start >= burn_in
+        near = max(top, word_cap) if record else top
+        if o < 0 and ks is None and ln <= near:
+            w, ks = word(), sorted(chain.from_iterable(queues))
         for chunk in feeds(stop - start):
-            # both loops take the chunk's arrivals from ``feed``; a loop that
-            # hands over to the other leaves the rest in it, and the table
-            # puts back in front the arrival that it hands to the engine
+            if not walk:  # stored items per class before the record
+                occ0 = [words[o // k].count(c) for c in nodes] if o >= 0 else list(map(len, queues))
+            # the loops take the chunk's arrivals from ``feed``; a loop that
+            # hands over to another leaves the rest in it, and the table puts
+            # back in front the arrival that it hands to the engine
             rest = feed = chunk
-            walk: list[int] = []
+            push = walk.append
             while True:
                 if o >= 0:
-                    push = walk.append
                     for i in feed:
                         t = succ[o + i]
                         if t < 0:
@@ -529,50 +644,82 @@ def simulate(
                                 spec, outs = records[-3 - t]
                                 t = outs[sample(spec, rng)]
                             elif t < 0:
-                                load(words[o // k])
+                                w = words[o // k]
+                                load(w)
+                                key, ln = engine._next - k, len(w)
+                                ks = sorted(chain.from_iterable(queues))
                                 feed, o = chain((i,), rest), -1
                                 break
                         o = t
                         push(o)
-                    if keep or record:
-                        flush(walk, keep, record)
-                    walk = []
-                    if o >= 0:
+                    else:
+                        break
+                elif ks is None:
+                    # a queue too long to keep its word: only a match can
+                    # bring it back within reach
+                    for i in feed:
+                        key += k
+                        m = offers[i](key + i, rng)
+                        if m is None:
+                            ln += 1
+                            push(~i)
+                        else:
+                            ln -= 1
+                            push(~m)
+                            if ln <= near:
+                                w, ks = word(), sorted(chain.from_iterable(queues))
+                                o = settle(w, ln, len(walk) - 1)
+                                break
+                    else:
                         break
                 else:
+                    # the word and its keys follow each step
                     for i in feed:
-                        offers[i](rng)
-                        ln = len(items)
-                        if ln <= top:
-                            o = enter(tuple(word))
-                            if o >= 0:
-                                walk.append(o)
-                                feed = rest
+                        key += k
+                        m = offers[i](key + i, rng)
+                        if m is None:
+                            ln += 1
+                            push(~i)
+                            if ln > near:
+                                ks = None
                                 break
-                        if keep:
-                            keep_len(ln)
-                        if not record:
-                            continue
-                        if ln <= word_cap:
-                            w = tuple(word)
-                            counts[w] = tally(w, 0) + 1
+                            ks.append(key + i)
+                            w += (nodes[i],)
                         else:
-                            overflow += 1
-                            if ln > max_len:
-                                max_len = ln
-                            for c, q in queues:
-                                occ_sum[c] += len(q)
-                    if o < 0:
+                            ln -= 1
+                            push(~m)
+                            x = bisect_left(ks, m)
+                            del ks[x]
+                            w = w[:x] + w[x + 1 :]
+                        o = settle(w, ln, len(walk) - 1)
+                        if o >= 0:
+                            break
+                    else:
                         break
-    final_len = int(lens[o // k]) if o >= 0 else len(items)
-    visits = visits.tolist()
+                if o >= 0:  # the engine hands back to the table
+                    walk[-1] = o
+                    feed = rest
+            if len(walk) >= 1 << 14:  # a few hundred kB of record at most
+                flush(walk, occ0)
+                walk = []
+    if walk:
+        flush(walk, occ0)
+    final_len = int(lens[o // k]) if o >= 0 else ln
+    occ_sum = dict(zip(nodes, occ_sum.tolist()))
     # an unstable run's buffer need not outlive the loop
-    del engine, offers, load, items, queues, word, table, succ, fill, enter, records
-    # table states longer than word_cap are overflow steps
+    del engine, offers, load, word, queues, table, succ, fill, enter, records
+    # the words recorded, in the order of their first recorded step: table
+    # states longer than word_cap, like the engine's, are overflow steps
+    seen = np.flatnonzero(visits)
+    order = [*zip(first[seen].tolist(), seen.tolist()), *((f, w) for w, (f, _) in met.items())]
+    order.sort()  # the first steps are distinct, so no two keys are compared
+    visits = visits.tolist()
     tallied: dict[Word, int] = {}
-    for key, n in counts.items():
+    for _, key in order:
         if type(key) is int:
             key, n = words[key], visits[key]
+        else:
+            n = met[key][1]
         max_len = max(max_len, len(key))
         for c in key:
             occ_sum[c] += n

@@ -131,9 +131,9 @@ def fcfm_match_partners(g: Multigraph, arrivals: Sequence[Node]) -> list[Optiona
 
     One FIFO of stored arrival indices per class: arrival ``m`` of class
     ``v`` takes the oldest head among the FIFOs of ``v``'s neighbours, or is
-    stored in its own.  This is the FCFM rule of ``chain.BufferEngine``
-    without its item dict, its clock and its per-step dispatch, which made
-    the pass about twice as slow.
+    stored in its own.  This is the head test of ``chain.BufferEngine``'s
+    compiled FCFM step, run in one loop: the engine's per-step dispatch and
+    class-tagged keys made the pass about 1.7x as slow.
     """
     fifo = {c: deque() for c in g.nodes}
     steps = {v: (fifo[v].append, tuple(fifo[j] for j in g.sorted_adjacency[v])) for v in g.nodes}

@@ -27,6 +27,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .graphs import BlowupMap, Multigraph, Node
@@ -212,7 +213,8 @@ def word_counts(w: Word) -> dict[Node, int]:
 #                     match-the-shortest);
 #   (_SHUFFLE, nbrs)  ``rng.shuffle`` of a copy of ``nbrs``, the graph's one
 #                     sorted neighbourhood tuple of the arrival; its first
-#                     entry among ``classes`` is chosen (uniform RandomPolicy);
+#                     entry among ``classes`` is chosen (uniform RandomPolicy;
+#                     one draw tuple per neighbourhood, from :func:`_shuffle`);
 #   (_RANDOM, cum, firsts, weights)
 #                     ``rng.random()`` bisected over ``cum``, the float running
 #                     sums of the permutations' ``weights``, picks a
@@ -268,10 +270,17 @@ def _uniform(choices: Sequence[Node]):
     return choices, (_TIE if len(choices) > 1 else None)
 
 
+@cache
+def _shuffle(nbrs: tuple[Node, ...]):
+    """The draw ``(_SHUFFLE, nbrs)`` of a sorted neighbourhood, made once and
+    shared by every spec, and every draw record, that shuffles it."""
+    return _SHUFFLE, nbrs
+
+
 def _random_rule(g, policy, counts, v):
     dist = (policy.perms or {}).get(v)
     if dist is None:
-        return sorted(counts), (_SHUFFLE, g.sorted_adjacency[v])
+        return sorted(counts), _shuffle(g.sorted_adjacency[v])
     firsts = [next(j for j in perm if j in counts) for perm, _ in dist]
     classes = list(dict.fromkeys(firsts))
     weights = [p for _, p in dist]
@@ -290,9 +299,17 @@ def _priority_rule(g, policy, counts, v):
 
 
 def _max_weight_rule(g, policy, counts, v):
-    scores = {j: policy.beta * n + policy.reward(v, j) for j, n in counts.items()}
-    top = max(scores.values())
-    return _uniform(sorted(j for j, s in scores.items() if s == top))
+    # one pass: the top score so far and the classes that reach it
+    beta, reward = policy.beta, policy.rewards.get
+    top = tied = None
+    for j, n in counts.items():
+        s = beta * n + reward((v, j), 0)
+        if tied is None or s > top:
+            top, tied = s, [j]
+        elif s == top:
+            tied.append(j)
+    tied.sort()
+    return _uniform(tied)
 
 
 def _favored_rule(g, policy, counts, v):

@@ -482,13 +482,18 @@ def engine_run(g, mu, pol, steps, seed):
     draws."""
     nodes, cum = _arrival_table(mu)
     engine, rng = BufferEngine(g, pol), random.Random(seed)
-    offers = [engine._offers[c] for c in nodes]
-    items, fifo = engine._items, engine._fifo.items()
+    arrived, counts = [], dict.fromkeys(g.nodes, 0)
     words, classes = [], []
     for i in islice(_arrival_indices(cum, rng), steps):
-        offers[i](rng)
-        words.append(tuple(items.values()))
-        classes.append({c: len(q) for c, q in fifo})
+        v = nodes[i]
+        x = engine.offer(v, rng)  # the arrival index of the item matched
+        arrived.append(v)
+        if x is None:
+            counts[v] += 1
+        else:
+            counts[arrived[x]] -= 1
+        words.append(engine.word())
+        classes.append(dict(counts))
     return words, classes, rng.getstate()
 
 
@@ -758,6 +763,32 @@ def test_a_step_at_the_length_bound_leaves_the_table_only_to_store(path_loop, mu
     assert state == run[2]
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_engine_word_and_length_follow_step_after_loads(seed):
+    # the engine's word is its keyed FIFOs merged: after every offer, also
+    # right after a load of an admissible word, it is the word-level step's
+    # word, and the engine makes the step's RNG calls
+    rng = random.Random(seed)
+    g = random_multigraph(rng)
+    mu = unstable_measure(rng, g)
+    arrivals = draw_arrivals(mu, 120, rng)
+    for name, pol in table_kinds(g).items():
+        engine = BufferEngine(g, pol)
+        rng_a, rng_b = random.Random(seed), random.Random(seed)
+        w = ()
+        for n, v in enumerate(arrivals):
+            if n % 40 == 20:
+                w = random_admissible_word(rng, g, rng.randrange(4)) or ()
+                engine.load(w)
+                assert engine.word() == w and engine.length == len(w), name
+            engine.offer(v, rng_a)
+            w = step(g, pol, w, v, rng_b)
+            assert engine.word() == w, (name, n)
+            assert engine.length == len(w), (name, n)
+            assert rng_a.getstate() == rng_b.getstate(), (name, n)
+
+
 def test_engine_is_freed_without_the_collector(tripartite_loop, mu_tripartite):
     # no reference cycle: dropping the engine frees it and its buffer at once
     arrivals = draw_arrivals(mu_tripartite, 60, random.Random(2))
@@ -803,6 +834,38 @@ PINNED_DIGESTS = {
 
 def test_seeded_streams_are_pinned(tripartite_loop, mu_tripartite, path_loop, mu_path):
     assert seeded_digests(tripartite_loop, mu_tripartite, path_loop, mu_path) == PINNED_DIGESTS
+
+
+# path_loop under its unstable measure: class 1 outweighs class 2, so the
+# queue grows by about a fifth of an item per step and nearly every step is
+# the engine's; keyed by (policy, word_cap), computed before the engine kept
+# its items in keyed FIFOs alone
+PINNED_ENGINE_DIGESTS = {
+    ("fcfm", 0): "8ac37ae34824ac95ba66297849b821686d8f6d7fa6d3ce05305c812ea1c607ad",
+    ("fcfm", 16): "ce50beff982da99e8d0e6b515ae3236143b1bffa337aaabec77b3db8c28c4eb9",
+    ("lcfm", 0): "1a2df86ed713b9874d8dbe18d53074a9a9dfb25b6d38935aa5a5a9f3cabec87f",
+    ("lcfm", 16): "d68d5c8dbc0908c1a6696cc8bd3c017612d52beb26760aac1fa378d4ad9aa504",
+    ("ms", 0): "02f8ff2067fb051bb38a7ec6ecfab9498f0fe3ebbb567885070ffbfc5be25086",
+    ("ms", 16): "fa45cec9d896e67e1e06e2992c70f524570499f32198f54428579ca688c8b838",
+}
+
+
+def test_engine_bound_runs_are_pinned(path_loop):
+    # sha256 of the result's repr and the RNG's final state, from burn-in 0;
+    # with the shipped table bounds the engine takes every step past 24
+    # letters, and with small ones it also tallies the words it steps to
+    unstable = ProbMeasure.from_dict({"1": "2/5", "2": "1/5", "3": "2/5"})
+    policies = {"fcfm": Fcfm(), "lcfm": Lcfm(), "ms": match_the_shortest()}
+    for max_len, max_states in TABLE_BOUNDS:
+        got = {}
+        for (name, word_cap) in PINNED_ENGINE_DIGESTS:
+            with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=max_len,
+                                _TABLE_MAX_STATES=max_states):
+                res, state = recorded_simulate(path_loop, unstable, policies[name], 20000,
+                                               burn_in=0, seed=17, word_cap=word_cap)
+            assert res.overflow_steps > 19900, (name, word_cap)
+            got[name, word_cap] = hashlib.sha256((repr(res) + repr(state)).encode()).hexdigest()
+        assert got == PINNED_ENGINE_DIGESTS, max_len
 
 
 def test_simulate_is_deterministic_and_consistent(path_loop, mu_path):
