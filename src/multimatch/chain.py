@@ -236,31 +236,6 @@ def _compile_offer(g, policy, v, fifo):
     store = fifo[v].append
     nbrs = g.sorted_adjacency[v]
     queues = tuple(fifo[j] for j in nbrs)
-    if isinstance(policy, (Fcfm, Lcfm)) and len(queues) <= 2:
-        # one or two neighbours, compared without a loop; an empty FIFO of
-        # no class stands in for a missing second one
-        q1, q2 = (*queues, deque())[:2]
-        if isinstance(policy, Fcfm):
-
-            def offer(key, rng):
-                if q1:
-                    return (q2 if q2 and q2[0] < q1[0] else q1).popleft()
-                if q2:
-                    return q2.popleft()
-                store(key)
-                return None
-
-        else:
-
-            def offer(key, rng):
-                if q1:
-                    return (q2 if q2 and q2[-1] > q1[-1] else q1).pop()
-                if q2:
-                    return q2.pop()
-                store(key)
-                return None
-
-        return offer
     if isinstance(policy, Fcfm):
         # the neighbour whose oldest stored item arrived first
 
@@ -311,19 +286,21 @@ class BufferEngine:
     Items live in one FIFO of keys per class and nowhere else, which is
     enough to resolve any supported policy without materializing the word.
     An item's key is ``(n + 1) * k + c`` for its 0-based arrival index ``n``
-    and its class's index ``c`` in ``g.nodes`` (``k`` classes), so keys grow
-    with arrival order and name their class; :meth:`word` merges the FIFOs
-    by key.  The step of each arrival class is compiled once, at
-    construction: its neighbours' FIFOs, its own FIFO and the policy's
-    choice among the candidate classes.
+    and its class's index ``c`` among the ``k`` classes in sorted order, the
+    order of :func:`simulate`'s arrival indices, so keys grow with arrival
+    order and name their class; :meth:`word` merges the FIFOs by key.  The
+    step of each arrival class is compiled once, at construction: its
+    neighbours' FIFOs, its own FIFO and the policy's choice among the
+    candidate classes.
     """
 
     def __init__(self, g: Multigraph, policy: Policy):
         self.g = g
         self.policy = policy
-        self._fifo = {c: deque() for c in g.nodes}
-        self._index = {c: i for i, c in enumerate(g.nodes)}
-        self._k = len(g.nodes)
+        self._classes = classes = sorted(g.nodes)
+        self._fifo = {c: deque() for c in classes}
+        self._index = {c: i for i, c in enumerate(classes)}
+        self._k = len(classes)
         self._next = self._k  # the key of the next arrival of class index 0
         self._offers = {v: _compile_offer(g, policy, v, self._fifo) for v in g.nodes}
 
@@ -333,8 +310,8 @@ class BufferEngine:
 
     def word(self) -> Word:
         """The stored classes in arrival order: the FIFOs merged by key."""
-        nodes, k = self.g.nodes, self._k
-        return tuple([nodes[key % k] for key in sorted(chain.from_iterable(self._fifo.values()))])
+        classes, k = self._classes, self._k
+        return tuple([classes[key % k] for key in sorted(chain.from_iterable(self._fifo.values()))])
 
     def offer(self, v: Node, rng: Optional[random.Random]) -> Optional[int]:
         """Process one arrival; returns the 0-based arrival index (over this
@@ -501,7 +478,7 @@ def simulate(
     import numpy as np
 
     rng = random.Random(seed)
-    nodes, cum = _arrival_table(mu)  # g.nodes: an arrival index is a class index
+    nodes, cum = _arrival_table(mu)  # sorted: an arrival index is the engine's class index
 
     engine = BufferEngine(g, policy)
     offers, load, word = [engine._offers[c] for c in nodes], engine.load, engine.word

@@ -27,7 +27,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .graphs import BlowupMap, Multigraph, Node
@@ -270,10 +270,12 @@ def _uniform(choices: Sequence[Node]):
     return choices, (_TIE if len(choices) > 1 else None)
 
 
-@cache
+@lru_cache(maxsize=64)
 def _shuffle(nbrs: tuple[Node, ...]):
-    """The draw ``(_SHUFFLE, nbrs)`` of a sorted neighbourhood, made once and
-    shared by every spec, and every draw record, that shuffles it."""
+    """The draw ``(_SHUFFLE, nbrs)`` of a sorted neighbourhood, shared by the
+    specs, and the draw records, that shuffle it.  The cache holds the
+    neighbourhoods of the last few graphs, not of every graph a process
+    meets."""
     return _SHUFFLE, nbrs
 
 
@@ -300,10 +302,10 @@ def _priority_rule(g, policy, counts, v):
 
 def _max_weight_rule(g, policy, counts, v):
     # one pass: the top score so far and the classes that reach it
-    beta, reward = policy.beta, policy.rewards.get
+    beta, reward = policy.beta, policy.reward
     top = tied = None
     for j, n in counts.items():
-        s = beta * n + reward((v, j), 0)
+        s = beta * n + reward(v, j)
         if tied is None or s > top:
             top, tied = s, [j]
         elif s == top:

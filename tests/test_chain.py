@@ -482,17 +482,18 @@ def engine_run(g, mu, pol, steps, seed):
     draws."""
     nodes, cum = _arrival_table(mu)
     engine, rng = BufferEngine(g, pol), random.Random(seed)
-    arrived, counts = [], dict.fromkeys(g.nodes, 0)
+    # the stored items, arrival index -> class, in arrival order
+    stored, counts = {}, dict.fromkeys(g.nodes, 0)
     words, classes = [], []
-    for i in islice(_arrival_indices(cum, rng), steps):
+    for n, i in enumerate(islice(_arrival_indices(cum, rng), steps)):
         v = nodes[i]
         x = engine.offer(v, rng)  # the arrival index of the item matched
-        arrived.append(v)
         if x is None:
+            stored[n] = v
             counts[v] += 1
         else:
-            counts[arrived[x]] -= 1
-        words.append(engine.word())
+            counts[stored.pop(x)] -= 1
+        words.append(tuple(stored.values()))
         classes.append(dict(counts))
     return words, classes, rng.getstate()
 
@@ -866,6 +867,28 @@ def test_engine_bound_runs_are_pinned(path_loop):
             assert res.overflow_steps > 19900, (name, word_cap)
             got[name, word_cap] = hashlib.sha256((repr(res) + repr(state)).encode()).hexdigest()
         assert got == PINNED_ENGINE_DIGESTS, max_len
+
+
+def test_runs_do_not_depend_on_the_order_of_the_graphs_nodes(path_loop):
+    # the raw constructor keeps its nodes unsorted; the engine's keys and the
+    # run's record still name the right classes, so a run on it is the run on
+    # the built graph, and its engine's word is the word-level step's word
+    raw = Multigraph(("3", "1", "2"), path_loop.edges, path_loop.self_loops)
+    unstable = ProbMeasure.from_dict({"1": "2/5", "2": "1/5", "3": "2/5"})
+    arrivals = draw_arrivals(unstable, 300, random.Random(4))
+    for name, pol in table_kinds(path_loop).items():
+        for max_len, max_states in TABLE_BOUNDS:
+            with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=max_len,
+                                _TABLE_MAX_STATES=max_states):
+                runs = [recorded_simulate(h, unstable, pol, 3000, burn_in=100, seed=9, word_cap=4)
+                        for h in (path_loop, raw)]
+            assert runs[0] == runs[1], (name, max_len)
+            assert list(runs[1][0].class_occupancy) == list(raw.nodes), name
+        engine, rng_a, rng_b, w = BufferEngine(raw, pol), random.Random(1), random.Random(1), ()
+        for v in arrivals:
+            engine.offer(v, rng_a)
+            w = step(path_loop, pol, w, v, rng_b)
+            assert engine.word() == w, name
 
 
 def test_simulate_is_deterministic_and_consistent(path_loop, mu_path):
