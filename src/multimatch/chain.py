@@ -21,21 +21,21 @@ an entry is final once filled: the next word, or a draw record that replays
 the policy's own RNG call and holds every word the call may lead to.  A step
 goes to the engine exactly when the table cannot hold one of its next words:
 a word longer than the table's length bound, or a new word while the table
-is full.  Each step of a run appends one int to a record, its table state
-or the class the engine stored or matched, and the record is tallied with
-numpy, up to 16384 steps at a time.  When the policy never draws, only the
-arrivals draw, so they are drawn in bulk, a chunk at a time, and the bulk
-stream equals the per-step one; a policy that can draw takes its arrivals
-one at a time, interleaved with its own draws.  Only the simulation code
-imports numpy, inside the functions that use it, so the exact layer runs
-without loading it.
+is full.  A run is one pass over one feed of arrivals, and each step
+appends one int to a record, its table state or the class the engine stored
+or matched, tallied with numpy up to 16384 steps at a time.  When the policy
+never draws, only the arrivals draw, so they are drawn in bulk, a chunk at a
+time, and the bulk stream equals the per-step one; a policy that can draw
+takes its arrivals one at a time, interleaved with its own draws.  Only the
+simulation code imports numpy, inside the functions that use it, so the
+exact layer runs without loading it.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -457,14 +457,15 @@ def simulate(
     record.  A step goes to the engine exactly when the table cannot hold
     one of its next words: a word longer than the table's length bound, or a
     new word while the table is full.  The engine, loaded with the table's
-    word, steps on until it meets a word the table holds.  A policy that
-    never draws only draws arrivals, so they are drawn in bulk (the same
-    stream as per-step draws); a policy that can draw takes its arrivals one
-    at a time, interleaved with its own draws.  Each step appends one int to
-    a record (its table state, or the class the engine stored or matched),
-    tallied once per 16384 steps and at the end: integer running sums give
-    the engine's queue lengths and class counts.  Either way the result, and
-    the RNG's final state, are the engine's, bit for bit.
+    word, steps on until it meets a word the table holds.  The run is one
+    pass over one feed of arrivals, burn-in included.  A policy that never
+    draws only draws arrivals, so they are drawn in bulk (the same stream as
+    per-step draws); a policy that can draw takes its arrivals one at a time,
+    interleaved with its own draws.  Each step appends one int to a record
+    (its table state, or the class the engine stored or matched), tallied
+    once per 16384 steps and at the end: integer running sums give the
+    engine's queue lengths and class counts.  Either way the result, and the
+    RNG's final state, are the engine's, bit for bit.
     """
     if steps <= 0:
         raise ChainError("steps must be positive")
@@ -494,24 +495,18 @@ def simulate(
     # o is the current table offset, or negative while the engine steps.  The
     # engine's queue holds ``ln`` items, and ``key + k + i`` is the key of its
     # next arrival, of class index i.  While the table may hold the queue's
-    # word or the word is tallied (``ln <= near``), the engine keeps it in
-    # ``w`` and its keys in ``ks``, and hands back to the table at a word
-    # that ``enter`` holds; otherwise ``ks`` is None.
-    o, top = 0, _TABLE_MAX_LEN
-    key = ln = 0
-    ks = None
+    # word or the word may be tallied (``ln <= near``), the engine keeps it in
+    # ``w`` and hands back to the table at a word that ``enter`` holds;
+    # otherwise ``w`` is None.
+    near = max(_TABLE_MAX_LEN, word_cap)
+    o = key = ln = 0
+    w = None
     if is_draw_free(policy):
-
-        def feeds(n):
-            return _arrival_chunks(cum, rng, n)
+        chunks = _arrival_chunks(cum, rng, steps)
     else:
         arrivals = _arrival_indices(cum, rng)
-
-        def feeds(n):
-            while n > 0:
-                m = min(n, _ARRIVAL_CHUNK)
-                n -= m
-                yield islice(arrivals, m)
+        chunks = (islice(arrivals, min(_ARRIVAL_CHUNK, steps - n))
+                  for n in range(0, steps, _ARRIVAL_CHUNK))
 
     # over the engine's overflow steps; visits and met add the rest
     overflow = max_len = 0
@@ -578,107 +573,96 @@ def simulate(
             np.minimum.at(first, states, base + at)
             np.add.at(visits, states, 1)
 
-    def settle(w, ln, at):
-        """The table offset of the engine's word ``w`` of ``ln`` letters, or
-        -2 when the table does not hold it; such a word, recorded at step
-        ``at`` of the record, is tallied when it is no longer than word_cap."""
-        if ln <= top:
-            o = enter(w)
-            if o >= 0:
-                return o
-        if record and ln <= word_cap:
+    def settle(w, at):
+        """The table offset of the engine's word ``w``, or -2 when the table
+        does not hold it; such a word, at step ``at`` of the record, is
+        tallied when it is recorded and no longer than word_cap."""
+        o = enter(w)
+        if o < 0 and len(w) <= word_cap and done + at >= burn_in:
             seen = met.get(w)
             if seen is None:
                 met[w] = [done + at, 1]
             else:
                 seen[1] += 1
-        return -2
+        return o
 
-    # the run cut where recording (burn_in) or the slope's tail (half) starts
-    cuts = sorted({0, burn_in, half, steps})
     walk: list[int] = []  # the record, tallied with numpy
-    for start, stop in zip(cuts, cuts[1:]):
-        record = start >= burn_in
-        near = max(top, word_cap) if record else top
-        if o < 0 and ks is None and ln <= near:
-            w, ks = word(), sorted(chain.from_iterable(queues))
-        for chunk in feeds(stop - start):
-            if not walk:  # stored items per class before the record
-                occ0 = [words[o // k].count(c) for c in nodes] if o >= 0 else list(map(len, queues))
-            # the loops take the chunk's arrivals from ``feed``; a loop that
-            # hands over to another leaves the rest in it, and the table puts
-            # back in front the arrival that it hands to the engine
-            rest = feed = chunk
-            push = walk.append
-            while True:
-                if o >= 0:
-                    for i in feed:
-                        t = succ[o + i]
-                        if t < 0:
-                            if t == -1:
-                                t = fill(o, i)
-                            if t < -2:
-                                spec, outs = records[-3 - t]
-                                t = outs[sample(spec, rng)]
-                            elif t < 0:
-                                w = words[o // k]
-                                load(w)
-                                key, ln = engine._next - k, len(w)
-                                ks = sorted(chain.from_iterable(queues))
-                                feed, o = chain((i,), rest), -1
-                                break
-                        o = t
-                        push(o)
+    for chunk in chunks:
+        if not walk:  # stored items per class before the record
+            occ0 = [words[o // k].count(c) for c in nodes] if o >= 0 else list(map(len, queues))
+        # the loops take the chunk's arrivals from ``feed``; a loop that hands
+        # over to another leaves the rest in it, and the table puts back in
+        # front the arrival that it hands to the engine
+        rest = feed = chunk
+        push = walk.append
+        while True:
+            if o >= 0:
+                for i in feed:
+                    t = succ[o + i]
+                    if t < 0:
+                        if t == -1:
+                            t = fill(o, i)
+                        if t < -2:
+                            spec, outs = records[-3 - t]
+                            t = outs[sample(spec, rng)]
+                        elif t < 0:
+                            w = words[o // k]
+                            load(w)
+                            key, ln = engine._next - k, len(w)
+                            feed, o = chain((i,), rest), -1
+                            break
+                    o = t
+                    push(o)
+                else:
+                    break
+            elif w is None:
+                # a queue too long to keep its word: only a match can bring it
+                # back within reach
+                for i in feed:
+                    key += k
+                    m = offers[i](key + i, rng)
+                    if m is None:
+                        ln += 1
+                        push(~i)
                     else:
-                        break
-                elif ks is None:
-                    # a queue too long to keep its word: only a match can
-                    # bring it back within reach
-                    for i in feed:
-                        key += k
-                        m = offers[i](key + i, rng)
-                        if m is None:
-                            ln += 1
-                            push(~i)
-                        else:
-                            ln -= 1
-                            push(~m)
-                            if ln <= near:
-                                w, ks = word(), sorted(chain.from_iterable(queues))
-                                o = settle(w, ln, len(walk) - 1)
-                                break
+                        ln -= 1
+                        push(~m)
+                        if ln <= near:
+                            w = word()
+                            o = settle(w, len(walk) - 1)
+                            break
+                else:
+                    break
+            else:
+                # the word follows each step; a match takes the oldest item of
+                # its class's FIFO (popleft), or under LCFM the newest (pop)
+                for i in feed:
+                    key += k
+                    m = offers[i](key + i, rng)
+                    if m is None:
+                        ln += 1
+                        push(~i)
+                        if ln > near:
+                            w = None
+                            break
+                        w += (nodes[i],)
                     else:
+                        ln -= 1
+                        push(~m)
+                        q, c = queues[m % k], nodes[m % k]
+                        x = w.index(c) if not q or m < q[0] else len(w) - 1 - w[::-1].index(c)
+                        w = w[:x] + w[x + 1 :]
+                    o = settle(w, len(walk) - 1)
+                    if o >= 0:
                         break
                 else:
-                    # the word and its keys follow each step
-                    for i in feed:
-                        key += k
-                        m = offers[i](key + i, rng)
-                        if m is None:
-                            ln += 1
-                            push(~i)
-                            if ln > near:
-                                ks = None
-                                break
-                            ks.append(key + i)
-                            w += (nodes[i],)
-                        else:
-                            ln -= 1
-                            push(~m)
-                            x = bisect_left(ks, m)
-                            del ks[x]
-                            w = w[:x] + w[x + 1 :]
-                        o = settle(w, ln, len(walk) - 1)
-                        if o >= 0:
-                            break
-                    else:
-                        break
-                if o >= 0:  # the engine hands back to the table
-                    walk[-1] = o
-                    feed = rest
-            if len(walk) >= 1 << 14:  # a few hundred kB of record at most
-                flush(walk, occ0)
-                walk = []
+                    break
+            if o >= 0:  # the engine hands back to the table
+                walk[-1] = o
+                feed = rest
+        if len(walk) >= 1 << 14:  # a few hundred kB of record at most
+            flush(walk, occ0)
+            walk = []
     if walk:
         flush(walk, occ0)
     final_len = int(lens[o // k]) if o >= 0 else ln

@@ -480,9 +480,6 @@ class Excursion:
     word: Word
     partner_word: Word
 
-    def permutation_valid(self) -> bool:
-        return sorted(self.word) == sorted(self.partner_word)
-
 
 def _excursion_split(g: Multigraph, arrivals: Sequence[Node]):
     """The completed prefix's partner table and its excursion ends, as int64 arrays.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -30,21 +31,24 @@ class MeasureError(ValueError):
 
 def to_weight(v) -> Weight:
     """One weight read from outside input: a finite float stays a float; an
-    int, a Fraction or a numeric string becomes an exact Fraction."""
+    int, a Fraction or a numeric string becomes an exact Fraction.  A weight
+    beyond the largest float is refused: simulation and the drift reports
+    read weights as floats."""
     if isinstance(v, bool):
         raise MeasureError(f"weight {v!r} is not a number")
     if isinstance(v, float):
         if not math.isfinite(v):
             raise MeasureError(f"weight {v!r} is not a finite number")
         return v
-    if isinstance(v, (Fraction, int)):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MeasureError(f"cannot parse weight {v!r}") from exc
-    raise MeasureError(f"unsupported weight type {type(v).__name__}")
+    if not isinstance(v, (Fraction, int, str)):
+        raise MeasureError(f"unsupported weight type {type(v).__name__}")
+    try:
+        w = Fraction(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MeasureError(f"cannot parse weight {v!r}") from exc
+    if abs(w) > sys.float_info.max:
+        raise MeasureError(f"weight {v!r} is too large for a float")
+    return w
 
 
 def cumulative(weights: Iterable[Weight]) -> list[float]:

@@ -658,6 +658,27 @@ def test_table_bounds_are_crossed_both_ways(path_loop, mu_path):
             assert repr(got) == want, chunk
 
 
+def test_a_draw_free_run_draws_from_one_arrival_feed(path_loop, mu_path):
+    # a run is one pass: whatever its burn-in (steps - 1 is stability_slope's),
+    # and with chunks smaller than the run, it opens one bulk feed of all its
+    # arrivals
+    calls = []
+
+    def counted(cum, rng, steps):
+        calls.append(steps)
+        return _arrival_chunks(cum, rng, steps)
+
+    steps = 400
+    for pol in (Fcfm(), Lcfm()):
+        for chunk in (_ARRIVAL_CHUNK, 7):
+            for burn_in in (0, 7, steps - 1):
+                calls.clear()
+                with patch.multiple("multimatch.chain", _arrival_chunks=counted,
+                                    _ARRIVAL_CHUNK=chunk):
+                    simulate(path_loop, mu_path, pol, steps, burn_in=burn_in, seed=3)
+                assert calls == [steps], (pol, chunk, burn_in)
+
+
 def test_a_full_table_hands_draws_to_the_engine(diamond_hub, mu_diamond):
     # with a small table, the table fills up to its bound and no further;
     # once it is full, a drawing step with a next word the table does not

@@ -546,13 +546,17 @@ def test_input_errors_exit_2(capsys, tmp_path):
         '{"kind": "maxweight", "beta": Infinity}',
         '{"kind": "maxweight", "rewards": {"1,2": NaN}}',
         '{"kind": "random", "perms": {"2": [[["1", "3"], 2], [["3", "1"], -1]]}}',
+        # exact weights too large for a float
+        '{"kind": "maxweight", "beta": "1e400", "rewards": {"2,1": 0.5}}',
+        '{"kind": "maxweight", "beta": 0.5, "rewards": {"2,1": "1e400"}}',
     ):
         assert main(["simulate", *path_model, "--policy", doc, "--steps", "10"]) == 2, doc
         assert main(["drift", *path_model, "--policy", doc, "--max-len", "2"]) == 2, doc
     # option values that are not weights
     for split in ('{"3": "x"}', "[1]"):
         assert main(["extend-measure", *path_model, "--split", split]) == 2
-    assert main(["drift", *path_model, "--fn", "Ldelta", "--delta", "x"]) == 2
+    for delta in ("x", "1e999"):
+        assert main(["drift", *path_model, "--fn", "Ldelta", "--delta", delta]) == 2, delta
     # only Ldelta has a margin to set
     for fn in ("Q", "L"):
         assert main(["drift", *path_model, "--fn", fn, "--delta", "5"]) == 2, fn

@@ -393,7 +393,6 @@ def test_excursions_by_hand(k2):
         ("1", "2"),
         ("2", "2", "1", "1"),
     ]
-    assert all(e.permutation_valid() for e in excs)
     with pytest.raises(DetailedError):
         excursion_decompose(k2, ["1", "1"])
 

@@ -300,7 +300,6 @@ PINNED_SURFACE = {
             "min_visits: 'int' = 500) -> 'LocalBalanceReport'"
         ),
         "Excursion": "(word: 'Word', partner_word: 'Word') -> None",
-        "Excursion.permutation_valid": "(self) -> 'bool'",
         "excursion_decompose": "(g: 'Multigraph', arrivals: 'Sequence[Node]') -> 'list[Excursion]'",
         "partner_map": "(g: 'Multigraph', word: 'Word') -> 'Word'",
         "partner_inverse": "(g: 'Multigraph', word: 'Word') -> 'Word'",
