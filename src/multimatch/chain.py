@@ -182,11 +182,9 @@ def _arrival_indices(cum: list[float], rng: random.Random) -> Iterator[int]:
 _ARRIVAL_CHUNK = 1 << 14
 
 
-def _arrival_chunks(
-    cum: list[float], rng: random.Random, steps: int
-) -> Iterator[Iterator[int]]:
-    """The first ``steps`` indices of :func:`_arrival_indices`, in chunks of
-    at most ``_ARRIVAL_CHUNK``, drawn in bulk.
+def _arrival_chunks(cum: list[float], rng: random.Random, steps: int) -> Iterator[np.ndarray]:
+    """The first ``steps`` indices of :func:`_arrival_indices`, drawn in bulk
+    as int64 arrays of at most ``_ARRIVAL_CHUNK`` indices.
 
     ``rng.getrandbits(64 * n)`` holds, least significant first, the 2n 32-bit
     words that n calls of ``rng.random()`` consume, and leaves ``rng`` where
@@ -206,21 +204,30 @@ def _arrival_chunks(
         u += words[1::2] >> 6
         del words
         u /= 9007199254740992.0
-        # an exhausted list iterator frees its list before the next chunk
-        yield iter(np.searchsorted(table, u, side="right").tolist())
+        yield np.searchsorted(table, u, side="right")
 
 
-def draw_arrivals(mu: ProbMeasure, steps: int, rng: random.Random) -> list[Node]:
-    """The classes of the first ``steps`` indices of :func:`_arrival_indices`.
+def draw_arrival_indices(mu: ProbMeasure, steps: int, rng: random.Random) -> np.ndarray:
+    """The first ``steps`` indices of :func:`_arrival_indices`, as one array
+    of the smallest unsigned integer type that holds them: index ``i`` is the
+    ``i``-th class of ``mu`` in sorted order.
 
     They are drawn in bulk, and ``rng`` ends in the state that ``steps``
     per-arrival draws leave it in.
     """
+    import numpy as np
+
     if steps < 0:
         raise ChainError(f"steps must be >= 0, got {steps}")
-    nodes, cum = _arrival_table(mu)
-    pick = nodes.__getitem__
-    return [pick(i) for chunk in _arrival_chunks(cum, rng, steps) for i in chunk]
+    _, cum = _arrival_table(mu)
+    dtype = np.min_scalar_type(len(cum))
+    chunks = (c.astype(dtype) for c in _arrival_chunks(cum, rng, steps))
+    return np.concatenate([np.empty(0, dtype=dtype), *chunks])
+
+
+def draw_arrivals(mu: ProbMeasure, steps: int, rng: random.Random) -> list[Node]:
+    """The classes of :func:`draw_arrival_indices`."""
+    return list(map(sorted(mu.weights).__getitem__, draw_arrival_indices(mu, steps, rng).tolist()))
 
 
 def _compile_offer(g, policy, v, fifo):
@@ -502,7 +509,8 @@ def simulate(
     o = key = ln = 0
     w = None
     if is_draw_free(policy):
-        chunks = _arrival_chunks(cum, rng, steps)
+        # an exhausted list iterator frees its list before the next chunk
+        chunks = (iter(c.tolist()) for c in _arrival_chunks(cum, rng, steps))
     else:
         arrivals = _arrival_indices(cum, rng)
         chunks = (islice(arrivals, min(_ARRIVAL_CHUNK, steps - n))

@@ -15,13 +15,13 @@ executable: block decompositions of the backward state space recover the
 normalizing constant exactly, and long simulations can test the local-balance
 identity statistically.
 
-The long-run audits work on integers.  The partner table comes from one FIFO
-of arrival indices per class.  The backward and reversed forward walks number
-each word when it is first met, so a step is an entry (word number, class)
-and each distinct step folds and hashes its word once; the tallies are counts
-of entries.  The excursion split is one running sum over the partner table,
-and the excursion audit reads the split as arrays: its words are arrays of
-class indices, and each check is a count per excursion.
+The long-run audits draw arrivals as class indices (sorted class order).
+The backward and reversed forward walks number each word when it is first
+met, so a step is an entry (word number, class) and each distinct step folds
+and hashes its word once; the tallies are counts of entries.  The fold makes
+the FCFM matches too, so the backward walk's record gives the partner table.
+The excursion audit's tables come from one FIFO of arrival indices per class;
+its split is one running sum over a table, read as arrays of class indices.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import cache
 from itertools import accumulate, chain, permutations, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .chain import draw_arrivals
+from .chain import draw_arrival_indices
 from .graphs import Multigraph, Node
 from .measures import ProbMeasure, Weight
 from .policies import Word
@@ -106,28 +106,49 @@ def backward_step(g: Multigraph, b: DWord, v: Node) -> DWord:
     unmatched item).  Otherwise the arrival is appended unbarred.
     """
     g.check_node(v)
-    pos = -1
-    for k, (c, brd) in enumerate(b):
-        if not brd and v in g.adjacency[c]:
-            pos = k
+    return _fold(g.adjacency, b, v)[0]
+
+
+def _fold(adj: dict[Node, frozenset[Node]], b: DWord, v: Node) -> tuple[DWord, int]:
+    """:func:`backward_step` and the distance back to the arrival's partner:
+    ``len(b) - pos`` when it takes the letter at position ``pos``, 0 when it
+    is stored (the arrival is the slot after the word's last letter)."""
+    nb = adj[v]
+    for pos, (c, brd) in enumerate(b):
+        if not brd and c in nb:
             break
-    if pos < 0:
-        return b + (plain(v),)
-    matched_class = b[pos][0]
-    nw = b[:pos] + (barred(v),) + b[pos + 1 :] + (barred(matched_class),)
+    else:
+        return b + (plain(v),), 0
+    nw = b[:pos] + (barred(v),) + b[pos + 1 :] + (barred(b[pos][0]),)
     for k, (_, brd) in enumerate(nw):
         if not brd:
-            return nw[k:]
-    return ()
+            return nw[k:], len(b) - pos
+    return (), len(b) - pos
 
 
 # -- trajectory machinery ------------------------------------------------------
+
+def _class_indices(g: Multigraph, arrivals: Sequence[Node]) -> list[int]:
+    """The arrivals as indices of ``g``'s classes in sorted order."""
+    index = {c: i for i, c in enumerate(sorted(g.nodes))}
+    try:
+        return list(map(index.__getitem__, arrivals))
+    except KeyError as exc:
+        g.check_node(exc.args[0])
+        raise
+
 
 def fcfm_match_partners(g: Multigraph, arrivals: Sequence[Node]) -> list[Optional[int]]:
     """Partner index of each arrival under first-come-first-matched.
 
     ``partners[k]`` is the 0-based index of the arrival matched with arrival
     ``k``, or ``None`` while unmatched.  Symmetric by construction.
+    """
+    return _match_partners(g, _class_indices(g, arrivals))
+
+
+def _match_partners(g: Multigraph, arrivals: Sequence[int]) -> list[Optional[int]]:
+    """:func:`fcfm_match_partners` of arrivals given as class indices.
 
     One FIFO of stored arrival indices per class: arrival ``m`` of class
     ``v`` takes the oldest head among the FIFOs of ``v``'s neighbours, or is
@@ -135,27 +156,24 @@ def fcfm_match_partners(g: Multigraph, arrivals: Sequence[Node]) -> list[Optiona
     compiled FCFM step, run in one loop: the engine's per-step dispatch and
     class-tagged keys made the pass about 1.7x as slow.
     """
-    fifo = {c: deque() for c in g.nodes}
-    steps = {v: (fifo[v].append, tuple(fifo[j] for j in g.sorted_adjacency[v])) for v in g.nodes}
+    nodes = sorted(g.nodes)
+    fifo = {c: deque() for c in nodes}
+    steps = [(fifo[v].append, tuple(fifo[j] for j in g.sorted_adjacency[v])) for v in nodes]
     partners: list[Optional[int]] = [None] * len(arrivals)
-    try:
-        for m, v in enumerate(arrivals):
-            store, queues = steps[v]
-            best = None
-            k = m  # every stored index is older than m
-            for q in queues:
-                if q and q[0] < k:
-                    best = q
-                    k = q[0]
-            if best is None:
-                store(m)
-            else:
-                best.popleft()
-                partners[m] = k
-                partners[k] = m
-    except KeyError:
-        g.check_node(v)
-        raise
+    for m, i in enumerate(arrivals):
+        store, queues = steps[i]
+        best = None
+        k = m  # every stored index is older than m
+        for q in queues:
+            if q and q[0] < k:
+                best = q
+                k = q[0]
+        if best is None:
+            store(m)
+        else:
+            best.popleft()
+            partners[m] = k
+            partners[k] = m
     return partners
 
 
@@ -335,64 +353,82 @@ class LocalBalanceReport:
         return sum(1 for c in self.checks if c.z <= z) / len(self.checks)
 
 
-def _walk(
-    g: Multigraph, w: DWord, drive: Iterable[Node]
-) -> tuple[dict[DWord, int], dict[tuple[DWord, DWord], int], DWord]:
-    """Run :func:`backward_step` from ``w`` over the classes of ``drive``.
+def _walk(g: Multigraph, w: DWord, drive: Iterable[int], least: int):
+    """Run :func:`backward_step` from ``w`` over the class indices of ``drive``.
 
-    Returns the visits of each word stepped from, the count of each
-    transition ``(w, w2)`` and the word the walk ends on.  The step is a
-    function of (word, class), so each distinct step is taken once.  Words
-    are numbered as they are met, as ``chain._StepTable`` numbers queue
-    words: word ``s`` sits at offset ``o = s * k`` for ``k`` classes, and
-    ``succ[o + i]`` is the offset the word steps to on class ``i``, or -1
-    until that step is first taken.  The walk records the entry ``o + i``
-    of each step, so a word is hashed once per distinct step, not per step.
+    Returns the visits of each word stepped from at least ``least`` times,
+    the count of each transition ``(w, w2)`` from or to such a word, the word
+    the walk ends on and each step's :func:`_fold` distance, as an array.
+    The step is a function of (word, class), so each distinct step is taken
+    once.  Words are numbered as they are met, as ``chain._StepTable``
+    numbers queue words: word ``s`` sits at offset ``o = s * k`` for ``k``
+    classes, and ``succ[o + i]`` is the offset the word steps to on class
+    ``i``, or -1 until that step is first taken; ``gap[o + i]`` is its
+    distance.  The walk records the entry ``o + i`` of each step, so a word
+    is hashed once per distinct step, not per step.
     """
     import numpy as np
 
-    nodes = g.nodes
+    nodes = sorted(g.nodes)
+    adj = g.adjacency
     k = len(nodes)
-    index = {c: i for i, c in enumerate(nodes)}
     ids = {w: 0}  # word -> offset
     words = [w]  # per word number
     succ = array("q", repeat(-1, k))
-    trail = array("q")
+    gap = array("I", repeat(0, k))
+    trail = array("I")
     record = trail.append
     o = 0
-    for i in map(index.__getitem__, drive):
+    for i in drive:
         e = o + i
         record(e)
         o = succ[e]
         if o < 0:
-            w2 = backward_step(g, words[e // k], nodes[i])
+            w2, gap[e] = _fold(adj, words[e // k], nodes[i])
             o = ids.get(w2, -1)
             if o < 0:
                 o = ids[w2] = len(succ)
                 words.append(w2)
                 succ.extend(repeat(-1, k))
+                gap.extend(repeat(0, k))
             succ[e] = o
     del ids
-    tally = np.bincount(np.frombuffer(trail, dtype=np.int64), minlength=len(succ))
+    trail = np.frombuffer(trail, dtype=np.uintc)
+    gaps = np.frombuffer(gap, dtype=np.uintc)[trail]
+    del gap
+    tally = np.bincount(trail, minlength=len(succ))
     del trail
     n_words = len(words)
     per_word = tally.reshape(n_words, k).sum(axis=1)
-    seen = np.flatnonzero(per_word)
+    kept = per_word >= least
+    seen = np.flatnonzero(kept)
     visits = dict(zip(map(words.__getitem__, seen.tolist()), per_word[seen].tolist()))
     # two classes may step a word to the same word, so the entries are summed
     # per (word, next word) pair, numbered s * n_words + s2
     taken = np.flatnonzero(tally)
-    pairs, where = np.unique(
-        taken // k * n_words + np.frombuffer(succ, dtype=np.int64)[taken] // k,
-        return_inverse=True,
-    )
+    src, dst = taken // k, np.frombuffer(succ, dtype=np.int64)[taken] // k
+    touched = kept[src] | kept[dst]
+    taken = taken[touched]
+    pairs, where = np.unique(src[touched] * n_words + dst[touched], return_inverse=True)
     sums = np.zeros(len(pairs), dtype=np.int64)
     np.add.at(sums, where, tally[taken])
     counts = {
         (words[p // n_words], words[p % n_words]): n
         for p, n in zip(pairs.tolist(), sums.tolist())
     }
-    return visits, counts, words[o // k]
+    return visits, counts, words[o // k], gaps
+
+
+def _partner_table(gaps):
+    """The partner table of a walk from the empty word, from its distances
+    ``gaps``; an arrival never matched has the horizon ``len(gaps)``."""
+    import numpy as np
+
+    late = np.flatnonzero(gaps)
+    early = late - gaps[late]
+    partners = np.full(len(gaps), len(gaps))
+    partners[late], partners[early] = early, late
+    return partners
 
 
 def verify_local_balance_empirical(
@@ -405,38 +441,49 @@ def verify_local_balance_empirical(
     """Run one long trajectory and test the pairing identity on frequent pairs.
 
     Both chains come from the one :func:`backward_step` recursion.  The
-    backward walk folds the arrivals in.  The forward word ``F_n`` is
-    determined up to instant ``u``, the first arrival never matched (or the
-    horizon); below it ``rc(F_n)`` is the backward step from ``rc(F_{n+1})``
-    by the class matched with arrival ``n``.  So the forward walk starts from
-    the one word ``rc(F_u)`` built from the partner table and runs backwards
-    in time over those partner classes; the ``steps - u`` later instants are
-    undetermined and skipped.  Pairs need ``min_visits`` (at least 1) visits
-    on both sides to be tested.
+    backward walk folds the arrivals in and gives the partner table.  The
+    forward word ``F_n`` is determined up to instant ``u``, the first arrival
+    never matched (or the horizon); below it ``rc(F_n)`` is the backward step
+    from ``rc(F_{n+1})`` by the class matched with arrival ``n``.  So the
+    forward walk starts from the one word ``rc(F_u)`` built from the partner
+    table and runs backwards in time over those partner classes; the
+    ``steps - u`` later instants are undetermined and skipped.  Pairs need
+    ``min_visits`` (at least 1) visits on both sides to be tested.
     """
+    import numpy as np
+
     if min_visits < 1:
         raise DetailedError(f"min_visits must be >= 1, got {min_visits}")
     mu.check_support(g)
-    rng = random.Random(seed)
-    arrivals = draw_arrivals(mu, steps, rng)
-    partners = fcfm_match_partners(g, arrivals)
-    u = partners.index(None) if None in partners else steps
-    start = reverse_copy(forward_word(g, arrivals, u, partners))
-    del partners[u:]
-    # popped from the end, so the partner table is freed as this list grows
-    matched = [arrivals[partners.pop()] for _ in range(u)]
-
-    b_visits, b_counts, _ = _walk(g, (), arrivals)
+    nodes = sorted(g.nodes)
+    arrivals = draw_arrival_indices(mu, steps, random.Random(seed))
     # only the steps out of a word visited min_visits times can be tested, so
     # the rest go before the second walk
-    b_visits = {w: n for w, n in b_visits.items() if n >= min_visits}
+    b_visits, b_counts, _, gaps = _walk(g, (), memoryview(arrivals), min_visits)
     b_counts = {key: n for key, n in b_counts.items() if key[0] in b_visits}
+    partners = _partner_table(gaps)
+    never = np.flatnonzero(partners == steps)
+    u = int(never[0]) if len(never) else steps
+    # F_u spans the arrivals from u to the last partner of an arrival before
+    # u: the copy of that earlier arrival's class at its partner's slot, the
+    # arrival's own class elsewhere; rc(F_u) reverses it and flips the bars
+    span = np.arange(u, int(partners[:u].max(initial=u - 1)) + 1)
+    copied = partners[span] < u
+    letters = arrivals[np.where(copied, partners[span], span)]
+    start = tuple(
+        (plain if c else barred)(nodes[i])
+        for i, c in zip(letters[::-1].tolist(), copied[::-1].tolist())
+    )
+    # the class matched with arrival n, for n from u - 1 down to 0
+    matched = memoryview(arrivals[partners[:u][::-1]])
+    del arrivals, partners
     # The walk tallies the forward step F_n -> F_{n+1} under the key
     # (rc(F_{n+1}), rc(F_n)), so the backward transition w -> w2 and the
     # forward one rc(w2) -> rc(w) it is compared with share the key (w, w2).
-    f_visits, f_counts, last = _walk(g, start, matched)
-    f_visits[last] = f_visits.get(last, 0) + 1  # rc(F_0), the empty word
-    undetermined = steps - u
+    # The walk sees rc(F_0), the empty word it ends on, once more than it
+    # steps from it, so it keeps the words it steps from min_visits - 1 times.
+    f_visits, f_counts, last, _ = _walk(g, start, matched, min_visits - 1)
+    f_visits[last] = f_visits.get(last, 0) + 1
 
     @cache
     def nu_of(w: DWord) -> float:
@@ -461,7 +508,7 @@ def verify_local_balance_empirical(
         steps=steps,
         seed=seed,
         min_visits=min_visits,
-        undetermined_forward=undetermined,
+        undetermined_forward=steps - u,
         checks=tuple(checks),
     )
 
@@ -481,7 +528,7 @@ class Excursion:
     partner_word: Word
 
 
-def _excursion_split(g: Multigraph, arrivals: Sequence[Node]):
+def _excursion_split(g: Multigraph, arrivals: Sequence[int]):
     """The completed prefix's partner table and its excursion ends, as int64 arrays.
 
     Each arrival adds one to the buffer when it is stored (its partner comes
@@ -492,7 +539,7 @@ def _excursion_split(g: Multigraph, arrivals: Sequence[Node]):
     """
     import numpy as np
 
-    partners = fcfm_match_partners(g, arrivals)
+    partners = _match_partners(g, arrivals)
     u = partners.index(None) if None in partners else len(partners)
     table = np.fromiter(partners, dtype=np.int64, count=u)
     del partners
@@ -505,7 +552,7 @@ def _excursion_split(g: Multigraph, arrivals: Sequence[Node]):
 
 def excursion_decompose(g: Multigraph, arrivals: Sequence[Node]) -> list[Excursion]:
     """Split a trajectory at the buffer-empty instants; drop the unfinished tail."""
-    partners, ends = _excursion_split(g, arrivals)
+    partners, ends = _excursion_split(g, _class_indices(g, arrivals))
     ends = ends.tolist()
     word = tuple(arrivals[: ends[-1]])
     partner_word = tuple(map(arrivals.__getitem__, partners.tolist()))
@@ -567,12 +614,10 @@ def analyze_excursions(
     import numpy as np
 
     mu.check_support(g)
-    arrivals = draw_arrivals(mu, steps, random.Random(seed))
-    partners, ends = _excursion_split(g, arrivals)
+    arrivals = draw_arrival_indices(mu, steps, random.Random(seed))
+    partners, ends = _excursion_split(g, arrivals.tolist())
     k, n, total = len(g.nodes), len(ends), int(ends[-1])
-    index = {c: i for i, c in enumerate(g.nodes)}
-    word = np.fromiter(map(index.__getitem__, arrivals), dtype=np.int64, count=total)
-    del arrivals  # freed before the stream's partner pass
+    word = arrivals[:total]
     partner_word = word[partners]
     starts = np.concatenate(([0], ends[:-1]))
     lengths = ends - starts
@@ -587,7 +632,7 @@ def analyze_excursions(
     # position p of excursion [a, b) goes to a + b - 1 - p in the stream
     stream = partner_word[np.repeat(starts + ends - 1, lengths) - np.arange(total)]
     try:
-        back, back_ends = _excursion_split(g, list(map(g.nodes.__getitem__, stream.tolist())))
+        back, back_ends = _excursion_split(g, stream.tolist())
     except DetailedError:  # no complete excursion: nothing inverts
         back = back_ends = ends[:0]
     # excursion i inverts when the stream's excursion i has its length and,
@@ -603,11 +648,12 @@ def analyze_excursions(
     inverts = same & (np.bincount(excursion[p], weights=wrong, minlength=m) == 0)
     hist = np.bincount(lengths)
     seen = np.flatnonzero(hist)
+    matched = dict(zip(sorted(g.nodes), np.bincount(partner_word, minlength=k).tolist()))
     return ExcursionReport(
         n_excursions=n,
         total_letters=total,
         permutation_valid=int(permuted.sum()),
         roundtrip_valid=int(inverts.sum()),
         length_histogram=dict(zip(seen.tolist(), hist[seen].tolist())),
-        matched_class_counts=dict(zip(g.nodes, np.bincount(partner_word, minlength=k).tolist())),
+        matched_class_counts={c: matched[c] for c in g.nodes},
     )

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import islice
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,7 @@ from multimatch.chain import (
     _arrival_table,
     apply_decision,
     check_admissible,
+    draw_arrival_indices,
     draw_arrivals,
     least_squares_slope,
 )
@@ -436,12 +438,14 @@ def test_bulk_arrivals_equal_per_step_draws(seed, exact, chunk):
     for steps in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
         bulk, per_step = random.Random(seed), random.Random(seed)
         with patch("multimatch.chain._ARRIVAL_CHUNK", chunk):
-            chunks = [list(c) for c in _arrival_chunks(cum, bulk, steps)]
+            chunks = [c.tolist() for c in _arrival_chunks(cum, bulk, steps)]
             arrivals = draw_arrivals(mu, steps, bulk)
+            indices = draw_arrival_indices(mu, steps, bulk)
         assert all(0 < len(c) <= chunk for c in chunks)
-        want = list(islice(_arrival_indices(cum, per_step), 2 * steps))
+        want = list(islice(_arrival_indices(cum, per_step), 3 * steps))
         assert [i for c in chunks for i in c] == want[:steps]
-        assert arrivals == [nodes[i] for i in want[steps:]]
+        assert arrivals == [nodes[i] for i in want[steps : 2 * steps]]
+        assert indices.dtype == np.uint8 and indices.tolist() == want[2 * steps :]
         # a table with an entry at each double drawn and one just above it:
         # a double off by one unit in the last place lands elsewhere
         doubles = list(islice(iter(random.Random(seed).random, None), steps))

@@ -205,24 +205,25 @@ def test_excursions(capsys, tmp_path):
 def test_a_failed_round_trip_is_counted_and_exits_1(capsys, tmp_path, monkeypatch,
                                                     path_loop, mu_path):
     # every partner table after the first, the one that splits the trajectory,
-    # is LCFM's, so the inverse maps run the wrong rule: a failed verification
+    # is LCFM's, so the inverse maps run the wrong rule: a failed verification.
+    # The audit's partner pass takes class indices, in sorted class order.
     def break_the_inverse():
         made = []
-        fcfm_match_partners = detailed.fcfm_match_partners
+        match_partners = detailed._match_partners
 
         def partners(g, arrivals):
             made.append(arrivals)
             if len(made) == 1:
-                return fcfm_match_partners(g, arrivals)
-            offer = BufferEngine(g, policies.Lcfm()).offer
+                return match_partners(g, arrivals)
+            offer, nodes = BufferEngine(g, policies.Lcfm()).offer, sorted(g.nodes)
             table = [None] * len(arrivals)
-            for m, v in enumerate(arrivals):
-                k = offer(v, None)
+            for m, i in enumerate(arrivals):
+                k = offer(nodes[i], None)
                 if k is not None:
                     table[m], table[k] = k, m
             return table
 
-        monkeypatch.setattr(detailed, "fcfm_match_partners", partners)
+        monkeypatch.setattr(detailed, "_match_partners", partners)
 
     break_the_inverse()
     rep = detailed.analyze_excursions(path_loop, mu_path, steps=3000, seed=0)

@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,9 +37,17 @@ from multimatch import (
     simulate,
 )
 from multimatch import detailed
-from multimatch.chain import BufferEngine, apply_decision, draw_arrivals, step
+from multimatch.chain import (
+    BufferEngine,
+    apply_decision,
+    draw_arrival_indices,
+    draw_arrivals,
+    step,
+)
 from multimatch.detailed import (
     ExcursionReport,
+    _match_partners,
+    _partner_table,
     _walk,
     analyze_excursions,
     barred,
@@ -369,20 +378,74 @@ def test_numbered_walk_equals_a_plain_fold(seed, steps):
     rng = random.Random(seed)
     g = random_multigraph(rng)
     mu = random_measure(rng, g.nodes)
+    nodes = sorted(g.nodes)  # the classes of the drawn indices
     # a non-empty start word: the last non-empty word of a short fold from ()
     start = w = ()
-    for v in draw_arrivals(mu, 20, rng):
-        w = backward_step(g, w, v)
+    for i in draw_arrival_indices(mu, 20, rng).tolist():
+        w = backward_step(g, w, nodes[i])
         start = w or start
-    drive = draw_arrivals(mu, steps, rng)
+    drive = draw_arrival_indices(mu, steps, rng).tolist()
     for w0 in ((), start):
         visits, counts, w = Counter(), Counter(), w0
-        for v in drive:
-            w2 = backward_step(g, w, v)
+        for i in drive:
+            w2 = backward_step(g, w, nodes[i])
             visits[w] += 1
             counts[w, w2] += 1
             w = w2
-        assert _walk(g, w0, drive) == (dict(visits), dict(counts), w)
+        # a walk keeps the words stepped from at least ``least`` times and
+        # the transitions from or to them
+        met = {w0, *(w2 for _, w2 in counts)}
+        for least in (0, 1, 3):
+            kept = {x: visits[x] for x in met if visits[x] >= least}
+            touched = {key: n for key, n in counts.items() if key[0] in kept or key[1] in kept}
+            assert _walk(g, w0, drive, least)[:3] == (kept, touched, w)
+
+
+def shuffled(g, rng):
+    """``g`` from the raw constructor, its classes in a shuffled order."""
+    nodes = list(g.nodes)
+    while len(nodes) > 1 and nodes == sorted(nodes):
+        rng.shuffle(nodes)
+    return Multigraph(tuple(nodes), g.edges, g.self_loops)
+
+
+def check_walk_partners_and_node_order(g, mu, steps, seed):
+    """The backward walk's partner table is the FIFO pass's, and a graph with
+    its classes out of order gives the same audit reports."""
+    arrivals = draw_arrival_indices(mu, steps, random.Random(seed))
+    labels = list(map(sorted(g.nodes).__getitem__, arrivals.tolist()))
+    table = _partner_table(_walk(g, (), arrivals.tolist(), 1)[3])
+    assert table.dtype == np.int64
+    assert [None if p == steps else p for p in table.tolist()] == fcfm_match_partners(g, labels)
+    raw = shuffled(g, random.Random(seed))
+    assert verify_local_balance_empirical(raw, mu, steps, seed, min_visits=1) == (
+        verify_local_balance_empirical(g, mu, steps, seed, min_visits=1))
+    try:
+        expected = analyze_excursions(g, mu, steps, seed)
+    except DetailedError:
+        with pytest.raises(DetailedError):
+            analyze_excursions(raw, mu, steps, seed)
+    else:
+        assert analyze_excursions(raw, mu, steps, seed) == expected
+
+
+def test_the_walk_gives_the_partner_table_on_the_fixtures(path_loop, mu_path, triangle,
+                                                         tripartite_loop, mu_tripartite,
+                                                         diamond_hub, mu_diamond,
+                                                         square_loops, mu_square_uniform):
+    uniform = ProbMeasure.from_dict({c: Fraction(1, 3) for c in triangle.nodes})
+    for g, mu in [(path_loop, mu_path), (triangle, uniform), (tripartite_loop, mu_tripartite),
+                  (diamond_hub, mu_diamond), (square_loops, mu_square_uniform)]:
+        for seed in (0, 1):
+            check_walk_partners_and_node_order(g, mu, 3000, seed)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=300))
+def test_the_walk_gives_the_partner_table_on_random_models(seed, steps):
+    rng = random.Random(seed)
+    g = random_multigraph(rng)
+    check_walk_partners_and_node_order(g, random_measure(rng, g.nodes), steps, seed)
 
 
 def test_excursions_by_hand(k2):
@@ -520,7 +583,7 @@ def test_a_stream_that_splits_elsewhere_counts_as_failed_round_trips(monkeypatch
         starts at ``a + 1`` (matched with ``k1``); pairing ``k0`` with
         ``a + 1`` and ``a`` with ``k1`` keeps the buffer non-empty at ``a``.
         """
-        table = fcfm_match_partners(g, arrivals)
+        table = _match_partners(g, arrivals)
         a = next(m for m, top in enumerate(itertools.accumulate(table, max)) if top == m)
         k0, k1 = table[a], table[a + 1]
         table[k0], table[a], table[a + 1], table[k1] = a + 1, k1, k0, a
@@ -529,16 +592,16 @@ def test_a_stream_that_splits_elsewhere_counts_as_failed_round_trips(monkeypatch
     def turned(g, arrivals):
         """FCFM's partner table of the word turned by three letters: it pairs
         letters that the stream does not pair, and splits it elsewhere."""
-        return fcfm_match_partners(g, arrivals[3:] + arrivals[:3])
+        return _match_partners(g, arrivals[3:] + arrivals[:3])
 
     def zipped(g, mu, steps, seed, table):
         """The round trips as the audit counted them before it ran on arrays:
         the trajectory split with FCFM's table, the stream split with
         ``table``, and the two excursion lists zipped."""
-        monkeypatch.setattr(detailed, "fcfm_match_partners", fcfm_match_partners)
+        monkeypatch.setattr(detailed, "_match_partners", _match_partners)
         excursions = excursion_decompose(g, draw_arrivals(mu, steps, random.Random(seed)))
         stream = [c for e in excursions for c in reversed(e.partner_word)]
-        monkeypatch.setattr(detailed, "fcfm_match_partners", table)
+        monkeypatch.setattr(detailed, "_match_partners", table)
         try:
             back = excursion_decompose(g, stream)
         except DetailedError:
@@ -556,9 +619,9 @@ def test_a_stream_that_splits_elsewhere_counts_as_failed_round_trips(monkeypatch
 
         def partners(g, arrivals):
             calls.append(arrivals)
-            return (fcfm_match_partners if len(calls) == 1 else table)(g, arrivals)
+            return (_match_partners if len(calls) == 1 else table)(g, arrivals)
 
-        monkeypatch.setattr(detailed, "fcfm_match_partners", partners)
+        monkeypatch.setattr(detailed, "_match_partners", partners)
         rep = analyze_excursions(g, mu, steps, seed)
         assert len(calls) == 2
         assert rep.all_permutation_valid

@@ -210,6 +210,9 @@ PINNED_SURFACE = {
             "(g: 'Multigraph', mu: 'ProbMeasure', policy: 'Policy', w: 'Word') -> 'dict[Word, "
             "Weight]'"
         ),
+        "draw_arrival_indices": (
+            "(mu: 'ProbMeasure', steps: 'int', rng: 'random.Random') -> 'np.ndarray'"
+        ),
         "draw_arrivals": "(mu: 'ProbMeasure', steps: 'int', rng: 'random.Random') -> 'list[Node]'",
         "BufferEngine": "(g: 'Multigraph', policy: 'Policy')",
         "BufferEngine.length": 'property',
