@@ -184,17 +184,20 @@ _ARRIVAL_CHUNK = 1 << 14
 
 def _arrival_chunks(cum: list[float], rng: random.Random, steps: int) -> Iterator[np.ndarray]:
     """The first ``steps`` indices of :func:`_arrival_indices`, drawn in bulk
-    as int64 arrays of at most ``_ARRIVAL_CHUNK`` indices.
+    as arrays of at most ``_ARRIVAL_CHUNK`` indices, of the smallest unsigned
+    integer type that holds ``len(cum)``.
 
     ``rng.getrandbits(64 * n)`` holds, least significant first, the 2n 32-bit
     words that n calls of ``rng.random()`` consume, and leaves ``rng`` where
     they would; each pair (a, b) gives ``random()``'s own double
-    ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and ``searchsorted`` on the right
-    is ``bisect_right``.  Each chunk is drawn when it is taken.
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53.  A double's index counts the
+    entries of ``cum`` at or below it, which on a non-decreasing table is
+    ``bisect_right``; the last entry, 1.0, is above every double and never
+    counts.  Each chunk is drawn when it is taken.
     """
     import numpy as np
 
-    table = np.asarray(cum)
+    dtype = np.min_scalar_type(len(cum))
     while steps > 0:
         n = min(steps, _ARRIVAL_CHUNK)
         steps -= n
@@ -204,7 +207,10 @@ def _arrival_chunks(cum: list[float], rng: random.Random, steps: int) -> Iterato
         u += words[1::2] >> 6
         del words
         u /= 9007199254740992.0
-        yield np.searchsorted(table, u, side="right")
+        idx = np.zeros(n, dtype=dtype)
+        for c in cum[:-1]:
+            idx += u >= c
+        yield idx
 
 
 def draw_arrival_indices(mu: ProbMeasure, steps: int, rng: random.Random) -> np.ndarray:
@@ -220,9 +226,8 @@ def draw_arrival_indices(mu: ProbMeasure, steps: int, rng: random.Random) -> np.
     if steps < 0:
         raise ChainError(f"steps must be >= 0, got {steps}")
     _, cum = _arrival_table(mu)
-    dtype = np.min_scalar_type(len(cum))
-    chunks = (c.astype(dtype) for c in _arrival_chunks(cum, rng, steps))
-    return np.concatenate([np.empty(0, dtype=dtype), *chunks])
+    empty = np.empty(0, dtype=np.min_scalar_type(len(cum)))
+    return np.concatenate([empty, *_arrival_chunks(cum, rng, steps)])
 
 
 def draw_arrivals(mu: ProbMeasure, steps: int, rng: random.Random) -> list[Node]:
@@ -509,8 +514,8 @@ def simulate(
     o = key = ln = 0
     w = None
     if is_draw_free(policy):
-        # an exhausted list iterator frees its list before the next chunk
-        chunks = (iter(c.tolist()) for c in _arrival_chunks(cum, rng, steps))
+        # an exhausted iterator frees its chunk before the next one is drawn
+        chunks = (iter(memoryview(c)) for c in _arrival_chunks(cum, rng, steps))
     else:
         arrivals = _arrival_indices(cum, rng)
         chunks = (islice(arrivals, min(_ARRIVAL_CHUNK, steps - n))
@@ -535,7 +540,7 @@ def simulate(
         if done <= min(half, burn_in):
             return
         keep_at, rec_at = max(half - base, 0), max(burn_in - base, 0)
-        r = np.frombuffer(array("q", walk), dtype=np.int64)
+        r = np.fromiter(walk, np.int64, len(walk))
         at = np.flatnonzero(r >= 0)
         states = r[at] // k
         if at.size == r.size:
@@ -717,16 +722,30 @@ def least_squares_slope(lengths) -> float:
     """Least-squares slope of queue lengths against their index 0, 1, ...
 
     The sums accumulate left to right (``np.cumsum``, not the pairwise order
-    of ``np.sum``); fewer than two lengths give 0.0.
+    of ``np.sum``); fewer than two lengths give 0.0.  When the lengths are
+    non-negative ints (a signed integer type in numpy) and each of the four
+    sums is below 2**53, every term and left-to-right partial sum is an
+    integer below 2**53, so the float sums are exact: the sums are then
+    taken in integers instead, with the same result.  (A bound on the
+    largest length keeps the int64 sums from overflowing first.)
     """
     import numpy as np
 
-    y = np.asarray(lengths, dtype=float)
+    y = np.asarray(lengths)
     n = y.size
     if n < 2:
         return 0.0
-    x = np.arange(n, dtype=float)
-    sx, sy, sxy, sxx = (np.cumsum(a)[-1] for a in (x, y, x * y, x * x))
+    sums = None
+    sx, sxx = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
+    if y.dtype.kind == "i" and y.min() >= 0 and int(y.max()) * max(n, sx) < 2**63:
+        sy, sxy = int(y.sum()), int(np.dot(np.arange(n), y))
+        if max(sy, sxy, sxx) < 2**53:
+            sums = map(float, (sx, sy, sxy, sxx))
+    if sums is None:
+        y = np.asarray(lengths, dtype=float)
+        x = np.arange(n, dtype=float)
+        sums = (np.cumsum(a)[-1] for a in (x, y, x * y, x * x))
+    sx, sy, sxy, sxx = sums
     denom = n * sxx - sx * sx
     return float((n * sxy - sx * sy) / denom) if denom > 0 else 0.0
 

@@ -352,9 +352,15 @@ def transition(g: Multigraph, policy: Policy, w: Word, v: Node):
     if nbrs is None:
         g.check_node(v)
     if isinstance(policy, Fcfm):
-        return next((k for k, c in enumerate(w) if c in nbrs), None)
+        for k, c in enumerate(w):
+            if c in nbrs:
+                return k
+        return None
     if isinstance(policy, Lcfm):
-        return next((k for k in range(len(w) - 1, -1, -1) if w[k] in nbrs), None)
+        for k in range(len(w) - 1, -1, -1):
+            if w[k] in nbrs:
+                return k
+        return None
     counts: dict[Node, int] = {}
     for c in w:
         if c in nbrs:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import weakref
+from array import array
 from fractions import Fraction
 from itertools import islice
 from unittest.mock import patch
@@ -662,6 +663,22 @@ def test_table_bounds_are_crossed_both_ways(path_loop, mu_path):
             assert repr(got) == want, chunk
 
 
+def test_a_run_with_more_than_255_classes_feeds_wide_indices():
+    # past 255 classes the bulk feed's indices are uint16; a path of 300
+    # classes with a loop at each one, whose queue soon outgrows the table,
+    # still runs as the step-by-step engine
+    nodes = [f"c{i:03d}" for i in range(300)]
+    g = Multigraph.build(nodes, list(zip(nodes, nodes[1:])), nodes)
+    mu = ProbMeasure.uniform(g)
+    indices = draw_arrival_indices(mu, 3000, random.Random(5))
+    assert indices.dtype == np.uint16 and indices.max() > 255
+    run = engine_run(g, mu, Fcfm(), 3000, 5)
+    for word_cap in (16, 100):
+        got, state = recorded_simulate(g, mu, Fcfm(), 3000, seed=5, word_cap=word_cap)
+        assert repr(got) == repr(engine_simulation(g, run, 30, 5, word_cap)), word_cap
+        assert state == run[2]
+
+
 def test_a_draw_free_run_draws_from_one_arrival_feed(path_loop, mu_path):
     # a run is one pass: whatever its burn-in (steps - 1 is stability_slope's),
     # and with chunks smaller than the run, it opens one bulk feed of all its
@@ -970,6 +987,62 @@ def test_slope_heuristic_at_the_null_recurrent_boundary(k2):
     assert res.max_queue_len > 50  # the walk still wanders far
     with pytest.raises(ChainError):
         stability_slope(k2, mu, Fcfm(), steps=0)
+
+
+def cumsum_slope(lengths):
+    """The least-squares slope with float sums taken left to right."""
+    y = np.asarray(lengths, dtype=float)
+    n = y.size
+    if n < 2:
+        return 0.0
+    x = np.arange(n, dtype=float)
+    sx, sy, sxy, sxx = (np.cumsum(a)[-1] for a in (x, y, x * y, x * x))
+    denom = n * sxx - sx * sx
+    return float((n * sxy - sx * sy) / denom) if denom > 0 else 0.0
+
+
+# the largest n whose sum of squared indices 0..n-1 is below 2**53
+SQUARES_BOUND_N = 300080
+
+
+@pytest.mark.parametrize("kind", ["list", "large first", "array", "negative", "float",
+                                  "integral float"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=66))
+def test_slope_equals_left_to_right_float_sums(kind, seed, bits):
+    # the slope's integer sums replace the float sums only where those are
+    # exact: lengths of up to 2**bits put the sums on either side of the
+    # 2**53 bound (a large first length adds to the sum of lengths and not
+    # to the sum of products); the next test takes runs whose squared
+    # indices alone sum to either side of it
+    rng = random.Random(seed)
+    top = 2**63 - 1 if kind == "array" else 2**66
+    for n in (0, 1, 2, 3, rng.randrange(4, 40), rng.randrange(40, 3000)):
+        lengths = [min(rng.getrandbits(bits), top) for _ in range(n)]
+        if kind == "large first" and n:
+            lengths[1:] = [rng.getrandbits(2) for _ in lengths[1:]]
+        elif kind == "array":
+            lengths = array("q", lengths)
+        elif kind == "negative":
+            lengths = [-v for v in lengths]
+        elif kind == "float":
+            lengths = [v * rng.random() for v in lengths]
+        elif kind == "integral float":
+            lengths = [float(v) for v in lengths]
+        got = least_squares_slope(lengths)
+        assert type(got) is float
+        assert got == cumsum_slope(lengths)
+
+
+def test_slope_equals_left_to_right_float_sums_past_the_bound_of_squares():
+    # from one step longer than SQUARES_BOUND_N on, the float sum of the
+    # squared indices need not be exact
+    assert (SQUARES_BOUND_N - 1) * SQUARES_BOUND_N * (2 * SQUARES_BOUND_N - 1) // 6 < 2**53
+    assert SQUARES_BOUND_N * (SQUARES_BOUND_N + 1) * (2 * SQUARES_BOUND_N + 1) // 6 >= 2**53
+    rng = random.Random(0)
+    for n in (SQUARES_BOUND_N, SQUARES_BOUND_N + 1, 310000):
+        lengths = array("q", rng.choices(range(3), k=n))
+        assert least_squares_slope(lengths) == cumsum_slope(lengths)
 
 
 def test_occupancy_matches_exact_stationary_expectation(square_loops,
