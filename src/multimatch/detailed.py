@@ -236,26 +236,25 @@ def nu(mu: ProbMeasure, w: DWord) -> Weight:
 
 def blocks(g: Multigraph) -> Iterator[tuple[Node, ...]]:
     """Ordered independent sequences of the loop-free subgraph, one per block."""
-    check = g.maximal_subgraph()
-    for ind in check.independent_sets():
-        for sigma in permutations(sorted(ind)):
-            yield sigma
+    for ind in g.maximal_subgraph().independent_sets():
+        yield from permutations(sorted(ind))
+
+
+def _padding(g: Multigraph, sigma: Sequence[Node]) -> Iterator[Node]:
+    """The alphabet that may pad block ``sigma`` after its last letter: copies
+    of classes outside its neighborhood plus repeats of its non-looped letters,
+    in a fixed order, so a float sum does not depend on the hash seed."""
+    nbhd = g.neighborhood(sigma)
+    return chain((c for c in g.nodes if c not in nbhd),
+                 (c for c in sigma if c not in g.self_loops))
 
 
 def _block_factor(g: Multigraph, mu: ProbMeasure, sigma: Sequence[Node]) -> Weight:
-    """The factor the last letter of block ``sigma`` adds to the block's mass.
-
-    The letter contributes its own weight times the geometric mass of the
-    padding alphabet that may follow it: copies of classes outside the
-    block's neighborhood plus repeats of its non-looped letters.  The
-    geometric sum 1/(1 - nu(alphabet)) converges precisely because the
-    stability condition keeps every alphabet's nu below one.
-    """
-    nbhd = g.neighborhood(sigma)
-    # summed in a fixed order, so a float mass does not depend on the hash seed
-    pad = chain((c for c in g.nodes if c not in nbhd),
-                (c for c in sigma if c not in g.self_loops))
-    nu_pad = sum(map(mu.__getitem__, pad), Fraction(0))
+    """The factor the last letter of block ``sigma`` adds to the block's mass:
+    its weight times the geometric mass 1/(1 - nu(padding)), which converges
+    precisely because the stability condition keeps every alphabet's nu below
+    one."""
+    nu_pad = sum(map(mu.__getitem__, _padding(g, sigma)), Fraction(0))
     if not nu_pad < 1:
         raise DetailedError(
             f"block {tuple(sigma)} has padding mass {nu_pad} >= 1; "
@@ -265,8 +264,12 @@ def _block_factor(g: Multigraph, mu: ProbMeasure, sigma: Sequence[Node]) -> Weig
 
 
 def nu_block_mass(g: Multigraph, mu: ProbMeasure, sigma: Sequence[Node]) -> Weight:
-    """Total nu-mass of the backward states whose unbarred skeleton is
-    ``sigma``: the factors of its prefixes, multiplied left to right."""
+    """Total nu-mass of the backward states whose unbarred skeleton is the
+    block ``sigma`` (distinct letters, no two compatible in the loop-free
+    subgraph): the factors of its prefixes, multiplied left to right."""
+    if len(set(sigma)) < len(sigma) or g.maximal_subgraph().neighborhood(sigma) & set(sigma):
+        raise DetailedError(f"{tuple(sigma)} is not a block: a letter repeats "
+                            "or two letters are compatible")
     factors = (_block_factor(g, mu, sigma[:k]) for k in range(1, len(sigma) + 1))
     return math.prod(factors, start=Fraction(1))
 
@@ -278,15 +281,43 @@ def alpha_inverse_from_blocks(g: Multigraph, mu: ProbMeasure) -> Weight:
     are computed along different routes, so their agreement is a strong
     cross-check.  Every prefix of a block is a block, and each mass is kept,
     so a block costs one factor on top of its prefix's mass.
+
+    For an exact measure a factor is, in units of the weights' common
+    denominator D, the last letter's weight over D minus the padding mass: a
+    gap taken once per set.  Masses are (int numerator, int denominator)
+    pairs, summed once, by denominator.  A float measure sums each prefix's
+    padding in its letters' order, and the masses in ``blocks`` order.
     """
-    masses: dict[tuple[Node, ...], Weight] = {(): Fraction(1)}
+    if not mu.is_exact:
+        masses: dict[tuple[Node, ...], Weight] = {(): Fraction(1)}
 
-    def mass(sigma: tuple[Node, ...]) -> Weight:
-        if sigma not in masses:
-            masses[sigma] = mass(sigma[:-1]) * _block_factor(g, mu, sigma)
-        return masses[sigma]
+        def mass(sigma: tuple[Node, ...]) -> Weight:
+            if sigma not in masses:
+                masses[sigma] = mass(sigma[:-1]) * _block_factor(g, mu, sigma)
+            return masses[sigma]
 
-    return sum(map(mass, blocks(g)), Fraction(1))
+        return sum(map(mass, blocks(g)), Fraction(1))
+    scale = math.lcm(*(mu[c].denominator for c in g.nodes))
+    units = {c: int(mu[c] * scale) for c in g.nodes}
+    bit = {c: 1 << k for k, c in enumerate(g.nodes)}
+    order = list(blocks(g))
+    masses = {(): (1, 1, 0)}  # numerator, denominator, the set's bitmask
+    gaps: dict[int, int] = {}  # by the set's bitmask
+    sums: dict[int, int] = {}  # numerators by denominator
+    for sigma in sorted(order, key=len):  # each prefix before its extensions
+        a, b, s = masses[sigma[:-1]]
+        s |= bit[sigma[-1]]
+        if s not in gaps:
+            gaps[s] = scale - sum(map(units.__getitem__, _padding(g, sigma)))
+        masses[sigma] = a, b, s = a * units[sigma[-1]], b * gaps[s], s
+        sums[b] = sums.get(b, 0) + a
+    if min(gaps.values()) <= 0:
+        # the error of a walk in blocks order: the first failing prefix of the
+        # first block that has one
+        _block_factor(g, mu, next(sigma[:k] for sigma in order for k in range(1, len(sigma) + 1)
+                                  if gaps[masses[sigma[:k]][2]] <= 0))
+    unit = math.lcm(*sums)
+    return Fraction(unit + sum(a * (unit // b) for b, a in sums.items()), unit)
 
 
 def enumerate_backward_states(g: Multigraph, max_len: int) -> list[DWord]:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -222,6 +223,47 @@ def test_block_mass_needs_stability(path_loop):
     bad = ProbMeasure.from_dict({"1": "0.3", "2": "0.2", "3": "0.5"})
     with pytest.raises(DetailedError):
         nu_block_mass(path_loop, bad, ("1",))
+
+
+def test_block_mass_refuses_sequences_that_are_not_blocks(path_loop, mu_path):
+    # a repeated letter, or two letters compatible in the loop-free subgraph,
+    # is not a block, whatever the measure
+    for sigma in [("1", "2"), ("3", "3"), ("2", "2"), ("1", "1")]:
+        with pytest.raises(DetailedError, match=re.escape(f"{sigma} is not a block")):
+            nu_block_mass(path_loop, mu_path, sigma)
+    for sigma, value in [((), 1), (("1",), 2), (("1", "3"), Fraction(5, 3)),
+                         (("3", "1"), Fraction(5, 24))]:
+        assert nu_block_mass(path_loop, mu_path, sigma) == value
+
+
+def test_block_oracle_equals_the_per_block_route_on_random_models(path_loop):
+    # the oracle's integer units against 1 plus the masses nu_block_mass gives
+    # block by block; on unstable draws the error names the first failing
+    # prefix of the first block, in blocks() order, that has one (the messages
+    # of the Fraction route, digested)
+    rng = random.Random(5)
+    messages = []
+    for _ in range(200):
+        g = random_multigraph(rng, 6)
+        mu = random_measure(rng, g.nodes)
+        try:
+            total = alpha_inverse_from_blocks(g, mu)
+        except DetailedError as exc:
+            messages.append(str(exc))
+            continue
+        assert total == 1 + sum(nu_block_mass(g, mu, sigma) for sigma in blocks(g))
+    assert len(messages) == 98
+    assert messages[:4] == [
+        f"block {sigma} has padding mass {pad} >= 1; the measure violates the stability condition"
+        for sigma, pad in [(("1",), "14/11"), (("2", "5"), "45/37"), (("3",), "71/67"),
+                           (("2", "3"), "1")]
+    ]
+    assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == (
+        "879f6de8b469fd72223c04f6db573f9c47e877112c2951f021cd5614d64ca8ad")
+    unstable = ProbMeasure.from_dict({"1": "2/5", "2": "1/5", "3": "2/5"})
+    with pytest.raises(DetailedError, match=re.escape(
+            "block ('1',) has padding mass 6/5 >= 1; the measure violates")):
+        alpha_inverse_from_blocks(path_loop, unstable)
 
 
 def test_alpha_identity_between_routes(square_loops, path_loop, diamond_hub,

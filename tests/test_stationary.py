@@ -111,6 +111,28 @@ def test_alpha_matches_block_oracle_on_random_models():
     assert finite > 0 and unstable > 0
 
 
+def _odd_cycle(n):
+    nodes = [str(k) for k in range(1, n + 1)]
+    return Multigraph.build(nodes, list(zip(nodes, nodes[1:] + nodes[:1])), ["1"])
+
+
+def test_alpha_on_odd_cycles_is_pinned():
+    # C5..C11 with one loop and the uniform measure: 1/alpha by the set
+    # recursion and by the block oracle, against fixed values; and the two
+    # routes on C9 under a skewed exact measure
+    pins = {5: Fraction(110, 9), 7: Fraction(1252, 27), 9: Fraction(14486, 81),
+            11: Fraction(169180, 243)}
+    for n, value in pins.items():
+        g = _odd_cycle(n)
+        mu = ProbMeasure.uniform(g)
+        assert 1 / alpha(g, mu) == value
+        assert alpha_inverse_from_blocks(g, mu) == value
+    g = _odd_cycle(9)
+    raw = [100 + 7 * k for k in range(9)]
+    mu = ProbMeasure.from_dict({c: Fraction(x, sum(raw)) for c, x in zip(g.nodes, raw)})
+    assert alpha(g, mu) == 1 / alpha_inverse_from_blocks(g, mu)
+
+
 FLOAT_PINS = {
     # model: (alpha, ncond margin, ncond witness, alpha_inverse_from_blocks),
     # each as the repr of the float result
