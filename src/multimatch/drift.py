@@ -124,10 +124,29 @@ def _mean(law: list, change) -> Weight:
 
 def _ql(laws: list, mu: ProbMeasure, counts: dict[Node, int]) -> tuple[Weight, Weight]:
     """The Q and L drifts together: moving class c by s changes Q by
-    2 s k_c + 1 and L by s."""
-    dq = [(mu[v], _mean(law, lambda c, s: 2 * s * counts.get(c, 0) + 1)) for v, law in laws]
-    dl = [(mu[v], _mean(law, lambda c, s: s)) for v, law in laws]
-    return _dot(dq), _dot(dl)
+    2 s k_c + 1 and L by s.  When every weight and probability is exact,
+    both numerators are summed in one pass over the (arrival, decision)
+    terms, over one common denominator; a float factor keeps the
+    per-arrival means of :func:`_mean` and their summation order."""
+    q = l = 0
+    d = 1  # the lcm of the term denominators so far
+    try:
+        for v, law in laws:
+            m = mu[v]
+            mn, md = m.numerator, m.denominator
+            for (c, s), p in law:
+                e = md * p.denominator
+                if d % e:
+                    f = e // math.gcd(d, e)
+                    q, l, d = q * f, l * f, d * f
+                a = mn * p.numerator * (d // e)
+                q += a * (2 * s * counts.get(c, 0) + 1)
+                l += a * s
+    except AttributeError:  # a float factor
+        dq = [(mu[v], _mean(law, lambda c, s: 2 * s * counts.get(c, 0) + 1)) for v, law in laws]
+        dl = [(mu[v], _mean(law, lambda c, s: s)) for v, law in laws]
+        return _dot(dq), _dot(dl)
+    return Fraction(q, d), Fraction(l, d)
 
 
 # One model and one word, kept: callers loop policy-major, so a model's derived

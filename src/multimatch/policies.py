@@ -371,6 +371,9 @@ def transition(g: Multigraph, policy: Policy, w: Word, v: Node):
     return w.index(spec[0][0]) if spec[1] is None else spec
 
 
+_SURE = Fraction(1)
+
+
 def decision_distribution(
     g: Multigraph, policy: Policy, w: Word, v: Node
 ) -> dict[Optional[int], Weight]:
@@ -378,10 +381,11 @@ def decision_distribution(
     {matched 0-based position, or None when ``v`` is stored: probability}.
 
     Class-level choices land on the oldest stored item of the chosen class.
+    A sure decision's probability is one shared exact 1.
     """
     t = transition(g, policy, w, v)
     if t is None or type(t) is int:
-        return {t: Fraction(1)}
+        return {t: _SURE}
     return {w.index(j): p for j, p in _law(t).items()}
 
 

@@ -33,6 +33,8 @@ from multimatch import (
     predecessors,
     simulate,
     step,
+    verify_linear_chain,
+    verify_quadratic_identity,
 )
 from multimatch.chain import (
     BufferEngine,
@@ -316,7 +318,10 @@ def float_row_digests(models) -> dict[str, str]:
     measure with every kind of :func:`policy_kinds`, and under explicit
     permutations with float weights with a float and with an exact measure.
     The float weights are dyadic, so a class every permutation puts first
-    has the float probability 1.0 exactly."""
+    has the float probability 1.0 exactly.  One more entry per model digests
+    the repr of every identity residual under the float measure, and under
+    the exact measure with the float split 0.5, with every kind that has a
+    canonical extension: the float drifts keep their summation order."""
     out = {}
     for name, (g, mu) in models.items():
         mu_float = ProbMeasure({c: float(p) for c, p in mu.weights.items()})
@@ -334,17 +339,29 @@ def float_row_digests(models) -> dict[str, str]:
                 for w in enumerate_states(g, 3):
                     digest.update(repr(list(kernel_row(g, m, pol, w).items())).encode())
             out[f"{name} {case}"] = digest.hexdigest()
+        digest = hashlib.sha256()
+        for m, split in ((mu_float, None), (mu, {i: 0.5 for i in g.v1})):
+            for kind, pol in kinds.items():
+                if kind == "random_perms":  # permutation laws have no canonical extension
+                    continue
+                for w in enumerate_states(g, 3):
+                    digest.update(repr((verify_quadratic_identity(g, m, pol, w, split),
+                                        verify_linear_chain(g, m, pol, w, split))).encode())
+        out[f"{name} identity residuals"] = digest.hexdigest()
     return out
 
 
-# computed while kernel_row multiplied every decision's probability
+# computed while kernel_row multiplied every decision's probability; the
+# identity residuals while _ql took every arrival's mean through _mean and _dot
 PINNED_FLOAT_ROW_DIGESTS = {
     "tripartite_loop float measure": "50653176a0f4ad3e93e682742cb7e517cb19255b65ef2c2cdb1ba4ed1b5c1e3d",
     "tripartite_loop float perms": "62eaca5b784bff2ccd53430fba053302523a702fa457d326a13040456aac1f47",
     "tripartite_loop exact measure, float perms": "0bee4818576274a682430b8d2fa24f909be119661c4abcbb8d73f1e214619493",
+    "tripartite_loop identity residuals": "f83ac35f89b033302b422f9ab3c43fbebfb846c84029a5eabbc14a1a8d24eb5c",
     "diamond_hub_loop float measure": "d7612a289b05069faea2bca2c89a84daed20e068f467b7fed62f2f180c2b38e2",
     "diamond_hub_loop float perms": "952658fdfa452eacd8cc983b0df61306db1297258af71f606cd32b44a909d351",
     "diamond_hub_loop exact measure, float perms": "8eab6ba5fb37100bbd9a749a4a47a0ad5169e4472b247ba6d70ed3adf2dfa1c5",
+    "diamond_hub_loop identity residuals": "bbb8014c5f54d1b485b95e4d01085044fb626544ad0fe3bac88a2780c9b596b0",
 }
 
 

@@ -33,6 +33,7 @@ from multimatch import (
     verify_ppartite_bound,
     verify_quadratic_identity,
 )
+from multimatch.drift import _MEMO, _laws, _ql
 from multimatch.policies import word_counts
 
 from conftest import random_admissible_word, random_measure, random_multigraph
@@ -287,6 +288,13 @@ def test_shared_passes_match_the_kernel_on_random_models(seed):
                 for split in (None, uneven):
                     assert verify_quadratic_identity(g, mu, pol, w, split) == 0.0
                     assert verify_linear_chain(g, mu, pol, w, split) == (0.0, 0.0)
+                    # the drifts themselves: a slip that scaled all three
+                    # graphs alike would still cancel in the residuals
+                    m = _MEMO
+                    for h, nu, p in ((g, mu, pol), (m["bmap"].blown, m["mu_hat"], m["pol_hat"]),
+                                     (m["check"], mu, m["pol_check"])):
+                        assert _ql(_laws(h, p, w), nu, word_counts(w)) == (
+                            kernel_drift(h, nu, p, w, Quadratic()), kernel_drift(h, nu, p, w, Linear()))
                 for fn in fns:
                     rep = exact_drift(g, mu, pol, w, fn)
                     assert rep.drift == kernel_drift(g, mu, pol, w, fn)
