@@ -16,7 +16,7 @@ numpy: only the simulating ones (``simulate``, ``tv-compare``,
 
 Each command is declared once, in the table :func:`build_parser` reads: its
 function, its help, the shared options it takes, its own options and its
-parser defaults.
+parser defaults.  :func:`main` gives only the named command its options.
 """
 
 from __future__ import annotations
@@ -473,6 +473,14 @@ def _tolerance(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per declaration in ``commands``.  Built per call, so it
     takes the command functions the module holds at that moment."""
+    return _build_parser()
+
+
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`.  Given ``only``, every other
+    command is added by name and help alone, without its options: the
+    top-level usage, help and errors are unchanged, and a run of ``only``
+    parses as with the full parser."""
     shared = {  # in the order every command lists them, followed by --out
         "graph": dict(required=True, help="graph JSON file"),
         "mu": dict(required=True, help="measure JSON file"),
@@ -520,6 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text, takes, own, *defaults in commands:
         p = sub.add_parser(name, help=help_text)
+        if only is not None and name != only:
+            continue
         options = [(o, kwargs) for o, kwargs in shared.items() if o in takes.split()]
         options += [("out", dict(help="directory for artifact files")), *own.items()]
         for dest, kwargs in options:
@@ -531,7 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command: load its graph, measure and policy, hand it its
     ``Artifacts``, write them once, and read the exit code off its summary."""
-    args = build_parser().parse_args(argv)
+    tokens = sys.argv[1:] if argv is None else argv
+    # the command is the first token that is not an option: the top level
+    # takes no option with a value, and no command name starts with "-"
+    command = next((a for a in tokens if not a.startswith("-")), None)
+    args = _build_parser(command).parse_args(argv)
     try:
         g = _parse(Multigraph.loads, _read(args.graph), args.graph)
         inputs = {"g": g}

@@ -149,6 +149,47 @@ def _ql(laws: list, mu: ProbMeasure, counts: dict[Node, int]) -> tuple[Weight, W
     return Fraction(q, d), Fraction(l, d)
 
 
+def _exact_drift(
+    laws: list, mu: ProbMeasure, counts: dict[Node, int], fn: LyapunovFn
+) -> Optional[tuple[dict[Node, Fraction], Fraction]]:
+    """Per arrival class, its mass times the expected change of ``fn``, and
+    their total.  A move of class c by s changes Q by 2 s k_c + 1, L by s and
+    a weighted L by w_c s; each class's terms are summed as ints over one
+    common denominator, and so are the classes.  None on a float factor
+    (measure, probability or weight), and for a function of another type,
+    whose change only ``fn.value`` gives."""
+    if type(fn) is Quadratic:
+        change = lambda c, s: (2 * s * counts.get(c, 0) + 1, 1)
+    elif type(fn) is Linear:
+        change = lambda c, s: (s, 1)
+    elif type(fn) is WeightedLinear:
+        def change(c, s):
+            x = fn.weights.get(c, 1)
+            return x.numerator * s, x.denominator
+    else:
+        return None
+    per_class = {}
+    num, den = 0, 1
+    try:
+        for v, law in laws:
+            t, d = 0, 1  # the terms' numerator sum, over the lcm of their denominators
+            for (c, s), p in law:
+                xn, xd = change(c, s)
+                e = p.denominator * xd
+                if d % e:
+                    f = e // math.gcd(d, e)
+                    t, d = t * f, d * f
+                t += p.numerator * xn * (d // e)
+            m = mu[v]
+            t, d = m.numerator * t, m.denominator * d
+            per_class[v] = Fraction(t, d)
+            k = math.gcd(den, d)
+            num, den = num * (d // k) + t * (den // k), den // k * d
+    except AttributeError:  # a float factor
+        return None
+    return per_class, Fraction(num, den)
+
+
 # One model and one word, kept: callers loop policy-major, so a model's derived
 # graphs are built once per policy, and the identity checks and the drift of
 # one word share its passes.  The model's objects are compared by identity.
@@ -189,22 +230,28 @@ def exact_drift(
     g: Multigraph, mu: ProbMeasure, policy: Policy, w: Word, fn: LyapunovFn
 ) -> DriftReport:
     """Expected one-step change of ``fn``, enumerated exactly.  Reuses the
-    multigraph pass of the last identity check at the same graph, policy and word."""
+    multigraph pass of the last identity check at the same graph, policy and word.
+    Exact inputs are summed in integers (:func:`_exact_drift`); a float
+    factor keeps ``fn.value`` on each move and its summation order."""
     check_admissible(g, w)
     mu.check_support(g)
     m = _MEMO
     same = m["w"] == w and m["model"][0] is g and m["model"][2] is policy
     laws = m["laws"] if same else _laws(g, policy, w)
     counts = word_counts(w)
-    base = fn.value(counts)
+    exact = _exact_drift(laws, mu, counts, fn)
+    if exact is None:  # a float factor, or no closed form: fn.value on each move
+        base = fn.value(counts)
 
-    def change(c: Node, s: int) -> Weight:
-        moved = dict(counts)
-        moved[c] = moved.get(c, 0) + s
-        return fn.value(moved) - base
+        def change(c: Node, s: int) -> Weight:
+            moved = dict(counts)
+            moved[c] = moved.get(c, 0) + s
+            return fn.value(moved) - base
 
-    per_class = {v: mu[v] * _mean(law, change) for v, law in laws}
-    total = sum(per_class.values(), Fraction(0))
+        per_class = {v: mu[v] * _mean(law, change) for v, law in laws}
+        total = sum(per_class.values(), Fraction(0))
+    else:
+        per_class, total = exact
     return DriftReport(state=w, fn_name=fn.name, drift=total, per_class=per_class)
 
 

@@ -19,10 +19,10 @@ from fractions import Fraction
 from itertools import takewhile
 from typing import Callable, Mapping, Optional, Sequence
 
-from .chain import enumerate_states, check_admissible, kernel_row
+from .chain import apply_decision, enumerate_states, check_admissible, kernel_row
 from .graphs import Multigraph, Node
 from .measures import ProbMeasure, Weight, subset_table
-from .policies import Fcfm, Word
+from .policies import Fcfm, Word, transition
 
 
 class StationaryError(ValueError):
@@ -199,6 +199,44 @@ def solve_finite_chain(
     return _linear_solve_stationary(states, rows)
 
 
+def _exact_residuals(g: Multigraph, mu: ProbMeasure, max_len: int):
+    """The balance residual of every word up to ``max_len``, for an exact
+    measure, from integer stationary weights and integer inflows.
+
+    With m and M the class and neighborhood masses in units of the weights'
+    common denominator D, pi(w) = alpha N(w) / C, where N(empty) = C and
+    N(w) = N(w[:-1]) m(last letter) // M(letter set of w), and C, the lcm of
+    the words' prefix-mass products, makes every division exact.  An inflow
+    is the sum of N(u) m(v) over the FCFM decisions, in units of C D.
+    """
+    a = alpha(g, mu)
+    words = enumerate_states(g, max_len + 1)
+    d = math.lcm(*(p.denominator for p in mu.weights.values()))
+    m = {c: p.numerator * (d // p.denominator) for c, p in mu.weights.items()}
+    masses: dict[frozenset[Node], int] = {}
+    prods = {(): 1}  # each word's prefix-mass product
+    for w in words[1:]:
+        letters = frozenset(w)
+        if letters not in masses:
+            masses[letters] = sum(m[c] for c in g.neighborhood(letters))
+        prods[w] = prods[w[:-1]] * masses[letters]
+    n = {(): math.lcm(*prods.values())}
+    for w in words[1:]:
+        n[w] = n[w[:-1]] * m[w[-1]] // (prods[w] // prods[w[:-1]])
+    policy = Fcfm()
+    inflow: dict[Word, int] = {}
+    for u in words:
+        stores = len(u) < max_len  # a longer word is never checked
+        for v in g.nodes:
+            x = transition(g, policy, u, v)
+            if x is not None or stores:
+                t = apply_decision(u, v, x)
+                inflow[t] = inflow.get(t, 0) + n[u] * m[v]
+    scale = a.denominator * n[()] * d
+    for w in takewhile(lambda w: len(w) <= max_len, words):
+        yield w, abs(float(Fraction(a.numerator * (n[w] * d - inflow[w]), scale)))
+
+
 def balance_residual(
     g: Multigraph,
     mu: ProbMeasure,
@@ -212,22 +250,26 @@ def balance_residual(
     ``u``.  One arrival changes the length by exactly one, so this reaches
     every predecessor of every word up to ``max_len`` and the check is exact
     rather than truncated.  Returns the maximum absolute residual and the
-    word attaining it.
+    word attaining it.  An exact measure runs the sweep in integers
+    (:func:`_exact_residuals`).
     """
     if max_len < 0:
         raise StationaryError(f"max_len must be >= 0, got {max_len}")
-    policy = Fcfm()
-    pi = product_form(g, mu).table(max_len + 1)
-    inflow: dict[Word, Weight] = {}
-    for u, pu in pi.items():
-        for w, p in kernel_row(g, mu, policy, u).items():
-            term = pu * p
-            inflow[w] = inflow[w] + term if w in inflow else term
+    if mu.is_exact:
+        residuals = _exact_residuals(g, mu, max_len)
+    else:
+        pi = product_form(g, mu).table(max_len + 1)
+        inflow: dict[Word, Weight] = {}
+        for u, pu in pi.items():
+            for w, p in kernel_row(g, mu, Fcfm(), u).items():
+                term = pu * p
+                inflow[w] = inflow[w] + term if w in inflow else term
+        # the words up to max_len lead the table, which is sorted by length
+        residuals = ((w, abs(float(pi[w] - inflow[w])))
+                     for w in takewhile(lambda w: len(w) <= max_len, pi))
     worst = 0.0
     worst_word: Optional[Word] = None
-    # the words up to max_len lead the table, which is sorted by length
-    for w in takewhile(lambda w: len(w) <= max_len, pi):
-        residual = abs(float(pi[w] - inflow[w]))
+    for w, residual in residuals:
         if report is not None:
             report(w, residual)
         if residual > worst or worst_word is None:

@@ -4,7 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from multimatch import Multigraph, ProbMeasure
+from multimatch import (
+    Fcfm,
+    Lcfm,
+    Multigraph,
+    Priority,
+    ProbMeasure,
+    RandomPolicy,
+    V2Favorable,
+    match_the_longest,
+    match_the_shortest,
+)
 
 
 @pytest.fixture(scope="session")
@@ -126,3 +136,29 @@ def random_admissible_word(rng: random.Random, g: Multigraph, length: int):
 def stored_neighbours(g: Multigraph, counts, v) -> frozenset:
     """The classes adjacent to ``v`` with at least one stored item."""
     return frozenset(j for j in g.adjacency[v] if counts.get(j, 0) > 0)
+
+
+def policy_kinds(g):
+    """One policy of every kind; explicit permutation laws on two classes."""
+    perms = {}
+    for v in [v for v in sorted(g.nodes) if len(g.adjacency[v]) > 1][:2]:
+        nb = sorted(g.adjacency[v])
+        perms[v] = (
+            (tuple(nb), Fraction(1, 2)),
+            (tuple(reversed(nb)), Fraction(1, 3)),
+            (tuple(nb[1:] + nb[:1]), Fraction(1, 6)),
+        )
+    tied = Priority.from_lists(
+        {v: [sorted(g.adjacency[v])[k : k + 2] for k in range(0, len(g.adjacency[v]), 2)]
+         for v in g.nodes}
+    )
+    return {
+        "fcfm": Fcfm(),
+        "lcfm": Lcfm(),
+        "ml": match_the_longest(),
+        "ms": match_the_shortest(),
+        "random": RandomPolicy(),
+        "random_perms": RandomPolicy(perms),
+        "priority": tied,
+        "v2fav": V2Favorable(RandomPolicy()),
+    }

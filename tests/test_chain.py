@@ -18,20 +18,24 @@ from multimatch import (
     ChainError,
     Fcfm,
     Lcfm,
+    Linear,
     Multigraph,
     Priority,
     ProbMeasure,
     Quadratic,
     RandomPolicy,
     V2Favorable,
+    balance_residual,
     enumerate_states,
     exact_drift,
     is_admissible_word,
     kernel_row,
+    ldelta,
     match_the_longest,
     match_the_shortest,
     predecessors,
     simulate,
+    ncond_check,
     step,
     verify_linear_chain,
     verify_quadratic_identity,
@@ -65,7 +69,7 @@ from multimatch.policies import (
     word_counts,
 )
 
-from conftest import (random_admissible_word, random_measure, random_multigraph,
+from conftest import (policy_kinds, random_admissible_word, random_measure, random_multigraph,
                       stored_neighbours)
 
 
@@ -256,32 +260,6 @@ def test_word_and_class_dynamics_commute(path_loop, mu_path):
                 assert word_law == class_law
 
 
-def policy_kinds(g):
-    """One policy of every kind; explicit permutation laws on two classes."""
-    perms = {}
-    for v in [v for v in sorted(g.nodes) if len(g.adjacency[v]) > 1][:2]:
-        nb = sorted(g.adjacency[v])
-        perms[v] = (
-            (tuple(nb), Fraction(1, 2)),
-            (tuple(reversed(nb)), Fraction(1, 3)),
-            (tuple(nb[1:] + nb[:1]), Fraction(1, 6)),
-        )
-    tied = Priority.from_lists(
-        {v: [sorted(g.adjacency[v])[k : k + 2] for k in range(0, len(g.adjacency[v]), 2)]
-         for v in g.nodes}
-    )
-    return {
-        "fcfm": Fcfm(),
-        "lcfm": Lcfm(),
-        "ml": match_the_longest(),
-        "ms": match_the_shortest(),
-        "random": RandomPolicy(),
-        "random_perms": RandomPolicy(perms),
-        "priority": tied,
-        "v2fav": V2Favorable(RandomPolicy()),
-    }
-
-
 def exact_layer_digests(models) -> dict[str, str]:
     """sha256 per model of every kernel row and every quadratic drift over
     the words of at most 3 letters, under every kind of :func:`policy_kinds`."""
@@ -321,7 +299,11 @@ def float_row_digests(models) -> dict[str, str]:
     has the float probability 1.0 exactly.  One more entry per model digests
     the repr of every identity residual under the float measure, and under
     the exact measure with the float split 0.5, with every kind that has a
-    canonical extension: the float drifts keep their summation order."""
+    canonical extension: the float drifts keep their summation order.  The
+    last entries digest every ``balance_residual`` report up to 3 letters and
+    its result under the float measure, and every ``exact_drift`` report of
+    Q, L and L_delta under the float measure with every kind and under the
+    exact measure with the float permutations."""
     out = {}
     for name, (g, mu) in models.items():
         mu_float = ProbMeasure({c: float(p) for c, p in mu.weights.items()})
@@ -348,20 +330,39 @@ def float_row_digests(models) -> dict[str, str]:
                     digest.update(repr((verify_quadratic_identity(g, m, pol, w, split),
                                         verify_linear_chain(g, m, pol, w, split))).encode())
         out[f"{name} identity residuals"] = digest.hexdigest()
+        reports = []
+        reports.append(balance_residual(g, mu_float, 3, report=lambda w, r: reports.append((w, r))))
+        out[f"{name} balance reports"] = hashlib.sha256(repr(reports).encode()).hexdigest()
+        for case, runs in (("float measure", [(mu_float, pol) for pol in kinds.values()]),
+                           ("exact measure, float perms", [(mu, float_perms)])):
+            digest = hashlib.sha256()
+            for m, pol in runs:
+                for fn in (Quadratic(), Linear(), ldelta(g, m, ncond_check(g, m).margin)):
+                    for w in enumerate_states(g, 3):
+                        digest.update(repr(exact_drift(g, m, pol, w, fn)).encode())
+            out[f"{name} {case} drifts"] = digest.hexdigest()
     return out
 
 
 # computed while kernel_row multiplied every decision's probability; the
-# identity residuals while _ql took every arrival's mean through _mean and _dot
+# identity residuals while _ql took every arrival's mean through _mean and _dot;
+# the balance and drift reports while balance_residual summed kernel rows and
+# exact_drift took every move's change from fn.value
 PINNED_FLOAT_ROW_DIGESTS = {
     "tripartite_loop float measure": "50653176a0f4ad3e93e682742cb7e517cb19255b65ef2c2cdb1ba4ed1b5c1e3d",
     "tripartite_loop float perms": "62eaca5b784bff2ccd53430fba053302523a702fa457d326a13040456aac1f47",
     "tripartite_loop exact measure, float perms": "0bee4818576274a682430b8d2fa24f909be119661c4abcbb8d73f1e214619493",
     "tripartite_loop identity residuals": "f83ac35f89b033302b422f9ab3c43fbebfb846c84029a5eabbc14a1a8d24eb5c",
+    "tripartite_loop balance reports": "e7852b53dc257b3838647169ba56093921a108540d6c469f85737d674fcd12bf",
+    "tripartite_loop float measure drifts": "2f895409aa22de735c349781d4eeedb779f7a7ea87319a702531b567f614a0f1",
+    "tripartite_loop exact measure, float perms drifts": "a5afd9c196e7a8f33b01f311c9a686ef353bb030f0013ee83bb39f421dedd580",
     "diamond_hub_loop float measure": "d7612a289b05069faea2bca2c89a84daed20e068f467b7fed62f2f180c2b38e2",
     "diamond_hub_loop float perms": "952658fdfa452eacd8cc983b0df61306db1297258af71f606cd32b44a909d351",
     "diamond_hub_loop exact measure, float perms": "8eab6ba5fb37100bbd9a749a4a47a0ad5169e4472b247ba6d70ed3adf2dfa1c5",
     "diamond_hub_loop identity residuals": "bbb8014c5f54d1b485b95e4d01085044fb626544ad0fe3bac88a2780c9b596b0",
+    "diamond_hub_loop balance reports": "42918f39b7932064ba26c6fcc50f84d67f2acef66414bdac9076a6d852c22c00",
+    "diamond_hub_loop float measure drifts": "338587a69a25b326b5baef3ca92af3cd1216cf77594147716ce1122f296aa16b",
+    "diamond_hub_loop exact measure, float perms drifts": "7d65f2927d0b32f671cc739b64746ad5dfeacadcb9e5bf97b518899aff9f6dbc",
 }
 
 

@@ -1033,3 +1033,25 @@ def test_cli_surface_is_pinned(capsys):
             main([name, "--help"])
         assert done.value.code == 0, name
         assert capsys.readouterr().out.startswith(f"usage: multimatch {name} ")
+
+
+def test_main_parses_as_the_full_parser(capsys, monkeypatch):
+    # main builds the options of the named command only; help, usage, errors
+    # and exit codes must be the full parser's, for every command and at the
+    # top level, also when the arguments come from sys.argv
+    def outcome(parse, argv):
+        with pytest.raises(SystemExit) as done:
+            parse(argv)
+        out = capsys.readouterr()
+        return done.value.code, out.out, out.err
+
+    argvs = [[], ["-h"], ["--help", "info"], ["bogus"], ["-", "info"], ["--bogus", "info"]]
+    for name in PINNED_CLI_SURFACE:
+        argvs += [[name, "--help"], [name, "--bogus"], ["-h", name], [name, "-h", "--bogus"],
+                  [name, "--graph", "g.json", "--mu", "mu.json", "--bogus", "x"],
+                  [name, "--graph", "g.json", "--max-len", "many"]]
+    for argv in argvs:
+        full = outcome(lambda a: multimatch.cli.build_parser().parse_args(a), argv)
+        assert outcome(main, argv) == full, argv
+        monkeypatch.setattr(sys, "argv", ["multimatch", *argv])
+        assert outcome(main, None) == full, argv

@@ -19,6 +19,7 @@ from multimatch import (
     Quadratic,
     RandomPolicy,
     V2Favorable,
+    balance_residual,
     enumerate_states,
     exact_drift,
     extend_measure,
@@ -28,15 +29,17 @@ from multimatch import (
     match_the_longest,
     match_the_shortest,
     ncond_check,
+    product_form,
     special_sets,
     verify_linear_chain,
     verify_ppartite_bound,
     verify_quadratic_identity,
 )
 from multimatch.drift import _MEMO, _laws, _ql
-from multimatch.policies import word_counts
+from multimatch.chain import apply_decision
+from multimatch.policies import decision_distribution, word_counts
 
-from conftest import random_admissible_word, random_measure, random_multigraph
+from conftest import policy_kinds, random_admissible_word, random_measure, random_multigraph
 
 
 def lyapunov_battery(g, mu):
@@ -338,3 +341,59 @@ def test_shared_passes_match_the_kernel_on_random_models(seed):
         assert verify_quadratic_identity(h, mu, fcfm, before) == 0.0
         with pytest.raises(ChainError):
             verify_quadratic_identity(g, mu, fcfm, (loop, loop))
+
+
+def class_drift(g, mu, pol, w, fn, v):
+    """One arrival class's share of the drift, mu(v) p (F(next) - F(w))
+    summed over the decisions, with F read from ``fn.value``."""
+    base = fn.value(word_counts(w))
+    return sum((mu[v] * p * (fn.value(word_counts(apply_decision(w, v, x))) - base)
+                for x, p in decision_distribution(g, pol, w, v).items()), Fraction(0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_integer_sweeps_equal_the_fraction_sums_on_random_models(seed):
+    rng = random.Random(seed)
+    while True:  # a small stable model with an exact measure
+        g = random_multigraph(rng, 5)
+        mu = random_measure(rng, g.nodes)
+        if not g.is_bipartite()[0] and ncond_check(g, mu).satisfied:
+            break
+    # balance: every reported residual is the one of the Fraction sweep over
+    # the product-form table and the kernel rows, and it is 0
+    max_len = 4
+    pi = product_form(g, mu).table(max_len + 1)
+    inflow = {}
+    for u, pu in pi.items():
+        for w, p in kernel_row(g, mu, Fcfm(), u).items():
+            inflow[w] = inflow.get(w, Fraction(0)) + pu * p
+    oracle = [(w, abs(float(pi[w] - inflow[w]))) for w in enumerate_states(g, max_len)]
+    reported = []
+    assert balance_residual(g, mu, max_len, lambda w, r: reported.append((w, r))) == (0.0, ())
+    assert reported == oracle and all(type(r) is float and r == 0.0 for _, r in reported)
+
+    # drifts: each class's share and the total equal the Fraction sums, types
+    # included, for Q, L and exact L_delta under every kind; L_delta with float
+    # weights, and explicit permutations with float weights, take the float path
+    kinds = policy_kinds(g)
+    float_perms = RandomPolicy({v: tuple((perm, p) for (perm, _), p in zip(dist, (0.5, 0.25, 0.25)))
+                                for v, dist in kinds["random_perms"].perms.items()})
+    fns = [Quadratic(), Linear()]
+    if g.v1:
+        fns += [ldelta(g, mu, Fraction(1, 10)), ldelta(g, mu, 0.1)]
+    words = enumerate_states(g, 3)
+    for pol in [*kinds.values(), float_perms]:
+        for fn in fns:
+            for w in words:
+                rep = exact_drift(g, mu, pol, w, fn)
+                total = kernel_drift(g, mu, pol, w, fn)
+                shares = {v: class_drift(g, mu, pol, w, fn, v) for v in g.nodes}
+                assert type(rep.drift) is type(total) and list(rep.per_class) == list(shares)
+                if type(total) is Fraction:
+                    assert rep.drift == total and rep.per_class == shares
+                else:  # summed in another order
+                    assert math.isclose(rep.drift, total, rel_tol=1e-12, abs_tol=1e-12)
+                for v, x in rep.per_class.items():
+                    assert type(x) is type(shares[v]), (pol, fn, w, v)
+                    assert math.isclose(x, shares[v], rel_tol=1e-12, abs_tol=1e-12)
