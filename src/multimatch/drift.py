@@ -12,6 +12,10 @@ drift inequalities into machine-checkable identities:
 * reweighted linear: on complete multipartite models with a favored-class
   policy, the drift is at most minus half the stability margin whenever a
   non-looped class is stored.
+
+The identities and :func:`exact_drift` read one integer pass over a word's
+decision laws, which sums every arrival class's Q and (weighted) L drifts
+together; a float factor takes ``fn.value`` on each move instead.
 """
 
 from __future__ import annotations
@@ -103,91 +107,57 @@ def _laws(g: Multigraph, policy: Policy, w: Word) -> list:
     ]
 
 
-def _dot(pairs: list) -> Weight:
-    """Sum of a * b over the pairs, in order; over one common denominator
-    when every factor is exact."""
-    try:
-        dens = [a.denominator * b.denominator for a, b in pairs]
-    except AttributeError:  # a float factor
-        return sum((a * b for a, b in pairs), Fraction(0))
-    d = math.lcm(*dens)
-    return Fraction(sum(a.numerator * b.numerator * (d // e) for (a, b), e in zip(pairs, dens)), d)
-
-
-def _mean(law: list, change) -> Weight:
-    """Expected ``change(class, move)`` under one arrival's law.  A single
-    exact decision has p = 1 and skips the product (a float p may not be 1)."""
-    if len(law) == 1 and isinstance(law[0][1], Fraction):
-        return change(*law[0][0])
-    return _dot([(p, change(c, s)) for (c, s), p in law])
-
-
-def _ql(laws: list, mu: ProbMeasure, counts: dict[Node, int]) -> tuple[Weight, Weight]:
-    """The Q and L drifts together: moving class c by s changes Q by
-    2 s k_c + 1 and L by s.  When every weight and probability is exact,
-    both numerators are summed in one pass over the (arrival, decision)
-    terms, over one common denominator; a float factor keeps the
-    per-arrival means of :func:`_mean` and their summation order."""
-    q = l = 0
-    d = 1  # the lcm of the term denominators so far
+def _int_drifts(laws: list, mu: ProbMeasure, counts: dict[Node, int], weights=None):
+    """The running sums of mu(v) E[dQ] and mu(v) E[dL] over the arrival
+    classes v, in one pass over the (arrival, decision) terms: int numerators
+    over the running lcm d of the term denominators, as ``[(0, 0, 1)]`` then
+    (q, l, d) after each class.  The last entry holds the totals, and a
+    class's share is its entry minus the one before, whose d divides its d.
+    Moving class c by s changes Q by 2 s k_c + 1 and L by w_c s, with
+    w_c = ``weights.get(c, 1)``, and 1 when ``weights`` is None.  None on a
+    float factor."""
+    sums, q, l, d = [(0, 0, 1)], 0, 0, 1
     try:
         for v, law in laws:
             m = mu[v]
             mn, md = m.numerator, m.denominator
             for (c, s), p in law:
                 e = md * p.denominator
+                dq, dl = 2 * s * counts.get(c, 0) + 1, s
+                if weights:  # w_c s over w_c's denominator, which dQ takes too
+                    x = weights.get(c, 1)
+                    e, dq, dl = e * x.denominator, dq * x.denominator, x.numerator * s
                 if d % e:
                     f = e // math.gcd(d, e)
                     q, l, d = q * f, l * f, d * f
                 a = mn * p.numerator * (d // e)
-                q += a * (2 * s * counts.get(c, 0) + 1)
-                l += a * s
+                q += a * dq
+                l += a * dl
+            sums.append((q, l, d))
     except AttributeError:  # a float factor
-        dq = [(mu[v], _mean(law, lambda c, s: 2 * s * counts.get(c, 0) + 1)) for v, law in laws]
-        dl = [(mu[v], _mean(law, lambda c, s: s)) for v, law in laws]
-        return _dot(dq), _dot(dl)
-    return Fraction(q, d), Fraction(l, d)
+        return None
+    return sums
 
 
-def _exact_drift(
+def _value_drift(
     laws: list, mu: ProbMeasure, counts: dict[Node, int], fn: LyapunovFn
-) -> Optional[tuple[dict[Node, Fraction], Fraction]]:
-    """Per arrival class, its mass times the expected change of ``fn``, and
-    their total.  A move of class c by s changes Q by 2 s k_c + 1, L by s and
-    a weighted L by w_c s; each class's terms are summed as ints over one
-    common denominator, and so are the classes.  None on a float factor
-    (measure, probability or weight), and for a function of another type,
-    whose change only ``fn.value`` gives."""
-    if type(fn) is Quadratic:
-        change = lambda c, s: (2 * s * counts.get(c, 0) + 1, 1)
-    elif type(fn) is Linear:
-        change = lambda c, s: (s, 1)
-    elif type(fn) is WeightedLinear:
-        def change(c, s):
-            x = fn.weights.get(c, 1)
-            return x.numerator * s, x.denominator
-    else:
-        return None
-    per_class = {}
-    num, den = 0, 1
-    try:
-        for v, law in laws:
-            t, d = 0, 1  # the terms' numerator sum, over the lcm of their denominators
-            for (c, s), p in law:
-                xn, xd = change(c, s)
-                e = p.denominator * xd
-                if d % e:
-                    f = e // math.gcd(d, e)
-                    t, d = t * f, d * f
-                t += p.numerator * xn * (d // e)
-            m = mu[v]
-            t, d = m.numerator * t, m.denominator * d
-            per_class[v] = Fraction(t, d)
-            k = math.gcd(den, d)
-            num, den = num * (d // k) + t * (den // k), den // k * d
-    except AttributeError:  # a float factor
-        return None
-    return per_class, Fraction(num, den)
+) -> tuple[dict[Node, Weight], Weight]:
+    """Per arrival class, mu(v) times the expected change of ``fn.value``,
+    and their total, summed in the order of the laws: the float fallback."""
+    base = fn.value(counts)
+
+    def change(c: Node, s: int) -> Weight:
+        moved = dict(counts)
+        moved[c] = moved.get(c, 0) + s
+        return fn.value(moved) - base
+
+    def mean(law: list) -> Weight:
+        if len(law) == 1 and type(law[0][1]) is Fraction:  # a sure decision's exact 1
+            return change(*law[0][0])
+        return sum((p * change(c, s) for (c, s), p in law), Fraction(0))
+
+    per_class = {v: mu[v] * mean(law) for v, law in laws}
+    return per_class, sum(per_class.values(), Fraction(0))
 
 
 # One model and one word, kept: callers loop policy-major, so a model's derived
@@ -210,12 +180,21 @@ def _residuals(g, mu, policy, w, split) -> tuple[float, float, float]:
                  pol_hat=extend_policy(policy, bmap), check=g.maximal_subgraph(),
                  pol_check=reduce_policy(policy, g))
     if m["w"] != w:
-        stored, _ = special_sets(g, w)  # the model's extend_measure checked mu's support
+        check_admissible(g, w)  # the model's extend_measure checked mu's support
         counts = word_counts(w)
+        stored = g.v1 & counts.keys()
+
+        def ql(laws, nu):
+            exact = _int_drifts(laws, nu, counts)
+            if exact is None:  # a float factor
+                return [_value_drift(laws, nu, counts, fn)[1] for fn in (Quadratic(), Linear())]
+            q, l, d = exact[-1]
+            return Fraction(q, d), Fraction(l, d)
+
         laws = _laws(g, policy, w)
-        q, l = _ql(laws, mu, counts)
-        q_hat, l_hat = _ql(_laws(m["bmap"].blown, m["pol_hat"], w), m["mu_hat"], counts)
-        _, l_check = _ql(_laws(m["check"], m["pol_check"], w), mu, counts)
+        q, l = ql(laws, mu)
+        q_hat, l_hat = ql(_laws(m["bmap"].blown, m["pol_hat"], w), m["mu_hat"])
+        _, l_check = ql(_laws(m["check"], m["pol_check"], w), mu)
         mass = m["mu_hat"].mass
         residuals = (
             q - (q_hat - 4 * mass(stored)),
@@ -231,27 +210,26 @@ def exact_drift(
 ) -> DriftReport:
     """Expected one-step change of ``fn``, enumerated exactly.  Reuses the
     multigraph pass of the last identity check at the same graph, policy and word.
-    Exact inputs are summed in integers (:func:`_exact_drift`); a float
-    factor keeps ``fn.value`` on each move and its summation order."""
+    Q, L and a weighted L take their per-class shares from :func:`_int_drifts`;
+    a float factor, or a function of another type, takes ``fn.value`` on each
+    move (:func:`_value_drift`)."""
     check_admissible(g, w)
     mu.check_support(g)
     m = _MEMO
     same = m["w"] == w and m["model"][0] is g and m["model"][2] is policy
     laws = m["laws"] if same else _laws(g, policy, w)
     counts = word_counts(w)
-    exact = _exact_drift(laws, mu, counts, fn)
-    if exact is None:  # a float factor, or no closed form: fn.value on each move
-        base = fn.value(counts)
-
-        def change(c: Node, s: int) -> Weight:
-            moved = dict(counts)
-            moved[c] = moved.get(c, 0) + s
-            return fn.value(moved) - base
-
-        per_class = {v: mu[v] * _mean(law, change) for v, law in laws}
-        total = sum(per_class.values(), Fraction(0))
+    kind = type(fn)
+    exact = None
+    if kind in (Quadratic, Linear, WeightedLinear):
+        exact = _int_drifts(laws, mu, counts, fn.weights if kind is WeightedLinear else None)
+    if exact is None:
+        per_class, total = _value_drift(laws, mu, counts, fn)
     else:
-        per_class, total = exact
+        k = 0 if kind is Quadratic else 1  # Q or L in each running sum
+        per_class = {v: Fraction(now[k] - before[k] * (now[2] // before[2]), now[2])
+                     for (v, _), before, now in zip(laws, exact, exact[1:])}
+        total = Fraction(exact[-1][k], exact[-1][2])
     return DriftReport(state=w, fn_name=fn.name, drift=total, per_class=per_class)
 
 

@@ -199,18 +199,15 @@ def solve_finite_chain(
     return _linear_solve_stationary(states, rows)
 
 
-def _exact_residuals(g: Multigraph, mu: ProbMeasure, max_len: int):
-    """The balance residual of every word up to ``max_len``, for an exact
-    measure, from integer stationary weights and integer inflows.
-
-    With m and M the class and neighborhood masses in units of the weights'
-    common denominator D, pi(w) = alpha N(w) / C, where N(empty) = C and
-    N(w) = N(w[:-1]) m(last letter) // M(letter set of w), and C, the lcm of
-    the words' prefix-mass products, makes every division exact.  An inflow
-    is the sum of N(u) m(v) over the FCFM decisions, in units of C D.
-    """
+def _exact_weights(g: Multigraph, mu: ProbMeasure, words: list[Word]):
+    """For an exact measure: integer weights N of ``words`` and m of the
+    classes, and a word's residual from its integer inflow.  With m and M the
+    class and neighborhood masses in units of the weights' common
+    denominator D, pi(w) = alpha N(w) / C, where N(empty) = C and N(w) =
+    N(w[:-1]) m(last letter) // M(letter set of w), and C, the lcm of the
+    words' prefix-mass products, makes every division exact; an inflow is in
+    units of C D."""
     a = alpha(g, mu)
-    words = enumerate_states(g, max_len + 1)
     d = math.lcm(*(p.denominator for p in mu.weights.values()))
     m = {c: p.numerator * (d // p.denominator) for c, p in mu.weights.items()}
     masses: dict[frozenset[Node], int] = {}
@@ -223,18 +220,8 @@ def _exact_residuals(g: Multigraph, mu: ProbMeasure, max_len: int):
     n = {(): math.lcm(*prods.values())}
     for w in words[1:]:
         n[w] = n[w[:-1]] * m[w[-1]] // (prods[w] // prods[w[:-1]])
-    policy = Fcfm()
-    inflow: dict[Word, int] = {}
-    for u in words:
-        stores = len(u) < max_len  # a longer word is never checked
-        for v in g.nodes:
-            x = transition(g, policy, u, v)
-            if x is not None or stores:
-                t = apply_decision(u, v, x)
-                inflow[t] = inflow.get(t, 0) + n[u] * m[v]
     scale = a.denominator * n[()] * d
-    for w in takewhile(lambda w: len(w) <= max_len, words):
-        yield w, abs(float(Fraction(a.numerator * (n[w] * d - inflow[w]), scale)))
+    return n, m, lambda w, x: abs(float(Fraction(a.numerator * (n[w] * d - x), scale)))
 
 
 def balance_residual(
@@ -246,33 +233,37 @@ def balance_residual(
     """Worst global-balance violation of the product form, up to a length.
 
     One forward sweep over the admissible words ``u`` up to ``max_len + 1``
-    adds ``pi(u) P(u, w)`` to the inflow of every ``w`` in the kernel row of
-    ``u``.  One arrival changes the length by exactly one, so this reaches
-    every predecessor of every word up to ``max_len`` and the check is exact
-    rather than truncated.  Returns the maximum absolute residual and the
-    word attaining it.  An exact measure runs the sweep in integers
-    (:func:`_exact_residuals`).
+    sums the FCFM row of ``u``, {next word: class weight} in node order, and
+    adds weight(u) times each entry to that word's inflow.  One arrival
+    changes the length by exactly one, so this reaches every predecessor of
+    every word up to ``max_len`` and the check is exact rather than
+    truncated.  An exact measure weighs in integers (:func:`_exact_weights`);
+    a float measure takes its masses and the product-form table, and summing
+    each row first keeps the float sums of ``kernel_row``.  Returns the
+    maximum absolute residual and the word attaining it.
     """
     if max_len < 0:
         raise StationaryError(f"max_len must be >= 0, got {max_len}")
     if mu.is_exact:
-        residuals = _exact_residuals(g, mu, max_len)
+        n, m, residual = _exact_weights(g, mu, enumerate_states(g, max_len + 1))
     else:
-        pi = product_form(g, mu).table(max_len + 1)
-        inflow: dict[Word, Weight] = {}
-        for u, pu in pi.items():
-            for w, p in kernel_row(g, mu, Fcfm(), u).items():
-                term = pu * p
-                inflow[w] = inflow[w] + term if w in inflow else term
-        # the words up to max_len lead the table, which is sorted by length
-        residuals = ((w, abs(float(pi[w] - inflow[w])))
-                     for w in takewhile(lambda w: len(w) <= max_len, pi))
-    worst = 0.0
-    worst_word: Optional[Word] = None
-    for w, residual in residuals:
-        if report is not None:
-            report(w, residual)
-        if residual > worst or worst_word is None:
-            worst = residual
-            worst_word = w
-    return worst, worst_word
+        n, m = product_form(g, mu).table(max_len + 1), mu.weights
+        residual = lambda w, x: abs(float(n[w] - x))
+    policy = Fcfm()
+    inflow: dict[Word, Weight] = {}
+    for u, nu in n.items():
+        stores = len(u) < max_len  # a longer word is never checked
+        row: dict[Word, Weight] = {}
+        for v in g.nodes:
+            x = transition(g, policy, u, v)
+            if x is not None or stores:
+                t = apply_decision(u, v, x)
+                row[t] = row.get(t, 0) + m[v]
+        for t, r in row.items():
+            inflow[t] = inflow.get(t, 0) + nu * r
+    # the words up to max_len lead n, which is sorted by length
+    residuals = [(residual(w, inflow[w]), w) for w in takewhile(lambda w: len(w) <= max_len, n)]
+    if report is not None:
+        for r, w in residuals:
+            report(w, r)
+    return max(residuals, key=lambda x: x[0])  # the largest, at its first word

@@ -35,7 +35,7 @@ from multimatch import (
     verify_ppartite_bound,
     verify_quadratic_identity,
 )
-from multimatch.drift import _MEMO, _laws, _ql
+from multimatch.drift import _MEMO, _int_drifts, _laws
 from multimatch.chain import apply_decision
 from multimatch.policies import decision_distribution, word_counts
 
@@ -296,8 +296,17 @@ def test_shared_passes_match_the_kernel_on_random_models(seed):
                     m = _MEMO
                     for h, nu, p in ((g, mu, pol), (m["bmap"].blown, m["mu_hat"], m["pol_hat"]),
                                      (m["check"], mu, m["pol_check"])):
-                        assert _ql(_laws(h, p, w), nu, word_counts(w)) == (
+                        sums = _int_drifts(_laws(h, p, w), nu, word_counts(w))
+                        q, l, d = sums[-1]
+                        assert (Fraction(q, d), Fraction(l, d)) == (
                             kernel_drift(h, nu, p, w, Quadratic()), kernel_drift(h, nu, p, w, Linear()))
+                        # and each class's share, its running sum minus the one before
+                        assert sums[0] == (0, 0, 1) and len(sums) == len(h.nodes) + 1
+                        for v, (q0, l0, d0), (q, l, d) in zip(h.nodes, sums, sums[1:]):
+                            assert d % d0 == 0
+                            shares = Fraction(q, d) - Fraction(q0, d0), Fraction(l, d) - Fraction(l0, d0)
+                            assert shares == (class_drift(h, nu, p, w, Quadratic(), v),
+                                              class_drift(h, nu, p, w, Linear(), v))
                 for fn in fns:
                     rep = exact_drift(g, mu, pol, w, fn)
                     assert rep.drift == kernel_drift(g, mu, pol, w, fn)
@@ -372,6 +381,18 @@ def test_integer_sweeps_equal_the_fraction_sums_on_random_models(seed):
     reported = []
     assert balance_residual(g, mu, max_len, lambda w, r: reported.append((w, r))) == (0.0, ())
     assert reported == oracle and all(type(r) is float and r == 0.0 for _, r in reported)
+    # a float measure: the same reports, bit for bit, as the float sweep over
+    # the table and the kernel rows, each row summed before it is weighed
+    mu_float = ProbMeasure({c: float(p) for c, p in mu.weights.items()})
+    pi = product_form(g, mu_float).table(max_len + 1)
+    inflow = {}
+    for u, pu in pi.items():
+        for w, p in kernel_row(g, mu_float, Fcfm(), u).items():
+            inflow[w] = inflow[w] + pu * p if w in inflow else pu * p
+    oracle = [(w, abs(float(pi[w] - inflow[w]))) for w in enumerate_states(g, max_len)]
+    reported = []
+    worst = balance_residual(g, mu_float, max_len, lambda w, r: reported.append((w, r)))
+    assert reported == oracle and worst == max(oracle, key=lambda x: x[1])[::-1]
 
     # drifts: each class's share and the total equal the Fraction sums, types
     # included, for Q, L and exact L_delta under every kind; L_delta with float
