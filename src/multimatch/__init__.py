@@ -16,7 +16,6 @@ from .measures import (
     extend_measure,
     mu_deg,
     ncond_check,
-    ncond_equivalence_check,
     reduce_measure,
 )
 from .policies import (
@@ -66,16 +65,12 @@ from .detailed import (
     alpha_inverse_from_blocks,
     analyze_excursions,
     backward_step,
-    backward_word_at,
     excursion_decompose,
-    forward_word,
     is_admissible_backward,
-    is_admissible_forward,
     nu,
     nu_block_mass,
     partner_inverse,
     partner_map,
-    project_to_queue,
     reverse_copy,
 )
 from .drift import (

@@ -129,9 +129,7 @@ def kernel_row(
         pv = mu[v]
         for x, p in decision_distribution(g, policy, w, v).items():
             target = apply_decision(w, v, x)
-            # a sure decision's exact 1 keeps the arrival's mass and its type;
-            # a float probability, even 1.0, still turns the mass into a float
-            mass = pv if type(p) is Fraction and p == 1 else pv * p
+            mass = pv * p
             row[target] = row[target] + mass if target in row else mass
     return row
 
@@ -469,7 +467,9 @@ def simulate(
     record.  A step goes to the engine exactly when the table cannot hold
     one of its next words: a word longer than the table's length bound, or a
     new word while the table is full.  The engine, loaded with the table's
-    word, steps on until it meets a word the table holds.  The run is one
+    word, steps on in one loop until it meets a word the table holds; the
+    loop follows the queue's word only while the queue is short enough for
+    the table to hold it or for the word to be tallied.  The run is one
     pass over one feed of arrivals, burn-in included.  A policy that never
     draws only draws arrivals, so they are drawn in bulk (the same stream as
     per-step draws); a policy that can draw takes its arrivals one at a time,
@@ -506,13 +506,13 @@ def simulate(
     met: dict[Word, list[int]] = {}
     # o is the current table offset, or negative while the engine steps.  The
     # engine's queue holds ``ln`` items, and ``key + k + i`` is the key of its
-    # next arrival, of class index i.  While the table may hold the queue's
-    # word or the word may be tallied (``ln <= near``), the engine keeps it in
-    # ``w`` and hands back to the table at a word that ``enter`` holds;
-    # otherwise ``w`` is None.
+    # next arrival, of class index i.  The engine loop keeps the queue's word
+    # in ``w`` while the table may hold it or it may be tallied (``ln <=
+    # near``), and hands back to the table at a word that ``enter`` holds.  A
+    # store past ``near`` drops the word (``w`` is None), and the match that
+    # brings the queue back within ``near`` reads it from the engine once.
     near = max(_TABLE_MAX_LEN, word_cap)
     o = key = ln = 0
-    w = None
     if is_draw_free(policy):
         # an exhausted iterator frees its chunk before the next one is drawn
         chunks = (iter(memoryview(c)) for c in _arrival_chunks(cum, rng, steps))
@@ -586,19 +586,6 @@ def simulate(
             np.minimum.at(first, states, base + at)
             np.add.at(visits, states, 1)
 
-    def settle(w, at):
-        """The table offset of the engine's word ``w``, or -2 when the table
-        does not hold it; such a word, at step ``at`` of the record, is
-        tallied when it is recorded and no longer than word_cap."""
-        o = enter(w)
-        if o < 0 and len(w) <= word_cap and done + at >= burn_in:
-            seen = met.get(w)
-            if seen is None:
-                met[w] = [done + at, 1]
-            else:
-                seen[1] += 1
-        return o
-
     walk: list[int] = []  # the record, tallied with numpy
     for chunk in chunks:
         if not walk:  # stored items per class before the record
@@ -628,27 +615,10 @@ def simulate(
                     push(o)
                 else:
                     break
-            elif w is None:
-                # a queue too long to keep its word: only a match can bring it
-                # back within reach
-                for i in feed:
-                    key += k
-                    m = offers[i](key + i, rng)
-                    if m is None:
-                        ln += 1
-                        push(~i)
-                    else:
-                        ln -= 1
-                        push(~m)
-                        if ln <= near:
-                            w = word()
-                            o = settle(w, len(walk) - 1)
-                            break
-                else:
-                    break
             else:
-                # the word follows each step; a match takes the oldest item of
-                # its class's FIFO (popleft), or under LCFM the newest (pop)
+                # the word follows each step while the queue is within
+                # ``near``; a match takes the oldest item of its class's FIFO
+                # (popleft), or under LCFM the newest (pop)
                 for i in feed:
                     key += k
                     m = offers[i](key + i, rng)
@@ -657,22 +627,34 @@ def simulate(
                         push(~i)
                         if ln > near:
                             w = None
-                            break
+                            continue
                         w += (nodes[i],)
                     else:
                         ln -= 1
                         push(~m)
-                        q, c = queues[m % k], nodes[m % k]
-                        x = w.index(c) if not q or m < q[0] else len(w) - 1 - w[::-1].index(c)
-                        w = w[:x] + w[x + 1 :]
-                    o = settle(w, len(walk) - 1)
-                    if o >= 0:
+                        if w is not None:
+                            q, c = queues[m % k], nodes[m % k]
+                            x = w.index(c) if not q or m < q[0] else len(w) - 1 - w[::-1].index(c)
+                            w = w[:x] + w[x + 1 :]
+                        elif ln > near:
+                            continue
+                        else:  # a long queue is back within reach
+                            w = word()
+                    o = enter(w)
+                    if o >= 0:  # the engine hands back to the table
+                        walk[-1] = o
+                        feed = rest
                         break
+                    # a word the table cannot hold is tallied when it is
+                    # recorded and no longer than word_cap
+                    if len(w) <= word_cap and done + len(walk) > burn_in:
+                        seen = met.get(w)
+                        if seen is None:
+                            met[w] = [done + len(walk) - 1, 1]
+                        else:
+                            seen[1] += 1
                 else:
                     break
-            if o >= 0:  # the engine hands back to the table
-                walk[-1] = o
-                feed = rest
         if len(walk) >= 1 << 14:  # a few hundred kB of record at most
             flush(walk, occ0)
             walk = []

@@ -62,8 +62,8 @@ class Linear:
 class WeightedLinear:
     """Linear function with per-class weights; unknown classes weigh 1."""
 
+    name = "L_delta"
     weights: Mapping[Node, Weight]
-    name: str = "L_delta"
 
     def value(self, counts: Mapping[Node, int]) -> Weight:
         return sum((self.weights.get(c, 1) * k for c, k in counts.items()), Fraction(0))

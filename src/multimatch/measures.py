@@ -259,15 +259,3 @@ def reduce_measure(mu_hat: ProbMeasure, bmap: BlowupMap) -> ProbMeasure:
     out = ProbMeasure(weights)
     out.validate()
     return out
-
-
-def ncond_equivalence_check(g: Multigraph, mu: ProbMeasure) -> bool:
-    """Whether the stability condition agrees between a multigraph and its blow-up.
-
-    The blown system uses the even-split extension of ``mu``.  Agreement is the
-    expected behavior for every input; a ``False`` return flags a bug.
-    """
-    bmap = g.minimal_blowup()
-    direct = ncond_check(g, mu).satisfied
-    blown = ncond_check(bmap.blown, extend_measure(mu, bmap)).satisfied
-    return direct == blown

@@ -27,7 +27,6 @@ from multimatch import (
     match_the_shortest,
     mu_deg,
     ncond_check,
-    ncond_equivalence_check,
     product_form,
     simulate,
     solve_finite_chain,
@@ -39,6 +38,7 @@ from multimatch import (
 from multimatch.detailed import analyze_excursions, verify_local_balance_empirical
 
 from conftest import random_admissible_word, random_measure, random_multigraph
+from oracles import ncond_equivalence_check
 
 
 def report(n: int, label: str, detail: str) -> None:

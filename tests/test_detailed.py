@@ -22,17 +22,13 @@ from multimatch import (
     alpha,
     alpha_inverse_from_blocks,
     backward_step,
-    backward_word_at,
     decide,
     excursion_decompose,
-    forward_word,
     is_admissible_backward,
-    is_admissible_forward,
     nu,
     nu_block_mass,
     partner_inverse,
     partner_map,
-    project_to_queue,
     ncond_check,
     reverse_copy,
     simulate,
@@ -53,13 +49,19 @@ from multimatch.detailed import (
     analyze_excursions,
     barred,
     blocks,
-    enumerate_backward_states,
     fcfm_match_partners,
     plain,
     verify_local_balance_empirical,
 )
 
 from conftest import random_measure, random_multigraph
+from oracles import (
+    backward_word_at,
+    enumerate_backward_states,
+    forward_word,
+    is_admissible_forward,
+    project_to_queue,
+)
 
 
 def test_backward_admissibility_rules(path_loop, triangle):

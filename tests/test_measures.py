@@ -15,12 +15,12 @@ from multimatch import (
     extend_measure,
     mu_deg,
     ncond_check,
-    ncond_equivalence_check,
     reduce_measure,
 )
 from multimatch.measures import subset_table
 
 from conftest import random_measure, random_multigraph
+from oracles import ncond_equivalence_check
 
 
 def test_measure_validation():

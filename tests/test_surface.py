@@ -144,7 +144,6 @@ PINNED_SURFACE = {
             "Weight]]' = None) -> 'ProbMeasure'"
         ),
         "reduce_measure": "(mu_hat: 'ProbMeasure', bmap: 'BlowupMap') -> 'ProbMeasure'",
-        "ncond_equivalence_check": "(g: 'Multigraph', mu: 'ProbMeasure') -> 'bool'",
     },
     "policies": {
         "Word": None,
@@ -268,16 +267,9 @@ PINNED_SURFACE = {
         "barred": "(c: 'Node') -> 'DLetter'",
         "reverse_copy": "(w: 'DWord') -> 'DWord'",
         "is_admissible_backward": "(g: 'Multigraph', w: 'DWord') -> 'bool'",
-        "is_admissible_forward": "(g: 'Multigraph', w: 'DWord') -> 'bool'",
-        "project_to_queue": "(b: 'DWord') -> 'Word'",
         "backward_step": "(g: 'Multigraph', b: 'DWord', v: 'Node') -> 'DWord'",
         "fcfm_match_partners": (
             "(g: 'Multigraph', arrivals: 'Sequence[Node]') -> 'list[Optional[int]]'"
-        ),
-        "backward_word_at": "(g: 'Multigraph', arrivals: 'Sequence[Node]', n: 'int') -> 'DWord'",
-        "forward_word": (
-            "(g: 'Multigraph', arrivals: 'Sequence[Node]', n: 'int', "
-            "partners: 'Optional[Sequence[Optional[int]]]' = None) -> 'Optional[DWord]'"
         ),
         "nu": "(mu: 'ProbMeasure', w: 'DWord') -> 'Weight'",
         "blocks": "(g: 'Multigraph') -> 'Iterator[tuple[Node, ...]]'",
@@ -285,7 +277,6 @@ PINNED_SURFACE = {
             "(g: 'Multigraph', mu: 'ProbMeasure', sigma: 'Sequence[Node]') -> 'Weight'"
         ),
         "alpha_inverse_from_blocks": "(g: 'Multigraph', mu: 'ProbMeasure') -> 'Weight'",
-        "enumerate_backward_states": "(g: 'Multigraph', max_len: 'int') -> 'list[DWord]'",
         "PairCheck": (
             "(source: 'DWord', target: 'DWord', lhs: 'float', rhs: 'float', "
             "stderr: 'float') -> None"
@@ -324,7 +315,7 @@ PINNED_SURFACE = {
         "Quadratic.value": "(self, counts: 'Mapping[Node, int]') -> 'Weight'",
         "Linear": '() -> None',
         "Linear.value": "(self, counts: 'Mapping[Node, int]') -> 'Weight'",
-        "WeightedLinear": "(weights: 'Mapping[Node, Weight]', name: 'str' = 'L_delta') -> None",
+        "WeightedLinear": "(weights: 'Mapping[Node, Weight]') -> None",
         "WeightedLinear.value": "(self, counts: 'Mapping[Node, int]') -> 'Weight'",
         "LyapunovFn": None,
         "ldelta": "(g: 'Multigraph', mu: 'ProbMeasure', delta: 'Weight') -> 'WeightedLinear'",
@@ -410,15 +401,15 @@ PINNED_EXPORTS = (
     "MeasureError", "Multigraph", "NcondReport", "Policy", "PolicyError", "PpartiteReport",
     "Priority", "ProbMeasure", "ProductFormDistribution", "Quadratic", "RandomPolicy",
     "SimulationResult", "StationaryError", "V2Favorable", "WeightedLinear", "alpha",
-    "alpha_inverse_from_blocks", "analyze_excursions", "backward_step", "backward_word_at",
-    "balance_residual", "decide", "decision_distribution", "enumerate_states", "exact_drift",
-    "excursion_decompose", "extend_measure", "extend_policy", "finite_stationary", "forward_word",
-    "is_admissible_backward", "is_admissible_forward", "is_admissible_word", "kernel_row", "ldelta",
-    "match_the_longest", "match_the_shortest", "mu_deg", "ncond_check", "ncond_equivalence_check",
-    "nu", "nu_block_mass", "partner_inverse", "partner_map", "policy_dumps", "policy_loads",
-    "predecessors", "product_form", "project_to_queue", "reduce_measure", "reduce_policy",
-    "reverse_copy", "simulate", "solve_finite_chain", "special_sets", "stability_slope", "step",
-    "validate_policy", "verify_linear_chain", "verify_ppartite_bound", "verify_quadratic_identity",
+    "alpha_inverse_from_blocks", "analyze_excursions", "backward_step", "balance_residual",
+    "decide", "decision_distribution", "enumerate_states", "exact_drift", "excursion_decompose",
+    "extend_measure", "extend_policy", "finite_stationary", "is_admissible_backward",
+    "is_admissible_word", "kernel_row", "ldelta", "match_the_longest", "match_the_shortest",
+    "mu_deg", "ncond_check", "nu", "nu_block_mass", "partner_inverse", "partner_map",
+    "policy_dumps", "policy_loads", "predecessors", "product_form", "reduce_measure",
+    "reduce_policy", "reverse_copy", "simulate", "solve_finite_chain", "special_sets",
+    "stability_slope", "step", "validate_policy", "verify_linear_chain", "verify_ppartite_bound",
+    "verify_quadratic_identity",
 )
 
 
