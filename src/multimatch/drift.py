@@ -113,20 +113,20 @@ def _int_drifts(laws: list, mu: ProbMeasure, counts: dict[Node, int], weights=No
     over the running lcm d of the term denominators, as ``[(0, 0, 1)]`` then
     (q, l, d) after each class.  The last entry holds the totals, and a
     class's share is its entry minus the one before, whose d divides its d.
-    Moving class c by s changes Q by 2 s k_c + 1 and L by w_c s, with
-    w_c = ``weights.get(c, 1)``, and 1 when ``weights`` is None.  None on a
-    float factor."""
+    Moving class c by s changes Q by 2 s k_c + 1 and L by w_c s, with w_c =
+    ``weights.get(c, 1)``, or 1 without ``weights``.  With ``weights`` only L
+    is summed, and q stays 0.  None on a float factor."""
     sums, q, l, d = [(0, 0, 1)], 0, 0, 1
     try:
         for v, law in laws:
             m = mu[v]
             mn, md = m.numerator, m.denominator
             for (c, s), p in law:
-                e = md * p.denominator
-                dq, dl = 2 * s * counts.get(c, 0) + 1, s
-                if weights:  # w_c s over w_c's denominator, which dQ takes too
+                if weights:  # w_c s over w_c's denominator
                     x = weights.get(c, 1)
-                    e, dq, dl = e * x.denominator, dq * x.denominator, x.numerator * s
+                    e, dq, dl = md * p.denominator * x.denominator, 0, x.numerator * s
+                else:
+                    e, dq, dl = md * p.denominator, 2 * s * counts.get(c, 0) + 1, s
                 if d % e:
                     f = e // math.gcd(d, e)
                     q, l, d = q * f, l * f, d * f

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional
 
 from .chain import apply_decision, enumerate_states, check_admissible, kernel_row
 from .graphs import Multigraph, Node
@@ -149,54 +149,51 @@ def finite_stationary(g: Multigraph, mu: ProbMeasure) -> dict[Word, Weight]:
     return table
 
 
-def _linear_solve_stationary(
-    states: Sequence[Word],
-    rows: Mapping[Word, Mapping[Word, Weight]],
-) -> dict[Word, float]:
-    """Stationary law of a finite chain by dense linear algebra.
-
-    ``rows`` must be closed over ``states``.  Solves pi P = pi with the
-    normalization replacing one equation; irreducibility makes the solution
-    unique.  This is the oracle used to cross-check the product form.
-    """
-    import numpy as np  # here only: the product-form layer runs without numpy
-
-    index = {w: k for k, w in enumerate(states)}
-    n = len(states)
-    P = np.zeros((n, n))
-    for w, row in rows.items():
-        for target, p in row.items():
-            if target not in index:
-                raise StationaryError(
-                    f"state set not closed: {w!r} reaches {target!r}"
-                )
-            P[index[w], index[target]] = float(p)
-    if not np.allclose(P.sum(axis=1), 1.0, atol=1e-9):
-        raise StationaryError("kernel rows do not sum to 1")
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise StationaryError("singular balance system") from exc
-    if pi.min() < -1e-9:
-        raise StationaryError("negative stationary mass; chain not irreducible?")
-    return {w: float(pi[index[w]]) for w in states}
-
-
 def solve_finite_chain(
     g: Multigraph, mu: ProbMeasure, policy, max_len: Optional[int] = None
-) -> dict[Word, float]:
-    """Convenience wrapper: enumerate the (finite) state space and solve it."""
+) -> dict[Word, Weight]:
+    """Stationary law of the chain on the words up to ``max_len`` (by default
+    every word, which needs every class self-looped), under any policy.
+
+    Fraction-free (Bareiss) elimination of pi P = pi over ``kernel_row``, the
+    normalization in place of the last balance equation.  Each equation is in
+    integer units of its denominators' lcm, a float entry being its float's
+    exact value, so every division is exact.  An exact measure's law comes
+    back as Fractions, a float measure's as floats.
+    """
     if max_len is None:
         if g.v2:
             raise StationaryError("state space is infinite; give max_len")
         max_len = len(g.nodes)
     states = enumerate_states(g, max_len)
-    rows = {w: kernel_row(g, mu, policy, w) for w in states}
-    return _linear_solve_stationary(states, rows)
+    n = len(states)
+    index = {w: k for k, w in enumerate(states)}
+    eqs = [{j: (-1, 1)} for j in range(n)]  # word j: {k: P(k, j) - [k = j] as (num, den)}
+    for k, w in enumerate(states):
+        for t, p in kernel_row(g, mu, policy, w).items():
+            if t not in index:
+                raise StationaryError(f"state set not closed: {w!r} reaches {t!r}")
+            a, b = p.as_integer_ratio()
+            eqs[index[t]][k] = (a - b, b) if t == w else (a, b)
+    rows = []
+    for eq in eqs[:-1]:
+        d = math.lcm(*(b for _, b in eq.values()))
+        rows.append([eq[k][0] * (d // eq[k][1]) if k in eq else 0 for k in range(n + 1)])
+    rows.append([1] * (n + 1))  # the normalization: pi sums to 1
+    det = 1
+    for k in range(n):
+        pivot, *tail = rows[k][k:]
+        if not pivot:  # a leading minor, never 0 for an irreducible chain
+            raise StationaryError("singular balance system")
+        for row in rows[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(pivot * x - f * y) // det for x, y in zip(row[k + 1:], tail)]
+        det = pivot
+    x = [0] * n  # det times pi, integral by Cramer's rule
+    for k, row in reversed([*enumerate(rows)]):
+        x[k] = (det * row[n] - sum(a * b for a, b in zip(row[k + 1:n], x[k + 1:]))) // row[k]
+    value = Fraction if mu.is_exact else (lambda a, b: a / b)
+    return {w: value(a, det) for w, a in zip(states, x)}
 
 
 def _exact_weights(g: Multigraph, mu: ProbMeasure, words: list[Word]):

@@ -1,5 +1,8 @@
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -23,7 +26,7 @@ from multimatch import (
 from multimatch.detailed import alpha_inverse_from_blocks
 from multimatch.measures import ncond_check
 
-from conftest import random_measure, random_multigraph
+from conftest import policy_kinds, random_measure, random_multigraph
 
 
 
@@ -79,7 +82,7 @@ def test_alpha_requires_stabilizable_inputs(path_loop, k2):
 
 def test_alpha_matches_block_oracle_on_random_models():
     # the set recursion against the enumeration over ordered blocks, and on
-    # finite (all-loop) models against the dense linear-algebra solver; its
+    # finite (all-loop) models against the exact finite-chain solver; its
     # stability verdict against ncond_check, on unstable draws and on float
     # copies of the stable ones
     rng = random.Random(3)
@@ -220,28 +223,76 @@ def test_finite_stationary_two_looped_nodes():
     assert table[()] == Fraction(1, 2)
     assert table[("1",)] == p / 2
     assert table[("2",)] == (1 - p) / 2
-    solved = solve_finite_chain(g, mu, Fcfm())
-    assert max(abs(float(table[w]) - solved[w]) for w in table) < 1e-12
+    assert solve_finite_chain(g, mu, Fcfm()) == table
 
 
 def test_finite_stationary_rejects_unbounded_models(path_loop, mu_path):
     with pytest.raises(StationaryError):
         finite_stationary(path_loop, mu_path)
+    with pytest.raises(StationaryError, match="infinite"):
+        solve_finite_chain(path_loop, mu_path, Fcfm())
+    with pytest.raises(StationaryError, match="not closed"):
+        solve_finite_chain(path_loop, mu_path, Fcfm(), max_len=3)
 
 
 def test_finite_matches_linear_solve(square_loops):
     for raw in ({"1": "0.25", "2": "0.25", "3": "0.25", "4": "0.25"},
                 {"1": "0.1", "2": "0.2", "3": "0.3", "4": "0.4"}):
         mu = ProbMeasure.from_dict(raw)
-        table = finite_stationary(square_loops, mu)
-        solved = solve_finite_chain(square_loops, mu, Fcfm())
-        assert max(abs(float(table[w]) - solved[w]) for w in table) < 1e-12
+        assert solve_finite_chain(square_loops, mu, Fcfm()) == finite_stationary(square_loops, mu)
 
 
 def test_linear_solve_other_policy_is_a_distribution(square_loops, mu_square_uniform):
     solved = solve_finite_chain(square_loops, mu_square_uniform, match_the_longest())
-    assert abs(sum(solved.values()) - 1) < 1e-12
+    assert sum(solved.values()) == 1
     assert all(v > 0 for v in solved.values())
+
+
+def test_solved_law_of_every_policy_on_random_finite_models():
+    # the exact law of every policy kind on random all-looped models: a fixed
+    # point of the kernel rows that sums to 1, the product form under FCFM,
+    # and within 1e-12 of the law solved from a float copy of the measure
+    rng = random.Random(35)
+    sizes = []
+    for _ in range(20):
+        h = random_multigraph(rng, 5)
+        g = Multigraph.build(h.nodes, h.edges, h.nodes)
+        mu = random_measure(rng, g.nodes)
+        mu_float = ProbMeasure({c: float(p) for c, p in mu.weights.items()})
+        for name, policy in policy_kinds(g).items():
+            pi = solve_finite_chain(g, mu, policy)
+            assert sum(pi.values()) == 1, name
+            inflow = dict.fromkeys(pi, Fraction(0))
+            for w, p in pi.items():
+                for t, q in kernel_row(g, mu, policy, w).items():
+                    inflow[t] += p * q
+            assert inflow == pi, name
+            if name == "fcfm":
+                assert pi == finite_stationary(g, mu)
+            floats = solve_finite_chain(g, mu_float, policy)
+            assert max(abs(floats[w] - pi[w]) for w in pi) <= 1e-12, name
+        sizes.append(len(pi))
+    assert max(sizes) > 20
+
+
+def test_exact_stationary_layer_does_not_load_numpy():
+    script = (
+        "import sys\n"
+        "from multimatch import Fcfm, Multigraph, ProbMeasure, alpha, balance_residual, "
+        "finite_stationary, solve_finite_chain\n"
+        "g = Multigraph.build(['1', '2', '3', '4'], "
+        "[('1', '2'), ('2', '3'), ('3', '4'), ('4', '1')], ['1', '2', '3', '4'])\n"
+        "mu = ProbMeasure.uniform(g)\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "for f in (lambda: alpha(g, mu), lambda: finite_stationary(g, mu), "
+        "lambda: balance_residual(g, mu, 4), lambda: solve_finite_chain(g, mu, Fcfm())):\n"
+        "    f()\n"
+        "    assert 'numpy' not in sys.modules, f\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_balance_residuals_are_exact(path_loop, mu_path, square_loops,

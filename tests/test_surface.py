@@ -251,7 +251,7 @@ PINNED_SURFACE = {
         "finite_stationary": "(g: 'Multigraph', mu: 'ProbMeasure') -> 'dict[Word, Weight]'",
         "solve_finite_chain": (
             "(g: 'Multigraph', mu: 'ProbMeasure', policy, "
-            "max_len: 'Optional[int]' = None) -> 'dict[Word, float]'"
+            "max_len: 'Optional[int]' = None) -> 'dict[Word, Weight]'"
         ),
         "balance_residual": (
             "(g: 'Multigraph', mu: 'ProbMeasure', max_len: 'int', "
