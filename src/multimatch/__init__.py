@@ -82,7 +82,6 @@ from .drift import (
     WeightedLinear,
     exact_drift,
     ldelta,
-    special_sets,
     verify_linear_chain,
     verify_ppartite_bound,
     verify_quadratic_identity,

@@ -16,7 +16,7 @@ numpy: only the simulating ones (``simulate``, ``tv-compare``,
 
 Each command is declared once, in the table :func:`build_parser` reads: its
 function, its help, the shared options it takes, its own options and its
-parser defaults.  :func:`main` gives only the named command its options.
+parser defaults.  :func:`main` builds the parser of the named command alone.
 """
 
 from __future__ import annotations
@@ -477,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of :func:`build_parser`.  Given ``only``, every other
-    command is added by name and help alone, without its options: the
-    top-level usage, help and errors are unchanged, and a run of ``only``
-    parses as with the full parser."""
+    """The parser of :func:`build_parser`.  Given a command's name as
+    ``only``, it holds that command alone, listed under every command's name:
+    the top-level usage and errors are unchanged, and a run of ``only``
+    parses as with the full parser.  Any other ``only`` builds them all."""
     shared = {  # in the order every command lists them, followed by --out
         "graph": dict(required=True, help="graph JSON file"),
         "mu": dict(required=True, help="measure JSON file"),
@@ -525,11 +525,13 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
         prog="multimatch",
         description="Stochastic matching models on multigraphs",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    names, metavar = [c[0] for c in commands], {}
+    if only in names:  # the usage still lists every command
+        commands = [c for c in commands if c[0] == only]
+        metavar = {"metavar": "{" + ",".join(names) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
     for name, func, help_text, takes, own, *defaults in commands:
         p = sub.add_parser(name, help=help_text)
-        if only is not None and name != only:
-            continue
         options = [(o, kwargs) for o, kwargs in shared.items() if o in takes.split()]
         options += [("out", dict(help="directory for artifact files")), *own.items()]
         for dest, kwargs in options:
@@ -542,10 +544,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command: load its graph, measure and policy, hand it its
     ``Artifacts``, write them once, and read the exit code off its summary."""
     tokens = sys.argv[1:] if argv is None else argv
-    # the command is the first token that is not an option: the top level
-    # takes no option with a value, and no command name starts with "-"
-    command = next((a for a in tokens if not a.startswith("-")), None)
-    args = _build_parser(command).parse_args(argv)
+    # a first token that names a command is the command: the top level takes
+    # no positional before it, and no command name starts with "-"
+    args = _build_parser(tokens[0] if tokens else None).parse_args(argv)
     try:
         g = _parse(Multigraph.loads, _read(args.graph), args.graph)
         inputs = {"g": g}

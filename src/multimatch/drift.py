@@ -15,7 +15,9 @@ drift inequalities into machine-checkable identities:
 
 The identities and :func:`exact_drift` read one integer pass over a word's
 decision laws, which sums every arrival class's Q and (weighted) L drifts
-together; a float factor takes ``fn.value`` on each move instead.
+together; a float factor takes ``fn.value`` on each move instead.  The
+identities combine the three graphs' integer totals with the stored masses
+by cross-multiplying, and divide once per residual.
 """
 
 from __future__ import annotations
@@ -144,12 +146,14 @@ def _value_drift(
 ) -> tuple[dict[Node, Weight], Weight]:
     """Per arrival class, mu(v) times the expected change of ``fn.value``,
     and their total, summed in the order of the laws: the float fallback."""
-    base = fn.value(counts)
+    base, changes = fn.value(counts), {}
 
-    def change(c: Node, s: int) -> Weight:
-        moved = dict(counts)
-        moved[c] = moved.get(c, 0) + s
-        return fn.value(moved) - base
+    def change(c: Node, s: int) -> Weight:  # once per distinct move
+        if (c, s) not in changes:
+            moved = dict(counts)
+            moved[c] = moved.get(c, 0) + s
+            changes[c, s] = fn.value(moved) - base
+        return changes[c, s]
 
     def mean(law: list) -> Weight:
         if len(law) == 1 and type(law[0][1]) is Fraction:  # a sure decision's exact 1
@@ -162,8 +166,22 @@ def _value_drift(
 
 # One model and one word, kept: callers loop policy-major, so a model's derived
 # graphs are built once per policy, and the identity checks and the drift of
-# one word share its passes.  The model's objects are compared by identity.
+# one word share its passes.  The model's objects are compared by identity;
+# ``masses`` holds the blow-up's masses of each stored set and of its copies.
 _MEMO: dict = {"model": (None,) * 4, "w": None}
+
+
+def _combine(t, t_hat, t_check, stored: Fraction, copies: Fraction) -> tuple[float, float, float]:
+    """The residuals from the totals (q, l, d) on the three graphs and the
+    stored classes' masses, cross-multiplied and divided once: an int division
+    is correctly rounded, so each is ``abs(float(...))`` of the Fraction sum."""
+    (q, l, d), (qh, lh, dh), (_, lc, dc) = t, t_hat, t_check
+    a, b, c, e = stored.numerator, stored.denominator, copies.numerator, copies.denominator
+    return (
+        abs(((q * dh - qh * d) * b + 4 * a * d * dh) / (d * dh * b)),
+        abs(((l * dh - lh * d) * b + 2 * a * d * dh) / (d * dh * b)),
+        abs(((lh * dc - lc * dh) * e + 2 * c * dh * dc) / (dh * dc * e)),
+    )
 
 
 def _residuals(g, mu, policy, w, split) -> tuple[float, float, float]:
@@ -175,33 +193,30 @@ def _residuals(g, mu, policy, w, split) -> tuple[float, float, float]:
     shares = None if split is None else [(i, type(s), s) for i, s in split.items()]
     if not (key[0] is g and key[1] is mu and key[2] is policy and key[3] == shares):
         bmap = g.minimal_blowup()
-        m.update(model=(g, mu, policy, shares), w=None,
+        m.update(model=(g, mu, policy, shares), w=None, masses={},
                  bmap=bmap, mu_hat=extend_measure(mu, bmap, split),
                  pol_hat=extend_policy(policy, bmap), check=g.maximal_subgraph(),
                  pol_check=reduce_policy(policy, g))
     if m["w"] != w:
         check_admissible(g, w)  # the model's extend_measure checked mu's support
         counts = word_counts(w)
-        stored = g.v1 & counts.keys()
-
-        def ql(laws, nu):
-            exact = _int_drifts(laws, nu, counts)
-            if exact is None:  # a float factor
-                return [_value_drift(laws, nu, counts, fn)[1] for fn in (Quadratic(), Linear())]
-            q, l, d = exact[-1]
-            return Fraction(q, d), Fraction(l, d)
-
+        stored = frozenset(g.v1 & counts.keys())
+        if stored not in m["masses"]:
+            m["masses"][stored] = tuple(map(m["mu_hat"].mass, (stored, m["bmap"].copies(stored))))
+        masses = m["masses"][stored]
         laws = _laws(g, policy, w)
-        q, l = ql(laws, mu)
-        q_hat, l_hat = ql(_laws(m["bmap"].blown, m["pol_hat"], w), m["mu_hat"])
-        _, l_check = ql(_laws(m["check"], m["pol_check"], w), mu)
-        mass = m["mu_hat"].mass
-        residuals = (
-            q - (q_hat - 4 * mass(stored)),
-            l - (l_hat - 2 * mass(stored)),
-            l_hat - (l_check - 2 * mass(m["bmap"].copies(stored))),
-        )
-        m.update(w=w, laws=laws, residuals=tuple(abs(float(r)) for r in residuals))
+        graphs = ((laws, mu), (_laws(m["bmap"].blown, m["pol_hat"], w), m["mu_hat"]),
+                  (_laws(m["check"], m["pol_check"], w), mu))
+        sums = [_int_drifts(laws_h, nu, counts) for laws_h, nu in graphs]
+        if None not in sums:  # every weight rational, the blow-up's masses too
+            residuals = _combine(*(s[-1] for s in sums), *masses)
+        else:  # a float factor: Fraction and float totals, as they come
+            (q, l), (q_hat, l_hat), (_, l_check) = (
+                [_value_drift(*h, counts, fn)[1] for fn in (Quadratic(), Linear())] if s is None
+                else [Fraction(x, s[-1][2]) for x in s[-1][:2]] for h, s in zip(graphs, sums))
+            residuals = tuple(abs(float(r)) for r in (q - (q_hat - 4 * masses[0]),
+                              l - (l_hat - 2 * masses[0]), l_hat - (l_check - 2 * masses[1])))
+        m.update(w=w, laws=laws, residuals=residuals)
     return m["residuals"]
 
 
@@ -231,24 +246,6 @@ def exact_drift(
                      for (v, _), before, now in zip(laws, exact, exact[1:])}
         total = Fraction(exact[-1][k], exact[-1][2])
     return DriftReport(state=w, fn_name=fn.name, drift=total, per_class=per_class)
-
-
-def special_sets(g: Multigraph, w: Word) -> tuple[frozenset[Node], frozenset[Node]]:
-    """Self-looped classes that are stored, and those idle.
-
-    An admissible word stores a self-looped class at most once.  A looped
-    class is idle when its queue and all its neighbors' queues are empty.
-    """
-    check_admissible(g, w)
-    counts = word_counts(w)
-    stored = frozenset(i for i in g.v1 if counts.get(i, 0) > 0)
-    idle = frozenset(
-        i
-        for i in g.v1
-        if counts.get(i, 0) == 0
-        and all(counts.get(j, 0) == 0 for j in g.adjacency[i])
-    )
-    return stored, idle
 
 
 def verify_quadratic_identity(
@@ -321,15 +318,16 @@ def verify_ppartite_bound(
     if delta is None:
         delta = report.margin
     words = [w for w in enumerate_states(g, max_len) if set(w) & g.v2]
-    if drifts is None and words:
-        fn = ldelta(g, mu, delta)
-        drifts = {w: exact_drift(g, mu, policy, w, fn).drift for w in words}
+    if drifts is None and words:  # the totals alone, as floats
+        mu.check_support(g)
+        fn, drifts = ldelta(g, mu, delta), {}
+        for w in words:
+            laws, counts = _laws(g, policy, w), word_counts(w)
+            exact = _int_drifts(laws, mu, counts, fn.weights)
+            drifts[w] = (exact[-1][1] / exact[-1][2] if exact
+                         else _value_drift(laws, mu, counts, fn)[1])
+    bound = float(-delta / 2) + tol
     floats = ((w, float(drifts[w])) for w in words)
-    violations = tuple((w, d) for w, d in floats if not d <= float(-delta / 2) + tol)
-    return PpartiteReport(
-        ok=not violations,
-        parts=len(parts),
-        delta=delta,
-        states_checked=len(words),
-        violations=violations,
-    )
+    violations = tuple((w, d) for w, d in floats if not d <= bound)
+    return PpartiteReport(ok=not violations, parts=len(parts), delta=delta,
+                          states_checked=len(words), violations=violations)

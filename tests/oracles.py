@@ -4,7 +4,8 @@ Reference constructions built from scratch, independently of the incremental
 code they check (the backward and forward words of the detailed chains from
 the FCFM partner table, and every admissible backward word by brute force),
 the forward admissibility test and the queue projection of a backward word,
-and the stability condition of a multigraph checked against its blow-up's.
+the stored and idle self-looped classes of a word, and the stability
+condition of a multigraph checked against its blow-up's.
 """
 
 from typing import Optional, Sequence
@@ -19,9 +20,10 @@ from multimatch.detailed import (
     plain,
     reverse_copy,
 )
+from multimatch.chain import check_admissible
 from multimatch.graphs import Multigraph, Node
 from multimatch.measures import ProbMeasure, extend_measure, ncond_check
-from multimatch.policies import Word
+from multimatch.policies import Word, word_counts
 
 
 def is_admissible_forward(g: Multigraph, w: DWord) -> bool:
@@ -96,6 +98,24 @@ def enumerate_backward_states(g: Multigraph, max_len: int) -> list[DWord]:
         frontier = nxt
     out.sort(key=lambda w: (len(w), w))
     return out
+
+
+def special_sets(g: Multigraph, w: Word) -> tuple[frozenset[Node], frozenset[Node]]:
+    """Self-looped classes that are stored, and those idle.
+
+    An admissible word stores a self-looped class at most once.  A looped
+    class is idle when its queue and all its neighbors' queues are empty.
+    """
+    check_admissible(g, w)
+    counts = word_counts(w)
+    stored = frozenset(i for i in g.v1 if counts.get(i, 0) > 0)
+    idle = frozenset(
+        i
+        for i in g.v1
+        if counts.get(i, 0) == 0
+        and all(counts.get(j, 0) == 0 for j in g.adjacency[i])
+    )
+    return stored, idle
 
 
 def ncond_equivalence_check(g: Multigraph, mu: ProbMeasure) -> bool:

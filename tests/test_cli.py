@@ -1048,6 +1048,7 @@ def test_main_parses_as_the_full_parser(capsys, monkeypatch):
     argvs = [[], ["-h"], ["--help", "info"], ["bogus"], ["-", "info"], ["--bogus", "info"]]
     for name in PINNED_CLI_SURFACE:
         argvs += [[name, "--help"], [name, "--bogus"], ["-h", name], [name, "-h", "--bogus"],
+                  ["--", name], ["-1", name],
                   [name, "--graph", "g.json", "--mu", "mu.json", "--bogus", "x"],
                   [name, "--graph", "g.json", "--max-len", "many"]]
     for argv in argvs:

@@ -30,16 +30,17 @@ from multimatch import (
     match_the_shortest,
     ncond_check,
     product_form,
-    special_sets,
+    reduce_policy,
     verify_linear_chain,
     verify_ppartite_bound,
     verify_quadratic_identity,
 )
-from multimatch.drift import _MEMO, _int_drifts, _laws
+from multimatch.drift import _MEMO, _combine, _int_drifts, _laws, _value_drift
 from multimatch.chain import apply_decision
 from multimatch.policies import decision_distribution, word_counts
 
 from conftest import policy_kinds, random_admissible_word, random_measure, random_multigraph
+from oracles import special_sets
 
 
 def lyapunov_battery(g, mu):
@@ -350,6 +351,53 @@ def test_shared_passes_match_the_kernel_on_random_models(seed):
         assert verify_quadratic_identity(h, mu, fcfm, before) == 0.0
         with pytest.raises(ChainError):
             verify_quadratic_identity(g, mu, fcfm, (loop, loop))
+
+
+totals = st.tuples(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40),
+                   st.integers(1, 10**40))
+masses = st.fractions(min_value=0, max_value=1, max_denominator=10**20)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(totals, totals, totals, masses, masses)
+def test_integer_residuals_equal_the_fraction_formula(t, t_hat, t_check, stored, copies):
+    # any totals, not only those where the identities hold: each residual is
+    # abs(float(...)) of the Fraction formula, bit for bit
+    (q, l, d), (q_hat, l_hat, d_hat), (_, l_check, d_check) = t, t_hat, t_check
+    expected = (
+        Fraction(q, d) - (Fraction(q_hat, d_hat) - 4 * stored),
+        Fraction(l, d) - (Fraction(l_hat, d_hat) - 2 * stored),
+        Fraction(l_hat, d_hat) - (Fraction(l_check, d_check) - 2 * copies),
+    )
+    got = _combine(t, t_hat, t_check, stored, copies)
+    assert all(type(r) is float for r in got)
+    assert got == tuple(abs(float(r)) for r in expected)
+
+
+def test_float_split_takes_the_fraction_and_float_formula(path_loop, diamond_hub, mu_path,
+                                                          mu_diamond):
+    # an exact measure with a float split: the blow-up's drifts are float sums,
+    # the other two graphs' exact, and the residuals mix them as they come
+    for g, mu in ((path_loop, mu_path), (diamond_hub, mu_diamond)):
+        split = {i: 0.3 for i in g.v1}
+        bmap, check = g.minimal_blowup(), g.maximal_subgraph()
+        mu_hat = extend_measure(mu, bmap, split)
+        for pol in identity_battery(g):
+            pol_hat = extend_policy(pol, bmap)
+            for w in enumerate_states(g, 4):
+                laws, counts = _laws(bmap.blown, pol_hat, w), word_counts(w)
+                q_hat, l_hat = (_value_drift(laws, mu_hat, counts, fn)[1] for fn in (Quadratic(), Linear()))
+                assert type(q_hat) is float and type(l_hat) is float
+                stored = g.v1 & set(w)
+                expected = (
+                    kernel_drift(g, mu, pol, w, Quadratic()) - (q_hat - 4 * mu_hat.mass(stored)),
+                    kernel_drift(g, mu, pol, w, Linear()) - (l_hat - 2 * mu_hat.mass(stored)),
+                    l_hat - (kernel_drift(check, mu, reduce_policy(pol, g), w, Linear())
+                             - 2 * mu_hat.mass(bmap.copies(stored))),
+                )
+                got = (verify_quadratic_identity(g, mu, pol, w, split),
+                       *verify_linear_chain(g, mu, pol, w, split))
+                assert got == tuple(abs(float(r)) for r in expected)
 
 
 def class_drift(g, mu, pol, w, fn, v):

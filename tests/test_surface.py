@@ -327,7 +327,6 @@ PINNED_SURFACE = {
             "(g: 'Multigraph', mu: 'ProbMeasure', policy: 'Policy', w: 'Word', "
             "fn: 'LyapunovFn') -> 'DriftReport'"
         ),
-        "special_sets": "(g: 'Multigraph', w: 'Word') -> 'tuple[frozenset[Node], frozenset[Node]]'",
         "verify_quadratic_identity": (
             "(g: 'Multigraph', mu: 'ProbMeasure', policy: 'Policy', w: 'Word', "
             "split: 'Optional[Mapping[Node, Weight]]' = None) -> 'float'"
@@ -407,8 +406,8 @@ PINNED_EXPORTS = (
     "is_admissible_word", "kernel_row", "ldelta", "match_the_longest", "match_the_shortest",
     "mu_deg", "ncond_check", "nu", "nu_block_mass", "partner_inverse", "partner_map",
     "policy_dumps", "policy_loads", "predecessors", "product_form", "reduce_measure",
-    "reduce_policy", "reverse_copy", "simulate", "solve_finite_chain", "special_sets",
-    "stability_slope", "step", "validate_policy", "verify_linear_chain", "verify_ppartite_bound",
+    "reduce_policy", "reverse_copy", "simulate", "solve_finite_chain", "stability_slope",
+    "step", "validate_policy", "verify_linear_chain", "verify_ppartite_bound",
     "verify_quadratic_identity",
 )
 
