@@ -96,14 +96,6 @@ def _fmt_word(w: Word) -> str:
     return " ".join(w)
 
 
-def _fmt_value(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _json_safe(x):
     """Keep summaries strict-JSON: infinities become strings."""
     if isinstance(x, float) and math.isinf(x):
@@ -124,11 +116,11 @@ class Artifacts:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt_value(x) for x in row])
+            writer.writerow(map(str, row))
         self.files[name + ".csv"] = buf.getvalue()
 
     def finish(self, summary: dict) -> None:
-        text = json.dumps(summary, indent=2, sort_keys=True, default=_fmt_value)
+        text = json.dumps(summary, indent=2, sort_keys=True, default=str)
         self.files[self.command + ".json"] = text + "\n"
         if self.out_dir:
             os.makedirs(self.out_dir, exist_ok=True)

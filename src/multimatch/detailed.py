@@ -223,24 +223,17 @@ def alpha_inverse_from_blocks(g: Multigraph, mu: ProbMeasure) -> Weight:
 
     Equals the reciprocal of the product-form normalizing constant; the two
     are computed along different routes, so their agreement is a strong
-    cross-check.  Every prefix of a block is a block, and each mass is kept,
-    so a block costs one factor on top of its prefix's mass.
+    cross-check.
 
-    For an exact measure a factor is, in units of the weights' common
-    denominator D, the last letter's weight over D minus the padding mass: a
-    gap taken once per set.  Masses are (int numerator, int denominator)
-    pairs, summed once, by denominator.  A float measure sums each prefix's
-    padding in its letters' order, and the masses in ``blocks`` order.
+    For an exact measure, every prefix of a block is a block and each mass is
+    kept, so a block costs one factor on top of its prefix's mass.  A factor
+    is, in units of the weights' common denominator D, the last letter's
+    weight over D minus the padding mass: a gap taken once per set.  Masses
+    are (int numerator, int denominator) pairs, summed once, by denominator.
+    A float measure sums :func:`nu_block_mass` over ``blocks``, in order.
     """
     if not mu.is_exact:
-        masses: dict[tuple[Node, ...], Weight] = {(): Fraction(1)}
-
-        def mass(sigma: tuple[Node, ...]) -> Weight:
-            if sigma not in masses:
-                masses[sigma] = mass(sigma[:-1]) * _block_factor(g, mu, sigma)
-            return masses[sigma]
-
-        return sum(map(mass, blocks(g)), Fraction(1))
+        return sum((nu_block_mass(g, mu, s) for s in blocks(g)), Fraction(1))
     scale = math.lcm(*(mu[c].denominator for c in g.nodes))
     units = {c: int(mu[c] * scale) for c in g.nodes}
     bit = {c: 1 << k for k, c in enumerate(g.nodes)}

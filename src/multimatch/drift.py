@@ -15,9 +15,9 @@ drift inequalities into machine-checkable identities:
 
 The identities and :func:`exact_drift` read one integer pass over a word's
 decision laws, which sums every arrival class's Q and (weighted) L drifts
-together; a float factor takes ``fn.value`` on each move instead.  The
-identities combine the three graphs' integer totals with the stored masses
-by cross-multiplying, and divide once per residual.
+together.  The identities combine the three graphs' integer totals with the
+stored masses by cross-multiplying, and divide once per residual.  A float
+factor on any graph sends all three to the fallback, :func:`_value_drift`.
 """
 
 from __future__ import annotations
@@ -145,22 +145,17 @@ def _value_drift(
     laws: list, mu: ProbMeasure, counts: dict[Node, int], fn: LyapunovFn
 ) -> tuple[dict[Node, Weight], Weight]:
     """Per arrival class, mu(v) times the expected change of ``fn.value``,
-    and their total, summed in the order of the laws: the float fallback."""
-    base, changes = fn.value(counts), {}
+    and their total: the float fallback.  Each sum runs in the order of the
+    laws from ``Fraction(0)``, so it stays exact until a float meets it."""
+    base = fn.value(counts)
 
-    def change(c: Node, s: int) -> Weight:  # once per distinct move
-        if (c, s) not in changes:
-            moved = dict(counts)
-            moved[c] = moved.get(c, 0) + s
-            changes[c, s] = fn.value(moved) - base
-        return changes[c, s]
+    def change(c: Node, s: int) -> Weight:
+        moved = dict(counts)
+        moved[c] = moved.get(c, 0) + s
+        return fn.value(moved) - base
 
-    def mean(law: list) -> Weight:
-        if len(law) == 1 and type(law[0][1]) is Fraction:  # a sure decision's exact 1
-            return change(*law[0][0])
-        return sum((p * change(c, s) for (c, s), p in law), Fraction(0))
-
-    per_class = {v: mu[v] * mean(law) for v, law in laws}
+    per_class = {v: mu[v] * sum((p * change(c, s) for (c, s), p in law), Fraction(0))
+                 for v, law in laws}
     return per_class, sum(per_class.values(), Fraction(0))
 
 
@@ -210,10 +205,9 @@ def _residuals(g, mu, policy, w, split) -> tuple[float, float, float]:
         sums = [_int_drifts(laws_h, nu, counts) for laws_h, nu in graphs]
         if None not in sums:  # every weight rational, the blow-up's masses too
             residuals = _combine(*(s[-1] for s in sums), *masses)
-        else:  # a float factor: Fraction and float totals, as they come
+        else:  # a float factor: every graph's Q and L from fn.value, as they come
             (q, l), (q_hat, l_hat), (_, l_check) = (
-                [_value_drift(*h, counts, fn)[1] for fn in (Quadratic(), Linear())] if s is None
-                else [Fraction(x, s[-1][2]) for x in s[-1][:2]] for h, s in zip(graphs, sums))
+                [_value_drift(*h, counts, fn)[1] for fn in (Quadratic(), Linear())] for h in graphs)
             residuals = tuple(abs(float(r)) for r in (q - (q_hat - 4 * masses[0]),
                               l - (l_hat - 2 * masses[0]), l_hat - (l_check - 2 * masses[1])))
         m.update(w=w, laws=laws, residuals=residuals)

@@ -27,7 +27,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .graphs import BlowupMap, Multigraph, Node
@@ -213,8 +212,7 @@ def word_counts(w: Word) -> dict[Node, int]:
 #                     match-the-shortest);
 #   (_SHUFFLE, nbrs)  ``rng.shuffle`` of a copy of ``nbrs``, the graph's one
 #                     sorted neighbourhood tuple of the arrival; its first
-#                     entry among ``classes`` is chosen (uniform RandomPolicy;
-#                     one draw tuple per neighbourhood, from :func:`_shuffle`);
+#                     entry among ``classes`` is chosen (uniform RandomPolicy);
 #   (_RANDOM, cum, firsts, weights)
 #                     ``rng.random()`` bisected over ``cum``, the float running
 #                     sums of the permutations' ``weights``, picks a
@@ -270,19 +268,10 @@ def _uniform(choices: Sequence[Node]):
     return choices, (_TIE if len(choices) > 1 else None)
 
 
-@lru_cache(maxsize=64)
-def _shuffle(nbrs: tuple[Node, ...]):
-    """The draw ``(_SHUFFLE, nbrs)`` of a sorted neighbourhood, shared by the
-    specs, and the draw records, that shuffle it.  The cache holds the
-    neighbourhoods of the last few graphs, not of every graph a process
-    meets."""
-    return _SHUFFLE, nbrs
-
-
 def _random_rule(g, policy, counts, v):
     dist = (policy.perms or {}).get(v)
     if dist is None:
-        return sorted(counts), _shuffle(g.sorted_adjacency[v])
+        return sorted(counts), (_SHUFFLE, g.sorted_adjacency[v])
     firsts = [next(j for j in perm if j in counts) for perm, _ in dist]
     classes = list(dict.fromkeys(firsts))
     weights = [p for _, p in dist]

@@ -218,7 +218,7 @@ def _exact_weights(g: Multigraph, mu: ProbMeasure, words: list[Word]):
     for w in words[1:]:
         n[w] = n[w[:-1]] * m[w[-1]] // (prods[w] // prods[w[:-1]])
     scale = a.denominator * n[()] * d
-    return n, m, lambda w, x: abs(float(Fraction(a.numerator * (n[w] * d - x), scale)))
+    return n, m, lambda w, x: abs(a.numerator * (n[w] * d - x)) / scale
 
 
 def balance_residual(

@@ -140,6 +140,8 @@ def test_enumerate_states_square_is_full_space(square_loops, k2):
         ("2",) * 3,
     }
     assert enumerate_states(k2, 0) == [()]
+    with pytest.raises(ChainError):
+        enumerate_states(k2, -1)
 
 
 def test_kernel_row_examples(square_loops, path_loop, mu_square_uniform, mu_path):

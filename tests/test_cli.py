@@ -271,6 +271,12 @@ def test_drift_command(capsys, tmp_path):
     code, data = run(capsys, *tripartite, "--delta", "1/2")
     assert code == 1
     assert data["delta"] == "1/2" and data["ldelta_bound_holds"] is False
+    # outside the stability region the bound does not apply: the summary
+    # leaves it out, and the exit code follows the identity residuals
+    code, data = run(capsys, "drift", "--graph", fx("path_loop.graph.json"),
+                     "--mu", fx("path_loop.mu_unstable.json"), "--fn", "Ldelta", "--delta", "1/10")
+    assert code == 0 and data["verified"] is True
+    assert "ldelta_bound_holds" not in data and "delta" not in data
 
 
 # sha256 of the --out files on tripartite_loop at --max-len 5, computed
@@ -550,6 +556,10 @@ def test_input_errors_exit_2(capsys, tmp_path):
         # exact weights too large for a float
         '{"kind": "maxweight", "beta": "1e400", "rewards": {"2,1": 0.5}}',
         '{"kind": "maxweight", "beta": 0.5, "rewards": {"2,1": "1e400"}}',
+        # well-formed data that does not fit path_loop's neighbourhoods
+        '{"kind": "priority", "order": {"1": ["2"], "2": ["1"], "3": ["2"]}}',
+        '{"kind": "random", "perms": {"2": [[["1", "3"], "1/2"], [["3", "1"], "1/4"]]}}',
+        '{"kind": "random", "perms": {"2": [[["1", "2"], 1]]}}',
     ):
         assert main(["simulate", *path_model, "--policy", doc, "--steps", "10"]) == 2, doc
         assert main(["drift", *path_model, "--policy", doc, "--max-len", "2"]) == 2, doc
@@ -558,6 +568,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert main(["extend-measure", *path_model, "--split", split]) == 2
     for delta in ("x", "1e999"):
         assert main(["drift", *path_model, "--fn", "Ldelta", "--delta", delta]) == 2, delta
+    # outside the stability region there is no margin to default to
+    assert main(["drift", "--graph", fx("path_loop.graph.json"),
+                 "--mu", fx("path_loop.mu_unstable.json"), "--fn", "Ldelta"]) == 2
     # only Ldelta has a margin to set
     for fn in ("Q", "L"):
         assert main(["drift", *path_model, "--fn", fn, "--delta", "5"]) == 2, fn
@@ -574,7 +587,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
                      "--min-visits", min_visits]) == 2
     # a tolerance that is NaN, infinite or negative is rejected while parsing
     for command in ("verify-balance", "tv-compare", "drift", "verify-identities"):
-        for tol in ("nan", "inf", "-1e-12"):
+        for tol in ("nan", "inf", "-1e-12", "abc"):
             with pytest.raises(SystemExit) as exc:
                 main([command, *path_model, "--tol", tol])
             assert exc.value.code == 2, (command, tol)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from multimatch import (
     DetailedError,
     Fcfm,
+    GraphError,
     MeasureError,
     Multigraph,
     ProbMeasure,
@@ -502,6 +503,8 @@ def test_excursions_by_hand(k2):
     ]
     with pytest.raises(DetailedError):
         excursion_decompose(k2, ["1", "1"])
+    with pytest.raises(GraphError):
+        fcfm_match_partners(k2, ["1", "9"])
 
 
 def test_partner_map_and_inverse(k2, path_loop):

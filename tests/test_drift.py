@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from multimatch import (
     match_the_longest,
     match_the_shortest,
     ncond_check,
+    policy_loads,
     product_form,
     reduce_policy,
     verify_linear_chain,
@@ -41,6 +43,8 @@ from multimatch.policies import decision_distribution, word_counts
 
 from conftest import policy_kinds, random_admissible_word, random_measure, random_multigraph
 from oracles import special_sets
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def lyapunov_battery(g, mu):
@@ -173,6 +177,19 @@ def test_ppartite_bound_tripartite(tripartite_loop, mu_tripartite):
         assert report.ok and report.parts == 3
 
 
+def test_ppartite_bound_float_fallback_equals_the_given_drifts(tripartite_loop, mu_tripartite):
+    # a float measure leaves the integer pass: the bound's own fallback totals
+    # are the drifts exact_drift reports
+    mu = ProbMeasure.from_dict({c: float(p) for c, p in mu_tripartite.weights.items()})
+    pol = policy_loads((FIXTURES / "tripartite_loop.policy_v2fav.json").read_text(encoding="utf-8"))
+    fn = ldelta(tripartite_loop, mu, ncond_check(tripartite_loop, mu).margin)
+    drifts = {w: exact_drift(tripartite_loop, mu, pol, w, fn).drift
+              for w in enumerate_states(tripartite_loop, 4)}
+    report = verify_ppartite_bound(tripartite_loop, mu, pol, 4)
+    assert report == verify_ppartite_bound(tripartite_loop, mu, pol, 4, drifts=drifts)
+    assert report.ok and report.states_checked > 0 and isinstance(report.delta, float)
+
+
 def test_ldelta_drift_closed_form(tripartite_loop, mu_tripartite):
     # on a complete multipartite model with a favored-class policy, the
     # reweighted-linear drift at any state storing a non-looped class equals
@@ -212,6 +229,9 @@ def test_ppartite_bound_rejects_bad_inputs(path_loop, mu_path):
     p4 = Multigraph.build(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4")])
     with pytest.raises(DriftError):
         verify_ppartite_bound(p4, ProbMeasure.uniform(p4), RandomPolicy(), max_len=3)
+    k2 = Multigraph.build(["1", "2"], [("1", "2")])  # two parts and no loop
+    with pytest.raises(DriftError, match="at least 3 parts"):
+        verify_ppartite_bound(k2, ProbMeasure.uniform(k2), RandomPolicy(), max_len=3)
     bad = ProbMeasure.from_dict({"1": "0.3", "2": "0.2", "3": "0.5"})
     with pytest.raises(DriftError):
         verify_ppartite_bound(path_loop, bad, V2Favorable(RandomPolicy()), max_len=3)

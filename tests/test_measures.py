@@ -30,6 +30,8 @@ def test_measure_validation():
         ProbMeasure.from_dict({"1": "1.0", "2": "0.0"})  # no full support
     with pytest.raises(MeasureError):
         ProbMeasure.from_dict({})
+    with pytest.raises(MeasureError, match="weights sum to 0.75"):
+        ProbMeasure.from_dict({"1": 0.5, "2": 0.25})  # floats
     mu = ProbMeasure.from_dict({"1": "0.25", "2": "0.75"})
     assert mu.is_exact and mu["1"] == Fraction(1, 4)
 

@@ -173,8 +173,9 @@ def test_extension_matches_on_shared_states(diamond_hub):
     prio = Priority.from_lists(
         {"1": ["2"], "2": ["1", "2", "3", "4"], "3": ["2", "4"], "4": ["3", "2"]}
     )
+    rewards = {("2", "3"): Fraction(2), ("4", "2"): Fraction(1, 2), ("2", "2"): Fraction(1)}
     battery = [Fcfm(), Lcfm(), RandomPolicy(), prio, match_the_longest(),
-               match_the_shortest(), V2Favorable(prio)]
+               match_the_shortest(), V2Favorable(prio), MaxWeight(beta=1, rewards=rewards)]
     for pol in battery:
         ext = extend_policy(pol, bmap)
         for w in enumerate_states(diamond_hub, 4):
@@ -187,6 +188,8 @@ def test_extension_matches_on_shared_states(diamond_hub):
                 assert decision_distribution(
                     diamond_hub, pol, w, v
                 ) == decision_distribution(bmap.blown, ext, w, v)
+    lifted = extend_policy(battery[-1], bmap).rewards
+    assert lifted[("2", "2_")] == lifted[("2_", "2")] == 1  # a loop's reward, on both copies
 
 
 def test_reduce_policy(path_loop, triangle):
@@ -229,6 +232,8 @@ def test_validate_policy_errors(path_loop):
         validate_policy(V2Favorable(RandomPolicy(), frozenset({"1", "9"})), path_loop)
     with pytest.raises(PolicyError):
         match_the_longest(beta=-1)
+    with pytest.raises(PolicyError):
+        match_the_shortest(beta=1)
 
 
 def test_policy_json_round_trip(path_loop):
@@ -240,6 +245,7 @@ def test_policy_json_round_trip(path_loop):
         prio,
         MaxWeight(beta=Fraction(1), rewards={("2", "1"): Fraction(1, 2)}),
         V2Favorable(prio, favored=frozenset({"1", "2"})),
+        RandomPolicy(perms={"2": ((("1", "3"), Fraction(7, 10)), (("3", "1"), Fraction(3, 10)))}),
     ]
     for pol in battery:
         assert policy_loads(policy_dumps(pol)) == pol
