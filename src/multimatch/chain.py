@@ -305,8 +305,6 @@ class BufferEngine:
     """
 
     def __init__(self, g: Multigraph, policy: Policy):
-        self.g = g
-        self.policy = policy
         self._classes = classes = sorted(g.nodes)
         self._fifo = {c: deque() for c in classes}
         self._index = {c: i for i, c in enumerate(classes)}
@@ -468,16 +466,17 @@ def simulate(
     one of its next words: a word longer than the table's length bound, or a
     new word while the table is full.  The engine, loaded with the table's
     word, steps on in one loop until it meets a word the table holds; the
-    loop follows the queue's word only while the queue is short enough for
-    the table to hold it or for the word to be tallied.  The run is one
-    pass over one feed of arrivals, burn-in included.  A policy that never
-    draws only draws arrivals, so they are drawn in bulk (the same stream as
-    per-step draws); a policy that can draw takes its arrivals one at a time,
-    interleaved with its own draws.  Each step appends one int to a record
-    (its table state, or the class the engine stored or matched), tallied
-    once per 16384 steps and at the end: integer running sums give the
-    engine's queue lengths and class counts.  Either way the result, and the
-    RNG's final state, are the engine's, bit for bit.
+    loop reads the word from the engine after each step that leaves the queue
+    short enough for the table to hold its word or for the word to be
+    tallied.  The run is one pass over one feed of arrivals, burn-in
+    included.  A policy that never draws only draws arrivals, so they are
+    drawn in bulk (the same stream as per-step draws); a policy that can draw
+    takes its arrivals one at a time, interleaved with its own draws.  Each
+    step appends one int to a record (its table state, or the class the
+    engine stored or matched), tallied once per 16384 steps and at the end:
+    integer running sums give the engine's queue lengths and class counts.
+    Either way the result, and the RNG's final state, are the engine's, bit
+    for bit.
     """
     if steps <= 0:
         raise ChainError("steps must be positive")
@@ -506,11 +505,10 @@ def simulate(
     met: dict[Word, list[int]] = {}
     # o is the current table offset, or negative while the engine steps.  The
     # engine's queue holds ``ln`` items, and ``key + k + i`` is the key of its
-    # next arrival, of class index i.  The engine loop keeps the queue's word
-    # in ``w`` while the table may hold it or it may be tallied (``ln <=
-    # near``), and hands back to the table at a word that ``enter`` holds.  A
-    # store past ``near`` drops the word (``w`` is None), and the match that
-    # brings the queue back within ``near`` reads it from the engine once.
+    # next arrival, of class index i.  After a step that leaves the queue
+    # within ``near``, where the table may hold its word or the word may be
+    # tallied, the engine loop reads the word from the engine, and hands back
+    # to the table at a word that ``enter`` holds.
     near = max(_TABLE_MAX_LEN, word_cap)
     o = key = ln = 0
     if is_draw_free(policy):
@@ -606,9 +604,8 @@ def simulate(
                             spec, outs = records[-3 - t]
                             t = outs[sample(spec, rng)]
                         elif t < 0:
-                            w = words[o // k]
-                            load(w)
-                            key, ln = engine._next - k, len(w)
+                            load(words[o // k])
+                            key, ln = engine._next - k, engine.length
                             feed, o = chain((i,), rest), -1
                             break
                     o = t
@@ -616,30 +613,18 @@ def simulate(
                 else:
                     break
             else:
-                # the word follows each step while the queue is within
-                # ``near``; a match takes the oldest item of its class's FIFO
-                # (popleft), or under LCFM the newest (pop)
                 for i in feed:
                     key += k
                     m = offers[i](key + i, rng)
                     if m is None:
                         ln += 1
                         push(~i)
-                        if ln > near:
-                            w = None
-                            continue
-                        w += (nodes[i],)
                     else:
                         ln -= 1
                         push(~m)
-                        if w is not None:
-                            q, c = queues[m % k], nodes[m % k]
-                            x = w.index(c) if not q or m < q[0] else len(w) - 1 - w[::-1].index(c)
-                            w = w[:x] + w[x + 1 :]
-                        elif ln > near:
-                            continue
-                        else:  # a long queue is back within reach
-                            w = word()
+                    if ln > near:
+                        continue
+                    w = word()
                     o = enter(w)
                     if o >= 0:  # the engine hands back to the table
                         walk[-1] = o

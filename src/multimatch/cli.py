@@ -147,7 +147,7 @@ def cmd_info(args, art: Artifacts, g: Multigraph) -> dict:
         "bipartition": [sorted(s) for s in parts] if parts else None,
         "multipartite_parts": [sorted(p) for p in decomposition] if decomposition else None,
         "blowup_copies": dict(sorted(bmap.copy_of.items())),
-        "independent_set_count": sum(1 for _ in g.independent_sets()),
+        "independent_set_count": sum(1 for _ in g.independent_masks()),
     }
 
 

@@ -126,7 +126,6 @@ def _class_indices(g: Multigraph, arrivals: Sequence[Node]) -> list[int]:
         return list(map(index.__getitem__, arrivals))
     except KeyError as exc:
         g.check_node(exc.args[0])
-        raise
 
 
 def fcfm_match_partners(g: Multigraph, arrivals: Sequence[Node]) -> list[Optional[int]]:
@@ -180,8 +179,8 @@ def nu(mu: ProbMeasure, w: DWord) -> Weight:
 
 def blocks(g: Multigraph) -> Iterator[tuple[Node, ...]]:
     """Ordered independent sequences of the loop-free subgraph, one per block."""
-    for ind in g.maximal_subgraph().independent_sets():
-        yield from permutations(sorted(ind))
+    for mask, _ in g.independent_masks(loop_free=True):
+        yield from permutations(sorted(c for k, c in enumerate(g.nodes) if mask >> k & 1))
 
 
 def _padding(g: Multigraph, sigma: Sequence[Node]) -> Iterator[Node]:
@@ -211,7 +210,8 @@ def nu_block_mass(g: Multigraph, mu: ProbMeasure, sigma: Sequence[Node]) -> Weig
     """Total nu-mass of the backward states whose unbarred skeleton is the
     block ``sigma`` (distinct letters, no two compatible in the loop-free
     subgraph): the factors of its prefixes, multiplied left to right."""
-    if len(set(sigma)) < len(sigma) or g.maximal_subgraph().neighborhood(sigma) & set(sigma):
+    s = set(sigma)  # every letter is checked (GraphError) before any pair
+    if len(s) < len(sigma) or any([s & g.neighborhood([c]) - {c} for c in sigma]):
         raise DetailedError(f"{tuple(sigma)} is not a block: a letter repeats "
                             "or two letters are compatible")
     factors = (_block_factor(g, mu, sigma[:k]) for k in range(1, len(sigma) + 1))

@@ -205,9 +205,9 @@ def _residuals(g, mu, policy, w, split) -> tuple[float, float, float]:
         sums = [_int_drifts(laws_h, nu, counts) for laws_h, nu in graphs]
         if None not in sums:  # every weight rational, the blow-up's masses too
             residuals = _combine(*(s[-1] for s in sums), *masses)
-        else:  # a float factor: every graph's Q and L from fn.value, as they come
-            (q, l), (q_hat, l_hat), (_, l_check) = (
-                [_value_drift(*h, counts, fn)[1] for fn in (Quadratic(), Linear())] for h in graphs)
+        else:  # a float factor: Q on two graphs and L on all three from fn.value
+            q, q_hat = (_value_drift(*h, counts, Quadratic())[1] for h in graphs[:2])
+            l, l_hat, l_check = (_value_drift(*h, counts, Linear())[1] for h in graphs)
             residuals = tuple(abs(float(r)) for r in (q - (q_hat - 4 * masses[0]),
                               l - (l_hat - 2 * masses[0]), l_hat - (l_check - 2 * masses[1])))
         m.update(w=w, laws=laws, residuals=residuals)

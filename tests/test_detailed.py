@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 import re
@@ -44,6 +45,8 @@ from multimatch.chain import (
 )
 from multimatch.detailed import (
     ExcursionReport,
+    LocalBalanceReport,
+    PairCheck,
     _match_partners,
     _partner_table,
     _walk,
@@ -362,6 +365,17 @@ def test_local_balance_report(square_loops, mu_square_uniform):
     assert rep.max_z < 4.0
     assert rep.fraction_within(3.0) == 1.0
     assert rep.undetermined_forward < 50
+
+
+def test_pair_check_z_and_an_empty_report():
+    # with zero standard error a pair is within any bound when its two sides
+    # agree, and beyond every bound when they do not
+    assert PairCheck((), (), 0.25, 0.25, 0.0).z == 0.0
+    assert PairCheck((), (), 0.25, 0.5, 0.0).z == math.inf
+    assert PairCheck((), (), 0.25, 0.5, 0.125).z == 2.0
+    # a report that tested no pair has nothing outside any bound
+    empty = LocalBalanceReport(steps=10, seed=0, min_visits=1, undetermined_forward=0, checks=())
+    assert (empty.pairs_tested, empty.max_z, empty.fraction_within(0.0)) == (0, 0.0, 1.0)
 
 
 def test_local_balance_counts_undetermined_tail(path_loop, mu_path):

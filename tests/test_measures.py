@@ -36,6 +36,12 @@ def test_measure_validation():
     assert mu.is_exact and mu["1"] == Fraction(1, 4)
 
 
+def test_missing_class_weight_raises():
+    mu = ProbMeasure.from_dict({"1": "0.25", "2": "0.75"})
+    with pytest.raises(MeasureError, match="measure has no weight for '3'"):
+        mu["3"]
+
+
 def test_support_mismatch_raises(path_loop):
     mu = ProbMeasure.from_dict({"1": "0.5", "2": "0.5"})
     with pytest.raises(MeasureError):

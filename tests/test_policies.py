@@ -236,6 +236,19 @@ def test_validate_policy_errors(path_loop):
         match_the_shortest(beta=1)
 
 
+def test_decisions_reject_unknown_arrivals_and_unvalidated_orders(path_loop):
+    # an arrival class the graph does not have, under every kind of rule
+    for pol in (Fcfm(), Lcfm(), RandomPolicy(), match_the_longest()):
+        with pytest.raises(GraphError, match="unknown node '9'"):
+            decide(path_loop, pol, ("1",), "9", random.Random(0))
+    # a priority that skipped validate_policy: no order for the arrival's
+    # class, or an order that misses a stored candidate
+    with pytest.raises(PolicyError, match="lacks an order for class '2'"):
+        decision_distribution(path_loop, Priority.from_lists({"1": ["2"]}), ("1",), "2")
+    with pytest.raises(PolicyError, match=r"missed candidates \['3'\]"):
+        decision_distribution(path_loop, Priority.from_lists({"2": ["1"]}), ("3",), "2")
+
+
 def test_policy_json_round_trip(path_loop):
     prio = Priority.from_lists({"1": ["2"], "2": ["1", "3"], "3": ["2", "3"]})
     battery = [

@@ -215,6 +215,20 @@ def test_finite_stationary_square(square_loops, mu_square_uniform):
     assert sum(table.values()) == 1
 
 
+def test_finite_stationary_checks_a_float_table(square_loops, mu_square_uniform):
+    # a float measure's table is checked against 1 within a tolerance
+    exact = finite_stationary(square_loops, mu_square_uniform)
+    mu_float = ProbMeasure({c: float(p) for c, p in mu_square_uniform.weights.items()})
+    table = finite_stationary(square_loops, mu_float)
+    assert table.keys() == exact.keys()
+    assert all(type(p) is float and abs(p - exact[w]) <= 1e-15 for w, p in table.items())
+    short = {(): 0.5, ("1",): 0.25}
+    with patch("multimatch.stationary.product_form") as pf:
+        pf.return_value.table.return_value = short
+        with pytest.raises(AssertionError, match="finite table sums to 0.75"):
+            finite_stationary(square_loops, mu_float)
+
+
 def test_finite_stationary_two_looped_nodes():
     g = Multigraph.build(["1", "2"], [("1", "2")], ["1", "2"])
     p = Fraction(3, 10)
