@@ -852,20 +852,25 @@ def test_engine_word_and_length_follow_step_after_loads(seed):
             assert rng_a.getstate() == rng_b.getstate(), (name, n)
 
 
-def test_engine_is_freed_without_the_collector(tripartite_loop, mu_tripartite):
-    # no reference cycle: dropping the engine frees it and its buffer at once
-    arrivals = draw_arrivals(mu_tripartite, 60, random.Random(2))
+def test_engine_is_freed_without_the_collector(tripartite_loop, mu_tripartite, path_loop):
+    # no reference cycle: dropping the engine frees it and its buffer at once;
+    # path_loop's classes have one or two neighbours, tripartite_loop's three
+    # or four, so both shapes of the compiled FCFM offer are dropped (path_loop
+    # under its unstable measure, whose queue is not empty after 60 arrivals)
+    unstable = ProbMeasure.from_dict({"1": "2/5", "2": "1/5", "3": "2/5"})
     gc.disable()
     try:
-        for name, pol in policy_kinds(tripartite_loop).items():
-            engine = BufferEngine(tripartite_loop, pol)
-            rng = random.Random(3)
-            for v in arrivals:
-                engine.offer(v, rng)
-            assert engine.length > 0, name
-            refs = [weakref.ref(engine)] + [weakref.ref(q) for q in engine._fifo.values()]
-            del engine
-            assert all(ref() is None for ref in refs), name
+        for g, mu in ((tripartite_loop, mu_tripartite), (path_loop, unstable)):
+            arrivals = draw_arrivals(mu, 60, random.Random(2))
+            for name, pol in policy_kinds(g).items():
+                engine = BufferEngine(g, pol)
+                rng = random.Random(3)
+                for v in arrivals:
+                    engine.offer(v, rng)
+                assert engine.length > 0, name
+                refs = [weakref.ref(engine)] + [weakref.ref(q) for q in engine._fifo.values()]
+                del engine
+                assert all(ref() is None for ref in refs), name
     finally:
         gc.enable()
 
@@ -913,22 +918,37 @@ PINNED_ENGINE_DIGESTS = {
 }
 
 
-def test_engine_bound_runs_are_pinned(path_loop):
+# diamond_hub_loop under {1: 2/5, 2: 1/5, 3: 1/5, 4: 1/5}: class 1 piles up,
+# and its classes have 1, 2 and 4 neighbours, so FCFM steps both shapes of
+# the compiled offer; keyed as above, computed while every class looped
+PINNED_DIAMOND_ENGINE_DIGESTS = {
+    ("fcfm", 0): "f5eef927ba62c60d22da54a056c9c3b05bbe36ea6782338bf99d2df9fedd9d0a",
+    ("fcfm", 16): "a2fc03091a702a6736146ebaa03ff87ea947cd82f2204d222dd0a658f76cc542",
+}
+
+
+def test_engine_bound_runs_are_pinned(path_loop, diamond_hub):
     # sha256 of the result's repr and the RNG's final state, from burn-in 0;
     # with the shipped table bounds the engine takes every step past 24
     # letters, and with small ones it also tallies the words it steps to
-    unstable = ProbMeasure.from_dict({"1": "2/5", "2": "1/5", "3": "2/5"})
+    inputs = (
+        (path_loop, {"1": "2/5", "2": "1/5", "3": "2/5"}, PINNED_ENGINE_DIGESTS),
+        (diamond_hub, {"1": "2/5", "2": "1/5", "3": "1/5", "4": "1/5"},
+         PINNED_DIAMOND_ENGINE_DIGESTS),
+    )
     policies = {"fcfm": Fcfm(), "lcfm": Lcfm(), "ms": match_the_shortest()}
-    for max_len, max_states in TABLE_BOUNDS:
-        got = {}
-        for (name, word_cap) in PINNED_ENGINE_DIGESTS:
-            with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=max_len,
-                                _TABLE_MAX_STATES=max_states):
-                res, state = recorded_simulate(path_loop, unstable, policies[name], 20000,
-                                               burn_in=0, seed=17, word_cap=word_cap)
-            assert res.overflow_steps > 19900, (name, word_cap)
-            got[name, word_cap] = hashlib.sha256((repr(res) + repr(state)).encode()).hexdigest()
-        assert got == PINNED_ENGINE_DIGESTS, max_len
+    for g, weights, pinned in inputs:
+        unstable = ProbMeasure.from_dict(weights)
+        for max_len, max_states in TABLE_BOUNDS:
+            got = {}
+            for (name, word_cap) in pinned:
+                with patch.multiple("multimatch.chain", _TABLE_MAX_LEN=max_len,
+                                    _TABLE_MAX_STATES=max_states):
+                    res, state = recorded_simulate(g, unstable, policies[name], 20000,
+                                                   burn_in=0, seed=17, word_cap=word_cap)
+                assert res.overflow_steps > 19900, (name, word_cap)
+                got[name, word_cap] = hashlib.sha256((repr(res) + repr(state)).encode()).hexdigest()
+            assert got == pinned, max_len
 
 
 def test_runs_do_not_depend_on_the_order_of_the_graphs_nodes(path_loop):
